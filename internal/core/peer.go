@@ -136,8 +136,8 @@ type Peer struct {
 	opts  Options
 	clock vclock.Clock
 
-	routesMu sync.RWMutex
-	routes   RouteCache
+	frontMu sync.RWMutex
+	front   Front
 
 	Node *chord.Node
 	DHT  *dht.Service
@@ -225,34 +225,42 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	return p
 }
 
-// RouteCache memoizes the Master-key route per document, letting master
-// RPCs skip the O(log N) finger-path lookup. Implementations must be
-// safe for concurrent use. Staleness is self-verifying: every master RPC
-// response carries a NotMaster verdict, so the caller drops a stale
-// entry and falls back to the full lookup — a cache can therefore never
-// produce a wrong answer, only a wasted round trip.
-type RouteCache interface {
+// Front is what a serving front mounted on a peer (the gateway) lends
+// to every replica opened there: the Master-key route it memoizes and
+// the log tail it has already read. Implementations must be safe for
+// concurrent use. Neither half can produce a wrong answer, only a saved
+// or a wasted round trip: every master RPC response carries a NotMaster
+// verdict, so the caller drops a stale route and falls back to the full
+// lookup; log slots are write-once, so a record read once is the record.
+type Front interface {
 	// Lookup returns the memoized master for a document key.
 	Lookup(key string) (msg.NodeRef, bool)
 	// Store memoizes the master that just answered authoritatively.
 	Store(key string, master msg.NodeRef)
 	// Drop invalidates the entry after a failed or non-authoritative call.
 	Drop(key string)
+	// FetchRange is p2plog.Log.FetchRange for this peer's log, shared:
+	// a record somebody on the peer has read, or is reading, is not
+	// fetched from the DHT again.
+	FetchRange(ctx context.Context, key string, from, to uint64) ([]p2plog.Record, error)
+	// Committed hands over a record the master just acked, with the very
+	// bytes it published, so nobody on the peer fetches it.
+	Committed(rec p2plog.Record)
 }
 
-// SetRouteCache installs rc on the master RPC path of every replica
-// opened at this peer (nil uninstalls). The gateway wires its
-// eviction-invalidated cache here.
-func (p *Peer) SetRouteCache(rc RouteCache) {
-	p.routesMu.Lock()
-	defer p.routesMu.Unlock()
-	p.routes = rc
+// SetFront installs f on the master RPC and retrieval paths of every
+// replica opened at this peer (nil uninstalls: replicas then use the
+// ring lookup and peer.Log directly). The gateway wires itself here.
+func (p *Peer) SetFront(f Front) {
+	p.frontMu.Lock()
+	defer p.frontMu.Unlock()
+	p.front = f
 }
 
-func (p *Peer) routeCache() RouteCache {
-	p.routesMu.RLock()
-	defer p.routesMu.RUnlock()
-	return p.routes
+func (p *Peer) servingFront() Front {
+	p.frontMu.RLock()
+	defer p.frontMu.RUnlock()
+	return p.front
 }
 
 // discoverKeys enumerates the document keys evidenced by locally stored

@@ -63,8 +63,7 @@ type Replica struct {
 	committed   *patch.Document
 	committedTS uint64
 	tentative   []patch.Op
-	seq         uint64            // author-local patch counter
-	integrated  map[string]uint64 // patchID -> ts of every committed patch applied
+	seq         uint64 // author-local patch counter
 	// stats
 	behindRounds int64
 	retrieved    int64
@@ -95,12 +94,11 @@ type Replica struct {
 // with any previously committed patches.
 func NewReplica(peer *Peer, key, site string) *Replica {
 	return &Replica{
-		peer:       peer,
-		key:        key,
-		site:       site,
-		mu:         vclock.NewMutex(peer.clock),
-		committed:  patch.NewDocument(""),
-		integrated: make(map[string]uint64),
+		peer:      peer,
+		key:       key,
+		site:      site,
+		mu:        vclock.NewMutex(peer.clock),
+		committed: patch.NewDocument(""),
 	}
 }
 
@@ -291,12 +289,16 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 
 	sp := trace.FromContext(ctx)
 	r.busyHint = 0
+	// The wire form changes only when a Behind round rebased the ops: a
+	// Busy round resends these bytes, the ack applies final and hands enc
+	// on to the peer's serving front.
+	final := ot.Compact(p)
+	enc, err := final.Encode()
+	if err != nil {
+		return r.committedTS, err
+	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return r.committedTS, err
-		}
-		enc, err := ot.Compact(p).Encode()
-		if err != nil {
 			return r.committedTS, err
 		}
 		resp, err := r.callMaster(ctx, &msg.ValidateReq{
@@ -312,13 +314,15 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 		case msg.ValidateOK:
 			// The patch is committed at resp.ValidatedTS: fold it into the
 			// committed state.
-			final := ot.Compact(p)
 			if err := r.committed.ApplyPatch(final); err != nil {
 				return r.committedTS, fmt.Errorf("core: applying own validated patch: %w", err)
 			}
 			r.committedTS = resp.ValidatedTS
-			r.integrated[p.ID] = resp.ValidatedTS
 			r.tentative = nil
+			if f := r.peer.servingFront(); f != nil {
+				// The very bytes the master published at this timestamp.
+				f.Committed(p2plog.Record{Key: r.key, TS: resp.ValidatedTS, PatchID: p.ID, Patch: enc})
+			}
 			if err := r.saveLocked(); err != nil {
 				return r.committedTS, fmt.Errorf("core: committed at ts %d but journaling failed: %w", r.committedTS, err)
 			}
@@ -330,12 +334,12 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 		case msg.ValidateBehind:
 			r.behindRounds++
 			gap := int64(resp.LastTS) - int64(r.committedTS)
-			own, err := r.integrateMissingLocked(ctx, resp.LastTS, p.ID)
+			ownTS, err := r.integrateMissingLocked(ctx, resp.LastTS, p.ID)
 			sp.MarkN("retrieve", gap)
 			if err != nil {
 				return r.committedTS, err
 			}
-			if own {
+			if ownTS != 0 {
 				// Our patch was already committed by a previous master
 				// incarnation or a lost ValidateOK ack (crash window):
 				// integrateMissingLocked installed the log's version and
@@ -347,7 +351,7 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				if err := r.saveLocked(); err != nil {
 					return r.committedTS, fmt.Errorf("core: committed but journaling failed: %w", err)
 				}
-				return r.integrated[p.ID], nil
+				return ownTS, nil
 			}
 			if len(r.tentative) == 0 {
 				// A checkpoint rebase dropped every tentative op (e.g.
@@ -364,6 +368,10 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 			// Rebase the pending patch on the newly integrated commits.
 			p.Ops = append([]patch.Op(nil), r.tentative...)
 			p.BaseTS = r.committedTS
+			final = ot.Compact(p)
+			if enc, err = final.Encode(); err != nil {
+				return r.committedTS, err
+			}
 
 		case msg.ValidateBusy:
 			// Hot-key admission shed this request before it touched any
@@ -529,33 +537,42 @@ func (r *Replica) maybeCheckpointLocked(ctx context.Context, ts uint64) {
 // verbatim to the committed state while the tentative ops are transformed
 // against it. If one of the retrieved patches is ownID (our own patch,
 // republished by a previous master), the local tentative is superseded by
-// the log's version and ownFound is true.
-func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, ownID string) (ownFound bool, err error) {
+// the log's version and ownTS is the timestamp the log gave it (0: not
+// among them). The records come through the peer's serving front when one
+// is mounted, from peer.Log otherwise.
+func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, ownID string) (ownTS uint64, err error) {
 	if lastTS <= r.committedTS {
-		return false, nil // a checkpoint jump can land past the requested range
+		return 0, nil // a checkpoint jump can land past the requested range
 	}
-	recs, ferr := r.peer.Log.FetchRange(ctx, r.key, r.committedTS, lastTS)
+	var (
+		recs []p2plog.Record
+		ferr error
+	)
+	if f := r.peer.servingFront(); f != nil {
+		recs, ferr = f.FetchRange(ctx, r.key, r.committedTS, lastTS)
+	} else {
+		recs, ferr = r.peer.Log.FetchRange(ctx, r.key, r.committedTS, lastTS)
+	}
 	// FetchRange returns the in-order prefix it resolved even when a later
 	// timestamp is missing; integrate that prefix before classifying the
 	// failure, so committedTS points exactly at the hole.
 	for _, rec := range recs {
 		if rec.TS != r.committedTS+1 {
-			return false, fmt.Errorf("core: total order violated: got ts %d after %d", rec.TS, r.committedTS)
+			return 0, fmt.Errorf("core: total order violated: got ts %d after %d", rec.TS, r.committedTS)
 		}
 		cp, err := patch.Decode(rec.Patch)
 		if err != nil {
-			return false, fmt.Errorf("core: decoding committed patch ts %d: %w", rec.TS, err)
+			return 0, fmt.Errorf("core: decoding committed patch ts %d: %w", rec.TS, err)
 		}
 		if ownID != "" && rec.PatchID == ownID {
 			// Crash-window case: this is our own patch, already committed.
 			// The log's ops are authoritative; drop the local tentative.
 			if err := r.committed.ApplyPatch(cp); err != nil {
-				return false, fmt.Errorf("core: applying own committed patch: %w", err)
+				return 0, fmt.Errorf("core: applying own committed patch: %w", err)
 			}
 			r.committedTS = rec.TS
-			r.integrated[rec.PatchID] = rec.TS
 			r.tentative = nil
-			ownFound = true
+			ownTS = rec.TS
 			continue
 		}
 		// Transform the tentative ops against the committed patch (and
@@ -563,14 +580,13 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 		// directly, so only the tentative side is kept).
 		r.tentative, _ = ot.TransformSeq(r.tentative, r.site, cp.Ops, cp.Author)
 		if err := r.committed.ApplyPatch(cp); err != nil {
-			return false, fmt.Errorf("core: applying committed patch ts %d: %w", rec.TS, err)
+			return 0, fmt.Errorf("core: applying committed patch ts %d: %w", rec.TS, err)
 		}
 		r.committedTS = rec.TS
-		r.integrated[rec.PatchID] = rec.TS
 		r.retrieved++
 	}
 	if ferr == nil {
-		return ownFound, nil
+		return ownTS, nil
 	}
 	if errors.Is(ferr, p2plog.ErrMissing) {
 		// The hole may be a prefix truncated *concurrently* with this
@@ -588,28 +604,29 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 				if r.seenCkptTS <= lastTS {
 					jumped, jerr := r.bootstrapFromCheckpointLocked(ctx, r.seenCkptTS)
 					if jerr != nil {
-						return ownFound, jerr
+						return ownTS, jerr
 					}
 					if jumped {
-						own, err := r.integrateMissingLocked(ctx, lastTS, ownID)
-						return ownFound || own, err
+						// At most one of the two parts holds ownID.
+						rest, err := r.integrateMissingLocked(ctx, lastTS, ownID)
+						return max(ownTS, rest), err
 					}
 				}
 			} else {
 				// OT would need exactly the patches truncation removed.
 				if r.rebaseOnCkpt {
 					if err := r.rebaseOntoCheckpointLocked(ctx); err != nil {
-						return ownFound, err
+						return ownTS, err
 					}
-					own, err := r.integrateMissingLocked(ctx, lastTS, ownID)
-					return ownFound || own, err
+					rest, err := r.integrateMissingLocked(ctx, lastTS, ownID)
+					return max(ownTS, rest), err
 				}
-				return ownFound, fmt.Errorf("%w: next ts %d of %s predates checkpoint %d (SetRebaseOntoCheckpoint to recover)",
+				return ownTS, fmt.Errorf("%w: next ts %d of %s predates checkpoint %d (SetRebaseOntoCheckpoint to recover)",
 					ErrTruncated, r.committedTS+1, r.key, r.seenCkptTS)
 			}
 		}
 	}
-	return ownFound, fmt.Errorf("core: retrieval for %s: %w", r.key, ferr)
+	return ownTS, fmt.Errorf("core: retrieval for %s: %w", r.key, ferr)
 }
 
 // rebaseOntoCheckpointLocked is the opt-in truncated-prefix policy:
@@ -683,7 +700,7 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 	tsID := ids.HashTS(r.key)
 	var lastErr error
 	sp := trace.FromContext(ctx)
-	rc := r.peer.routeCache()
+	rc := r.peer.servingFront()
 	if rc != nil {
 		// Route-cache fast path: a memoized master reference skips the
 		// O(log N) finger-path lookup. Safe by construction — every master

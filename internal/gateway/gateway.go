@@ -2,7 +2,7 @@
 // client-facing process multiplexing many documents and many clients
 // over a single ring peer.
 //
-// It layers three mechanisms over core:
+// It layers four mechanisms over core:
 //
 //   - Session multiplexing with per-tick batching. Editors enqueue line
 //     edits at any rate; the gateway drains each editor's queue once per
@@ -13,23 +13,36 @@
 //   - Read-only follower replicas. Each document a gateway serves has
 //     one feed goroutine that tails the committed P2P-Log (bootstrapping
 //     from the newest checkpoint) and publishes an immutable snapshot.
+//     A feed cycle reads in windows that double with what the cycle has
+//     found (1, 1, 2, 4, 8 records) and publishes after every window, so
+//     a backlog of N costs ~log2 N round trips and shows as it shrinks.
 //     Followers read that snapshot in-process: a follower read NEVER
 //     enters the OT/validation path and NEVER contacts the KTS master —
 //     viewers are free no matter how many watch a hot document.
 //
+//   - One log reader per (gateway, document). The feed and the editor
+//     replicas of a document read its log through one tail (tail.go): a
+//     write-once ring of the newest 8 committed records, filled by
+//     whoever reads a record first and by every master ack, plus the
+//     editors' reads in flight, which later readers await instead of
+//     repeating. The gateway lends it to core through the same hook as
+//     the route cache (core.Peer.SetFront).
+//
 //   - Route and checkpoint-pointer caches. The gateway memoizes the
 //     Master-key route per document (installed into the host peer via
-//     core.Peer.SetRouteCache) and the latest-checkpoint pointer per
+//     core.Peer.SetFront) and the latest-checkpoint pointer per
 //     document, so a cold read costs O(1) slot fetches instead of an
 //     O(log N) ring lookup per hop. Route entries are invalidated
 //     eagerly when chord evicts the routed-to peer (via
 //     chord.Node.AddEvictObserver) and lazily by the NotMaster verdict
 //     every master RPC carries.
 //
-// Determinism: the gateway holds no lock across a clock park. Feed
-// state is mutated only by the feed's own goroutine; the published
-// snapshot and all maps are guarded by plain mutexes whose critical
-// sections never sleep, so the package needs no vclock.Mutex and runs
+// Determinism: the gateway holds no plain lock across a clock park.
+// Feed state is mutated only by the feed's own goroutine; the published
+// snapshot, the tails and all maps are guarded by plain mutexes whose
+// critical sections never sleep. The one wait in the package — for a
+// log record somebody else is reading — is on a vclock.Mutex, which
+// queues under the scheduler, so the package runs
 // bitwise-deterministically under vclock.Virtual.
 package gateway
 
@@ -110,9 +123,9 @@ type Gateway struct {
 	feedGap    *metrics.Histogram
 }
 
-// New mounts a gateway on peer: it installs itself as the peer's route
-// cache and registers an eviction observer so routes through a dead
-// peer die with it.
+// New mounts a gateway on peer: it installs itself as the peer's
+// serving front (route cache and log tail) and registers an eviction
+// observer so routes through a dead peer die with it.
 func New(peer *core.Peer, cfg Config) *Gateway {
 	clk := peer.Clock()
 	ctx, cancel := clk.WithCancel(context.Background())
@@ -134,7 +147,7 @@ func New(peer *core.Peer, cfg Config) *Gateway {
 			500*time.Millisecond, time.Second, 2*time.Second, 5*time.Second,
 			10*time.Second, 30*time.Second),
 	}
-	peer.SetRouteCache(g)
+	peer.SetFront(g)
 	peer.Node.AddEvictObserver(g.invalidateAddr)
 	return g
 }
@@ -145,7 +158,9 @@ func (g *Gateway) Peer() *core.Peer { return g.peer }
 // Counters exposes the gateway's metric family: commits, batched-ops,
 // commit-errors, feeds, feed-errors, follower-reads,
 // follower-bootstraps, route-hits, route-misses, route-invalidations,
-// ptr-cache-hits, ptr-cache-misses.
+// ptr-cache-hits, ptr-cache-misses, tail-hits (log records served from a
+// tail's ring), tail-misses (log records fetched from the DHT),
+// tail-conflicts (two patches seen at one timestamp).
 func (g *Gateway) Counters() *metrics.Family { return g.counters }
 
 // BatchSizes exposes the acked-ops-per-commit histogram.
@@ -162,8 +177,8 @@ func (g *Gateway) RegisterMetrics(reg *metrics.Registry) {
 	reg.AddHistogram("p2pltr_gateway_feed_publish_gap_seconds", g.feedGap)
 }
 
-// Close stops every editor and feed goroutine and uninstalls the route
-// cache. Idempotent.
+// Close stops every editor and feed goroutine and uninstalls the
+// serving front. Idempotent.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -173,11 +188,12 @@ func (g *Gateway) Close() {
 	g.closed = true
 	g.mu.Unlock()
 	g.cancel()
-	g.peer.SetRouteCache(nil)
+	g.peer.SetFront(nil)
 }
 
 // ---------------------------------------------------------------------------
-// Route cache (implements core.RouteCache) and pointer cache.
+// The serving front (implements core.Front): route cache and log tail;
+// and the pointer cache.
 
 // Lookup returns the memoized Master-key route for a document.
 func (g *Gateway) Lookup(key string) (msg.NodeRef, bool) {
@@ -221,6 +237,30 @@ func (g *Gateway) invalidateAddr(dead msg.NodeRef) {
 	if n > 0 {
 		g.counters.Counter("route-invalidations").Add(n)
 	}
+}
+
+// FetchRange reads (from, to] of a document's log for a replica on the
+// host peer: through the document's tail when this gateway serves it,
+// straight from the log otherwise.
+func (g *Gateway) FetchRange(ctx context.Context, key string, from, to uint64) ([]p2plog.Record, error) {
+	if f := g.servedFeed(key); f != nil {
+		return f.tail.fetchRange(ctx, from, to, true)
+	}
+	return g.peer.Log.FetchRange(ctx, key, from, to)
+}
+
+// Committed files a record the master just acked to a replica on the
+// host peer, so neither the feed nor a co-editor fetches it.
+func (g *Gateway) Committed(rec p2plog.Record) {
+	if f := g.servedFeed(rec.Key); f != nil {
+		f.tail.insert(g.ctx, rec)
+	}
+}
+
+func (g *Gateway) servedFeed(key string) *feed {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.feeds[key]
 }
 
 // notePtr records a checkpoint pointer learned from a master ack or a
@@ -279,7 +319,6 @@ type Editor struct {
 	g   *Gateway
 	doc string
 	rep *core.Replica
-	f   *feed
 
 	mu      sync.Mutex
 	pending []string
@@ -292,11 +331,11 @@ type Editor struct {
 // writers of the document (it is the OT author identity).
 func (s *Session) Editor(doc, site string) *Editor {
 	g := s.g
+	g.feedFor(doc) // an edited document is a served one: its replicas read through its tail
 	e := &Editor{
 		g:   g,
 		doc: doc,
 		rep: core.NewReplica(g.peer, doc, site),
-		f:   g.feedFor(doc),
 	}
 	g.counters.Counter("editors").Add(1)
 	g.clk.Go(e.run)
@@ -403,9 +442,6 @@ func (e *Editor) run() {
 		if g.cfg.OnCommit != nil {
 			g.cfg.OnCommit(e.doc, ts, lat)
 		}
-		// Hand the ack's knowledge to the read path: the feed need not
-		// rediscover via probing what the write path just learned.
-		e.f.hint(ts)
 		g.notePtr(e.doc, e.rep.KnownCheckpointTS())
 	}
 }
@@ -414,17 +450,17 @@ func (e *Editor) run() {
 // Feeds and followers: the read path.
 
 // feed tails one document's committed history for a gateway. Exactly
-// one goroutine per (gateway, document) does the fetching; its state
-// below stateMu is the published snapshot every follower reads.
+// one goroutine per (gateway, document) runs it; its state below stateMu
+// is the published snapshot every follower reads.
 type feed struct {
-	g   *Gateway
-	key string
+	g    *Gateway
+	key  string
+	tail *tail
 
 	// stateMu guards the snapshot; never held across a park.
 	stateMu sync.Mutex
 	lines   []string
 	ts      uint64
-	hintTS  uint64 // newest committed ts learned from local editor acks
 
 	// lastPub is touched only by the feed goroutine.
 	lastPub time.Time
@@ -434,7 +470,7 @@ func (g *Gateway) feedFor(key string) *feed {
 	g.mu.Lock()
 	f, ok := g.feeds[key]
 	if !ok {
-		f = &feed{g: g, key: key}
+		f = &feed{g: g, key: key, tail: newTail(g, key)}
 		g.feeds[key] = f
 		g.mu.Unlock()
 		g.counters.Counter("feeds").Add(1)
@@ -443,22 +479,6 @@ func (g *Gateway) feedFor(key string) *feed {
 	}
 	g.mu.Unlock()
 	return f
-}
-
-// hint tells the feed a commit at ts exists (learned from a local
-// editor's ack), so its next probe is not an idle one.
-func (f *feed) hint(ts uint64) {
-	f.stateMu.Lock()
-	if ts > f.hintTS {
-		f.hintTS = ts
-	}
-	f.stateMu.Unlock()
-}
-
-func (f *feed) hintAhead(cur uint64) bool {
-	f.stateMu.Lock()
-	defer f.stateMu.Unlock()
-	return f.hintTS > cur
 }
 
 func (f *feed) publish(doc *patch.Document, ts uint64) {
@@ -477,13 +497,18 @@ func (f *feed) publish(doc *patch.Document, ts uint64) {
 	}
 }
 
-// run is the feed loop: probe the log tail, integrate new records into
-// the working document, publish a fresh snapshot per batch. The probe
-// interval doubles up to ProbeIdle while idle and snaps back to
-// BatchTick on progress (or on a local commit hint).
+// run is the feed loop: each cycle reads the log tail in windows,
+// integrates what a window found into the working document and publishes
+// a fresh snapshot after every window. A window is as wide as the number
+// of records the cycle has found so far, capped at tailSize — 1, 1, 2, 4,
+// 8 — so an idle probe and a hit-then-miss cycle ask for one record at a
+// time while a backlog of N costs ~log2 N round trips. The probe interval
+// doubles up to ProbeIdle while idle and snaps back to BatchTick on
+// progress, or when the tail already holds a record past the snapshot
+// (a local editor's ack put it there).
 //
-// The loop touches ONLY the DHT read path — p2plog.Log.Fetch and the
-// checkpoint store — never the KTS master and never OT: committed
+// The loop touches ONLY the DHT read path — the log through the tail and
+// the checkpoint store — never the KTS master and never OT: committed
 // patches apply verbatim in total order.
 func (f *feed) run() {
 	g := f.g
@@ -504,54 +529,63 @@ func (f *feed) run() {
 			}
 			booted = true
 		}
-		progressed := 0
+		// Idle probe cycles produce no span: the deliver span exists only
+		// when the cycle advanced the snapshot.
+		var sp *trace.Span
+		found := 0
 		for {
+			width := uint64(min(max(found, 1), tailSize))
 			fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
-			rec, err := g.peer.Log.Fetch(fctx, f.key, ts+1)
+			recs, err := f.tail.fetchRange(fctx, ts, ts+width, false)
 			cancel()
-			if err != nil {
-				if g.ctx.Err() != nil {
-					return
-				}
-				if errors.Is(err, p2plog.ErrMissing) {
-					// Either the tail genuinely ends here, or the prefix
-					// was truncated under a newer checkpoint. The cached
-					// pointer tells them apart without a master call.
-					if ptr, ok := g.cachedPtr(f.key); ok && ptr > ts {
-						if d2, t2, ok2 := f.bootstrap(ts); ok2 && t2 > ts {
-							doc, ts = d2, t2
-							f.publish(doc, ts)
-							progressed++
-							continue
-						}
-					}
-				} else {
-					g.counters.Counter("feed-errors").Add(1)
-				}
-				break
+			if g.ctx.Err() != nil {
+				return
 			}
-			cp, derr := patch.Decode(rec.Patch)
-			if derr != nil {
+			applied := 0
+			for _, rec := range recs {
+				cp, aerr := patch.Decode(rec.Patch)
+				if aerr == nil {
+					aerr = doc.ApplyPatch(cp)
+				}
+				if aerr != nil {
+					err = aerr // not ErrMissing: counted below, ends the cycle
+					break
+				}
+				ts = rec.TS
+				applied++
+			}
+			if applied > 0 {
+				found += applied
+				if sp == nil {
+					sp = tr.StartAt("deliver", f.key, cycleStart)
+				}
+				sp.MarkN("feed-fetch", int64(applied))
+				f.publish(doc, ts)
+				sp.Mark("feed-publish")
+			}
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, p2plog.ErrMissing) {
 				g.counters.Counter("feed-errors").Add(1)
 				break
 			}
-			if aerr := doc.ApplyPatch(cp); aerr != nil {
-				g.counters.Counter("feed-errors").Add(1)
+			// The window's first hole: either the tail genuinely ends
+			// here, or the prefix was truncated under a newer checkpoint.
+			// The cached pointer tells them apart without a master call.
+			if ptr, ok := g.cachedPtr(f.key); !ok || ptr <= ts {
 				break
 			}
-			ts = rec.TS
-			progressed++
-		}
-		if progressed > 0 {
-			// Idle probe cycles produce no span: the deliver span exists
-			// only when the cycle advanced the snapshot.
-			sp := tr.StartAt("deliver", f.key, cycleStart)
-			sp.MarkN("feed-fetch", int64(progressed))
+			d2, t2, ok := f.bootstrap(ts)
+			if !ok || t2 <= ts {
+				break
+			}
+			doc, ts = d2, t2
 			f.publish(doc, ts)
-			sp.Mark("feed-publish")
-			sp.End()
+			found++
 		}
-		if progressed > 0 || f.hintAhead(ts) {
+		sp.End()
+		if found > 0 || f.tail.newestTS() > ts {
 			interval = g.cfg.BatchTick
 		} else {
 			interval *= 2

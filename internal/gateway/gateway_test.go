@@ -16,9 +16,9 @@ import (
 
 // newCluster builds a seeded virtual-time ring and registers teardown.
 // The calling test goroutine becomes the simulation driver.
-func newCluster(t *testing.T, n int, opts core.Options) (*ringtest.Cluster, *vclock.Virtual) {
+func newCluster(t *testing.T, n int, opts core.Options, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual) {
 	t.Helper()
-	c, clk := ringtest.NewVirtualCluster(n, opts)
+	c, clk := ringtest.NewVirtualCluster(n, opts, netOpts...)
 	t.Cleanup(func() {
 		c.Stop()
 		clk.Unregister()
@@ -171,12 +171,8 @@ func TestBusyHintDefersBatchCadence(t *testing.T) {
 	opts.AdmissionLimit = 1
 	// Real network latency so validations on the hot key overlap — with
 	// instant RPCs they would serialize and the single slot never fills.
-	c, clk := ringtest.NewVirtualCluster(8, opts,
+	c, clk := newCluster(t, 8, opts,
 		transport.WithLatency(transport.NewLogNormalLatency(25*time.Millisecond, 0.5, 7)))
-	t.Cleanup(func() {
-		c.Stop()
-		clk.Unregister()
-	})
 	ctx := context.Background()
 
 	// 10ms tick < the 25ms minimum retry-after hint, so every busy shed

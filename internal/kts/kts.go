@@ -305,7 +305,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 
 	// sendToPublish: replicate the patch at the Log-Peers first. The log
 	// is the commit point; last-ts replicas are recoverable from it.
-	res, perr := s.log.Publish(ctx, p2plog.Record{
+	_, perr := s.log.Publish(ctx, p2plog.Record{
 		Key: r.Key, TS: newTS, PatchID: r.PatchID, Patch: r.Patch,
 	})
 	sp.Mark("publish")
@@ -323,7 +323,6 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 		}
 		return nil, fmt.Errorf("kts: publish (%s,%d): %w", r.Key, newTS, perr)
 	}
-	_ = res
 
 	// Replicate last-ts at the Master-key-Succ, then commit locally and
 	// acknowledge the user with the validated timestamp.
