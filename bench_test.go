@@ -1,9 +1,10 @@
-// Package p2pltr's root benchmarks regenerate the paper's evaluation
-// under `go test -bench`. Each BenchmarkE* corresponds to one experiment
-// of DESIGN.md §4 (table/figure/scenario); custom metrics report the
-// quantities the paper demonstrates (latency, behind-rounds, hops,
-// availability). BenchmarkCore* microbenchmarks cover the primitive
-// operations underneath.
+// Package p2pltr's root benchmarks time the paper's scenarios under
+// `go test -bench`: each BenchmarkE* corresponds to one harness
+// experiment, and custom metrics report the quantities the paper
+// demonstrates (latency, behind-rounds, takeover). The per-layer costs —
+// lookups, log publish and range fetch, DHT put/get, cold catch-up,
+// follower reads — are the benchmark's probes (benchmark/probes.go) and
+// are not duplicated here.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"p2pltr/internal/core"
-	"p2pltr/internal/gateway"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
@@ -182,78 +182,6 @@ func BenchmarkE4MasterJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkE5Lookup measures FindSuccessor latency and hops per ring size
-// ("response times").
-func BenchmarkE5Lookup(b *testing.B) {
-	for _, n := range []int{4, 16, 32} {
-		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
-			c := mustCluster(b, n, ringtest.FastOptions())
-			time.Sleep(100 * time.Millisecond) // warm fingers
-			ctx := context.Background()
-			var hops int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, h, err := c.Peers[i%n].Node.FindSuccessor(ctx, ids.ID(uint64(i)*0x9E3779B97F4A7C15))
-				if err != nil {
-					b.Fatal(err)
-				}
-				hops += h
-			}
-			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-		})
-	}
-}
-
-// BenchmarkE6LogPublish measures sendToPublish for replication factors
-// n = |Hr| (availability ablation's write cost).
-func BenchmarkE6LogPublish(b *testing.B) {
-	for _, replicas := range []int{1, 3, 5} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			opts := ringtest.FastOptions()
-			opts.LogReplicas = replicas
-			c := mustCluster(b, 8, opts)
-			ctx := context.Background()
-			log := c.Peers[0].Log
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := p2plog.Record{
-					Key: "bench-doc", TS: uint64(i + 1),
-					PatchID: fmt.Sprintf("b#%d", i+1), Patch: []byte("payload"),
-				}
-				if _, err := log.Publish(ctx, rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE7Retrieval measures the total-order retrieval procedure
-// (baseline comparison's read path).
-func BenchmarkE7Retrieval(b *testing.B) {
-	c := mustCluster(b, 8, ringtest.FastOptions())
-	ctx := context.Background()
-	log := c.Peers[0].Log
-	const depth = 16
-	for ts := uint64(1); ts <= depth; ts++ {
-		rec := p2plog.Record{Key: "bench-doc", TS: ts, PatchID: fmt.Sprintf("b#%d", ts), Patch: []byte("payload")}
-		if _, err := log.Publish(ctx, rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reader := c.Peers[3].Log
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recs, err := reader.FetchRange(ctx, "bench-doc", 0, depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) != depth {
-			b.Fatalf("got %d records", len(recs))
-		}
-	}
-}
-
 // BenchmarkE8PullUnderReplication measures Pull cost when behind by k
 // committed patches (the churn recovery path).
 func BenchmarkE8PullUnderReplication(b *testing.B) {
@@ -278,48 +206,6 @@ func BenchmarkE8PullUnderReplication(b *testing.B) {
 		if r.CommittedTS() != backlog {
 			b.Fatalf("pull stopped at %d", r.CommittedTS())
 		}
-	}
-}
-
-// BenchmarkE9ColdJoinCatchup measures a fresh replica catching up on a
-// deep document history, with and without the checkpoint subsystem: the
-// checkpointed join fetches O(interval) patches, the baseline O(history).
-func BenchmarkE9ColdJoinCatchup(b *testing.B) {
-	const history = 50 // not a multiple of interval: joins replay a real tail
-	const interval = 8
-	for _, mode := range []struct {
-		name     string
-		interval uint64
-	}{{"baseline", 0}, {"checkpointed", interval}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := ringtest.FastOptions()
-			opts.CheckpointInterval = mode.interval
-			c := mustCluster(b, 8, opts)
-			ctx := context.Background()
-			writer := core.NewReplica(c.Peers[0], "bench-doc", "writer")
-			for i := 0; i < history; i++ {
-				if err := writer.Insert(0, "x"); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := writer.Commit(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var fetched int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := core.NewReplica(c.Peers[i%len(c.Peers)], "bench-doc", fmt.Sprintf("joiner%d", i))
-				if err := r.Pull(ctx); err != nil {
-					b.Fatal(err)
-				}
-				if r.CommittedTS() != history {
-					b.Fatalf("join stopped at %d", r.CommittedTS())
-				}
-				_, f := r.Stats()
-				fetched += f
-			}
-			b.ReportMetric(float64(fetched)/float64(b.N), "fetches/join")
-		})
 	}
 }
 
@@ -362,83 +248,5 @@ func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkGatewayFanout measures the serving gateway's commit-to-
-// delivery latency as the follower population grows. All followers of a
-// document on one gateway share a single feed, so delivery cost must be
-// flat in the follower count: the per-op time for followers=1000 should
-// match followers=1.
-func BenchmarkGatewayFanout(b *testing.B) {
-	for _, followers := range []int{1, 100, 1000} {
-		b.Run(fmt.Sprintf("followers=%d", followers), func(b *testing.B) {
-			c := mustCluster(b, 8, ringtest.FastOptions())
-			gcfg := gateway.Config{BatchTick: time.Millisecond, ProbeIdle: 5 * time.Millisecond}
-			gwA := gateway.New(c.Peers[0], gcfg)
-			b.Cleanup(gwA.Close)
-			gwB := gateway.New(c.Peers[1], gcfg)
-			b.Cleanup(gwB.Close)
-			ed := gwA.Session("w").Editor("bench-doc", "w")
-			views := make([]*gateway.Follower, followers)
-			for i := range views {
-				views[i] = gwB.Session("v").Follower("bench-doc")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ed.Enqueue(fmt.Sprintf("line-%d", i))
-				deadline := time.Now().Add(10 * time.Second)
-				// One line per iteration and full delivery before the
-				// next, so the target timestamp is exactly i+1.
-				for {
-					done := ed.Replica().CommittedTS() >= uint64(i+1)
-					for _, v := range views {
-						done = done && v.TS() >= uint64(i+1)
-					}
-					if done {
-						break
-					}
-					if time.Now().After(deadline) {
-						b.Fatalf("delivery of line %d stalled", i)
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			b.StopTimer()
-			if err := ed.Err(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkCoreDHTPut / Get measure the storage substrate.
-func BenchmarkCoreDHTPut(b *testing.B) {
-	c := mustCluster(b, 8, ringtest.FastOptions())
-	ctx := context.Background()
-	cl := c.Peers[0].Client
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cl.Put(ctx, fmt.Sprintf("k-%d", i), []byte("value")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoreDHTGet(b *testing.B) {
-	c := mustCluster(b, 8, ringtest.FastOptions())
-	ctx := context.Background()
-	cl := c.Peers[0].Client
-	const keys = 64
-	for i := 0; i < keys; i++ {
-		if err := cl.Put(ctx, fmt.Sprintf("k-%d", i), []byte("value")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, found, err := cl.Get(ctx, fmt.Sprintf("k-%d", i%keys)); err != nil || !found {
-			b.Fatalf("get: %v %v", found, err)
-		}
 	}
 }

@@ -1,5 +1,7 @@
 // Command p2pltr-bench regenerates the paper's evaluation: one experiment
-// per table/figure/scenario (see DESIGN.md §4 and EXPERIMENTS.md).
+// per table/figure/scenario (`-list` prints the index). Full-stack
+// scenarios under faults are plans run by p2pltr-sim; performance
+// numbers come from benchmark/run.sh.
 //
 // Usage:
 //
@@ -19,10 +21,10 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("e", "all", "experiment ID (E1..E13, A1) or 'all'")
+		exp   = flag.String("e", "all", "experiment ID (E1..E11, A1) or 'all'")
 		seed  = flag.Int64("seed", 1, "workload and latency seed")
 		quick = flag.Bool("quick", false, "reduced parameter sweeps")
-		long  = flag.Bool("long", false, "paper-scale sweeps (E11 at 10k peers, E12 at 2k, E13 at 128 docs)")
+		long  = flag.Bool("long", false, "paper-scale sweep (E11 at 10k peers)")
 		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()

@@ -5,19 +5,19 @@
 //
 // Usage:
 //
-//	p2pltr-sim run     -plan e12 [-seed 7] [-short] [-out result.json]
+//	p2pltr-sim run     -plan examples/plans/e12.json [-seed 7] [-short] [-out result.json]
 //	p2pltr-sim sweep   -plan examples/plans/e12.json -seeds 256 [-workers 8] [-short]
 //	p2pltr-sim shrink  -plan broken.json -seed 3 [-max-runs 100] -out repro.json
 //	p2pltr-sim explain -plan repro.json -seed 3 [-out forensics.json]
-//	p2pltr-sim plan    -plan e12 [-short]
+//	p2pltr-sim plan    -plan examples/plans/e12.json [-short]
 //
-// -plan resolves a file path first, then a builtin name ("e12"). `run`
-// exits 1 when an invariant fails, `sweep` when any seed fails; `shrink`
-// exits 0 once it has written a still-failing minimal repro. `explain`
-// reruns a failing (plan, seed) pair and prints its forensics bundle —
-// the causal slice of flight-recorder events and cross-peer spans
-// around the violating keys; it exits 1 when the plan passes (nothing
-// to explain).
+// -plan is a plan file; the committed ones live under examples/plans.
+// `run` exits 1 when an invariant fails, `sweep` when any seed fails;
+// `shrink` exits 0 once it has written a still-failing minimal repro.
+// `explain` reruns a failing (plan, seed) pair and prints its forensics
+// bundle — the causal slice of flight-recorder events and cross-peer
+// spans around the violating keys; it exits 1 when the plan passes
+// (nothing to explain).
 package main
 
 import (
@@ -57,21 +57,14 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: p2pltr-sim <run|sweep|shrink|explain|plan> [flags]")
 }
 
-// loadPlan resolves -plan as a file path first, then a builtin name.
-func loadPlan(name string, short bool) (simtest.Plan, error) {
-	if name == "" {
-		return simtest.Plan{}, fmt.Errorf("-plan required (file path or builtin name like %q)", "e12")
+// loadPlan reads and validates the plan file -plan names.
+func loadPlan(path string, short bool) (simtest.Plan, error) {
+	if path == "" {
+		return simtest.Plan{}, fmt.Errorf("-plan required (a plan file, e.g. %q)", "examples/plans/e12.json")
 	}
-	var p simtest.Plan
-	if _, err := os.Stat(name); err == nil {
-		p, err = simtest.Load(name)
-		if err != nil {
-			return simtest.Plan{}, err
-		}
-	} else if bp, ok := simtest.Builtin(name); ok {
-		p = bp
-	} else {
-		return simtest.Plan{}, fmt.Errorf("plan %q: not a readable file and not a builtin", name)
+	p, err := simtest.Load(path)
+	if err != nil {
+		return simtest.Plan{}, err
 	}
 	if short {
 		p = p.ApplyShort()
@@ -102,7 +95,7 @@ func fail(err error) int {
 
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file or builtin name")
+	planName := fs.String("plan", "", "plan file")
 	seed := fs.Int64("seed", -1, "seed override (default: the plan's seed)")
 	short := fs.Bool("short", false, "apply the plan's short override")
 	out := fs.String("out", "", "write the full result as JSON to this file")
@@ -138,7 +131,7 @@ func cmdRun(args []string) int {
 
 func cmdSweep(args []string) int {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file or builtin name")
+	planName := fs.String("plan", "", "plan file")
 	firstSeed := fs.Int64("seed", 1, "first seed of the sweep")
 	seeds := fs.Int("seeds", 64, "number of consecutive seeds")
 	workers := fs.Int("workers", 4, "parallel workers")
@@ -180,7 +173,7 @@ func cmdSweep(args []string) int {
 
 func cmdShrink(args []string) int {
 	fs := flag.NewFlagSet("shrink", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file or builtin name")
+	planName := fs.String("plan", "", "plan file")
 	seed := fs.Int64("seed", -1, "seed override (default: the plan's seed)")
 	maxRuns := fs.Int("max-runs", 100, "simulation budget")
 	short := fs.Bool("short", false, "apply the plan's short override")
@@ -225,7 +218,7 @@ func cmdShrink(args []string) int {
 // events and cross-peer spans around those keys.
 func cmdExplain(args []string) int {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file or builtin name")
+	planName := fs.String("plan", "", "plan file")
 	seed := fs.Int64("seed", -1, "seed override (default: the plan's seed)")
 	short := fs.Bool("short", false, "apply the plan's short override")
 	out := fs.String("out", "", "write the forensics bundle as JSON to this file")
@@ -295,7 +288,7 @@ func cmdExplain(args []string) int {
 
 func cmdPlan(args []string) int {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file or builtin name")
+	planName := fs.String("plan", "", "plan file")
 	short := fs.Bool("short", false, "apply the plan's short override")
 	fs.Parse(args)
 	plan, err := loadPlan(*planName, *short)

@@ -1,7 +1,7 @@
 // Package analysis is the determinism-invariant analyzer suite: five
 // static checks that mechanize the hand audits which keep this stack
 // bitwise-reproducible under vclock.Virtual. Every scale result in the
-// repo (E11–E13, the seeded campaigns in BENCH_CAMPAIGN.json) depends on
+// repo (E11, the seeded plan campaigns, the benchmark) depends on
 // same-seed runs replaying identically; the invariants below were
 // previously enforced by a grep script and one-off manual audits, and
 // each has a real regression behind it:

@@ -12,8 +12,8 @@ import (
 //
 // The global source is seeded per process (and shared across
 // goroutines), so any draw from it differs between two same-seed runs —
-// exactly the nondeterminism the seeded campaigns in BENCH_CAMPAIGN.json
-// exist to rule out. Constructors (rand.New, rand.NewSource, and the
+// exactly the nondeterminism the seeded plan campaigns exist to rule
+// out. Constructors (rand.New, rand.NewSource, and the
 // math/rand/v2 PCG/ChaCha8 sources) are allowed: they are how the
 // seeded streams are built.
 //

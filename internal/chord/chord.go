@@ -188,13 +188,10 @@ type Node struct {
 	// under virtual time).
 	loops atomic.Int64
 
-	// lookupHops accumulates hop counts for experiments; lossEWMA is the
-	// observed lookup-path loss estimate that scales the eviction strike
-	// budget (see lookupStrikeBudget).
-	statsMu     sync.Mutex
-	lookupCount int64
-	hopTotal    int64
-	lossEWMA    float64
+	// lossEWMA is the observed lookup-path loss estimate that scales the
+	// eviction strike budget (see lookupStrikeBudget).
+	lossMu   sync.Mutex
+	lossEWMA float64
 
 	// evictions counts routing-state evictions — the finger-churn metric
 	// the scale experiments watch under sustained loss.
@@ -703,10 +700,9 @@ func (n *Node) Evictions() int64 { return n.evictions.Load() }
 // LookupStats returns the number of lookups initiated at this node and
 // their mean hop count.
 func (n *Node) LookupStats() (count int64, meanHops float64) {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	if n.lookupCount == 0 {
+	count = n.cLookups.Value()
+	if count == 0 {
 		return 0, 0
 	}
-	return n.lookupCount, float64(n.hopTotal) / float64(n.lookupCount)
+	return count, float64(n.cLookupHops.Value()) / float64(count)
 }

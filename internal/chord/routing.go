@@ -34,10 +34,6 @@ func (n *Node) FindSuccessor(ctx context.Context, key ids.ID) (msg.NodeRef, int,
 		}
 		ref, hops, err := n.lookupOnce(ctx, key, avoid)
 		if err == nil {
-			n.statsMu.Lock()
-			n.lookupCount++
-			n.hopTotal += int64(hops)
-			n.statsMu.Unlock()
 			n.cLookups.Add(1)
 			n.cLookupHops.Add(int64(hops))
 			return ref, hops, nil
@@ -128,9 +124,9 @@ func (n *Node) observeLookupContact(failed bool) {
 	if failed {
 		x = 1.0
 	}
-	n.statsMu.Lock()
+	n.lossMu.Lock()
 	n.lossEWMA += lossEWMAAlpha * (x - n.lossEWMA)
-	n.statsMu.Unlock()
+	n.lossMu.Unlock()
 }
 
 // lookupStrikeBudget is the number of strikes that evict a hop failing
@@ -141,9 +137,9 @@ func (n *Node) observeLookupContact(failed bool) {
 // budget tops out at 4 — beyond that, keeping a genuinely dead finger
 // costs more lookup retries than the churn it avoids.
 func (n *Node) lookupStrikeBudget() int {
-	n.statsMu.Lock()
+	n.lossMu.Lock()
 	loss := n.lossEWMA
-	n.statsMu.Unlock()
+	n.lossMu.Unlock()
 	switch {
 	case loss < 0.02:
 		return 2

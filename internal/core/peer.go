@@ -310,14 +310,8 @@ func (p *Peer) MetricsRegistry() *metrics.Registry {
 	reg.AddFamily("p2pltr_chord", p.Node.Counters())
 	reg.AddFamily("p2pltr_dht", p.DHT.Counters())
 	reg.AddFamily("p2pltr_dht_client", p.Client.Counters())
-	k := p.KTS
-	reg.AddCounterFunc("p2pltr_kts_grants", func() int64 { g, _, _ := k.Stats(); return g })
-	reg.AddCounterFunc("p2pltr_kts_rejects", func() int64 { _, r, _ := k.Stats(); return r })
-	reg.AddCounterFunc("p2pltr_kts_takeovers", func() int64 { _, _, t := k.Stats(); return t })
-	reg.AddCounterFunc("p2pltr_kts_fast_rejects", func() int64 { f, _ := k.AdmissionStats(); return f })
-	reg.AddCounterFunc("p2pltr_kts_busy_rejects", func() int64 { _, b := k.AdmissionStats(); return b })
-	reg.AddCounterFunc("p2pltr_kts_last_ts_calls", k.LastTSCalls)
-	reg.AddGaugeFunc("p2pltr_kts_admission_queue_depth", k.AdmissionQueueDepth)
+	reg.AddFamily("p2pltr_kts", p.KTS.Counters())
+	reg.AddGaugeFunc("p2pltr_kts_admission_queue_depth", p.KTS.AdmissionQueueDepth)
 	if p.Maint != nil {
 		reg.AddFamily("p2pltr_maintain", p.Maint.Counters())
 	}

@@ -64,6 +64,11 @@ type Replica struct {
 	committedTS uint64
 	tentative   []patch.Op
 	seq         uint64 // author-local patch counter
+	// pendingID is the patch ID minted for the current tentative ops; a
+	// Commit retried over unchanged ops reuses it, so a patch the master
+	// granted before the failed call is recognised in the log. Empty
+	// when there is no tentative patch or an edit changed it.
+	pendingID string
 	// stats
 	behindRounds int64
 	retrieved    int64
@@ -234,6 +239,7 @@ func (r *Replica) Insert(pos int, line string) error {
 		return fmt.Errorf("core: insert at %d out of bounds (len %d)", pos, w.Len())
 	}
 	r.tentative = append(r.tentative, patch.Op{Kind: patch.OpInsert, Pos: pos, Line: line})
+	r.pendingID = ""
 	return nil
 }
 
@@ -246,6 +252,7 @@ func (r *Replica) Delete(pos int) error {
 		return fmt.Errorf("core: delete at %d out of bounds (len %d)", pos, w.Len())
 	}
 	r.tentative = append(r.tentative, patch.Op{Kind: patch.OpDelete, Pos: pos, Line: w.Line(pos)})
+	r.pendingID = ""
 	return nil
 }
 
@@ -257,6 +264,7 @@ func (r *Replica) SetText(text string) {
 	w := r.workingLocked()
 	target := patch.NewDocument(text)
 	r.tentative = append(r.tentative, patch.Diff(w, target)...)
+	r.pendingID = ""
 }
 
 // ---------------------------------------------------------------------------
@@ -279,9 +287,12 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 		return r.committedTS, nil
 	}
 
-	r.seq++
+	if r.pendingID == "" {
+		r.seq++
+		r.pendingID = patch.NewPatchID(r.site, r.seq)
+	}
 	p := patch.Patch{
-		ID:     patch.NewPatchID(r.site, r.seq),
+		ID:     r.pendingID,
 		Author: r.site,
 		BaseTS: r.committedTS,
 		Ops:    append([]patch.Op(nil), r.tentative...),
@@ -318,7 +329,7 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				return r.committedTS, fmt.Errorf("core: applying own validated patch: %w", err)
 			}
 			r.committedTS = resp.ValidatedTS
-			r.tentative = nil
+			r.tentative, r.pendingID = nil, ""
 			if f := r.peer.servingFront(); f != nil {
 				// The very bytes the master published at this timestamp.
 				f.Committed(p2plog.Record{Key: r.key, TS: resp.ValidatedTS, PatchID: p.ID, Patch: enc})
@@ -336,9 +347,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 			gap := int64(resp.LastTS) - int64(r.committedTS)
 			ownTS, err := r.integrateMissingLocked(ctx, resp.LastTS, p.ID)
 			sp.MarkN("retrieve", gap)
-			if err != nil {
-				return r.committedTS, err
-			}
 			if ownTS != 0 {
 				// Our patch was already committed by a previous master
 				// incarnation or a lost ValidateOK ack (crash window):
@@ -348,10 +356,16 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				// other patches integrated in the same round may have
 				// advanced it past our slot, and reporting their timestamp
 				// as ours would show one grant as two distinct commits.
+				// That holds even when a later record of the range failed
+				// to arrive (err != nil): the commit is done, the rest of
+				// the range is the next Pull's work.
 				if err := r.saveLocked(); err != nil {
 					return r.committedTS, fmt.Errorf("core: committed but journaling failed: %w", err)
 				}
 				return ownTS, nil
+			}
+			if err != nil {
+				return r.committedTS, err
 			}
 			if len(r.tentative) == 0 {
 				// A checkpoint rebase dropped every tentative op (e.g.
@@ -360,6 +374,7 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				// burn a total-order timestamp on a no-op revision. The
 				// sentinel tells the caller its edit did NOT commit even
 				// though the replica is consistent and current.
+				r.pendingID = ""
 				if err := r.saveLocked(); err != nil {
 					return r.committedTS, err
 				}
@@ -558,11 +573,11 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 	// failure, so committedTS points exactly at the hole.
 	for _, rec := range recs {
 		if rec.TS != r.committedTS+1 {
-			return 0, fmt.Errorf("core: total order violated: got ts %d after %d", rec.TS, r.committedTS)
+			return ownTS, fmt.Errorf("core: total order violated: got ts %d after %d", rec.TS, r.committedTS)
 		}
 		cp, err := patch.Decode(rec.Patch)
 		if err != nil {
-			return 0, fmt.Errorf("core: decoding committed patch ts %d: %w", rec.TS, err)
+			return ownTS, fmt.Errorf("core: decoding committed patch ts %d: %w", rec.TS, err)
 		}
 		if ownID != "" && rec.PatchID == ownID {
 			// Crash-window case: this is our own patch, already committed.
@@ -571,7 +586,7 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 				return 0, fmt.Errorf("core: applying own committed patch: %w", err)
 			}
 			r.committedTS = rec.TS
-			r.tentative = nil
+			r.tentative, r.pendingID = nil, ""
 			ownTS = rec.TS
 			continue
 		}
@@ -580,7 +595,7 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 		// directly, so only the tentative side is kept).
 		r.tentative, _ = ot.TransformSeq(r.tentative, r.site, cp.Ops, cp.Author)
 		if err := r.committed.ApplyPatch(cp); err != nil {
-			return 0, fmt.Errorf("core: applying committed patch ts %d: %w", rec.TS, err)
+			return ownTS, fmt.Errorf("core: applying committed patch ts %d: %w", rec.TS, err)
 		}
 		r.committedTS = rec.TS
 		r.retrieved++

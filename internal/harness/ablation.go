@@ -11,8 +11,8 @@ import (
 	"p2pltr/internal/ringtest"
 )
 
-// RunA1 is the availability ablation DESIGN.md calls out: the P2P-Log's
-// durability under Log-Peer crashes is the product of three mechanisms —
+// RunA1 is the availability ablation: the P2P-Log's durability under
+// Log-Peer crashes is the product of three mechanisms —
 // the Hr replication factor n (the paper's sendToPublish), the successor
 // copies (the paper's Log-Peers-Succ role), and fetch-time read repair.
 // A1 toggles each and measures what survives a crash burst.

@@ -12,8 +12,8 @@ func quickCfg() Config {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 14 {
-		t.Fatalf("have %d experiments, want 14", len(exps))
+	if len(exps) != 12 {
+		t.Fatalf("have %d experiments, want 12", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -55,7 +55,7 @@ func TestE9(t *testing.T) { runExperiment(t, "E9", "join-fetches") }
 // maintain engine must keep checkpoint lag and slot occupancy bounded.
 func TestE10(t *testing.T) { runExperiment(t, "E10", "ckpt-lag") }
 
-// TestE8EventualConsistencyUnderChurn is the headline soak (DESIGN.md E8).
+// TestE8EventualConsistencyUnderChurn is the headline soak.
 func TestE8EventualConsistencyUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")

@@ -43,6 +43,7 @@ import (
 	"p2pltr/internal/chord"
 	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
+	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/trace"
@@ -125,21 +126,38 @@ type Service struct {
 	tracer *trace.Tracer
 	rec    *flightrec.Recorder
 
-	// stats for the experiments
-	statsMu     sync.Mutex
-	grants      int64
-	rejects     int64
-	takeovers   int64
-	fastRejects int64
-	busyRejects int64
-	lastTSCalls int64
+	// counters is the exportable family: grants, rejects, takeovers,
+	// fast-rejects, busy-rejects, last-ts-calls. The members are cached
+	// at construction so hot paths skip the family map lookup.
+	counters     *metrics.Family
+	cGrants      *metrics.Counter
+	cRejects     *metrics.Counter
+	cTakeovers   *metrics.Counter
+	cFastRejects *metrics.Counter
+	cBusyRejects *metrics.Counter
+	cLastTSCalls *metrics.Counter
 }
 
 // NewService creates a timestamp service. log is used for sendToPublish
 // and for last-ts recovery.
 func NewService(ring chord.Ring, log *p2plog.Log) *Service {
-	return &Service{ring: ring, log: log, clock: vclock.System, entries: make(map[string]*entry)}
+	f := metrics.NewFamily()
+	return &Service{
+		ring: ring, log: log, clock: vclock.System, entries: make(map[string]*entry),
+		counters:     f,
+		cGrants:      f.Counter("grants"),
+		cRejects:     f.Counter("rejects"),
+		cTakeovers:   f.Counter("takeovers"),
+		cFastRejects: f.Counter("fast-rejects"),
+		cBusyRejects: f.Counter("busy-rejects"),
+		cLastTSCalls: f.Counter("last-ts-calls"),
+	}
 }
+
+// Counters returns the service's metric family: grants, rejects (fast
+// rejects included), takeovers, fast-rejects, busy-rejects and
+// last-ts-calls.
+func (s *Service) Counters() *metrics.Family { return s.counters }
 
 // SetClock accounts the per-key serialization waits on c (see entry.mu).
 // Wiring-time configuration: call it before the service handles any RPC
@@ -244,7 +262,10 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 	// provably Behind — answer the stale thundering herd without ever
 	// parking on the per-key serialization.
 	if v := e.fastLastTS.Load(); r.TS < v {
-		s.bumpFastRejects()
+		// A fast reject is also a reject, so the aggregate the experiments
+		// report stays exact.
+		s.cRejects.Add(1)
+		s.cFastRejects.Add(1)
 		sp.Note("fast-reject", 1)
 		return &msg.ValidateResp{Status: msg.ValidateBehind, LastTS: v, CkptTS: e.fastCkptTS.Load()}, nil
 	}
@@ -255,7 +276,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 		n := e.inflight.Add(1)
 		if n > limit {
 			e.inflight.Add(-1)
-			s.bumpBusyRejects()
+			s.cBusyRejects.Add(1)
 			retry := uint64(n-limit) * 25
 			if retry > 500 {
 				retry = 500
@@ -295,7 +316,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 		sp.Mark("sync")
 	}
 	if r.TS < e.lastTS {
-		s.bumpRejects()
+		s.cRejects.Add(1)
 		sp.Note("behind", int64(e.lastTS-r.TS))
 		return &msg.ValidateResp{Status: msg.ValidateBehind, LastTS: e.lastTS, CkptTS: e.ckptTS}, nil
 	}
@@ -318,7 +339,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 			e.noteLocked()
 			s.replicateToSucc(ctx, r.Key, tsID, e)
 			sp.Mark("replicate")
-			s.bumpRejects()
+			s.cRejects.Add(1)
 			return &msg.ValidateResp{Status: msg.ValidateBehind, LastTS: e.lastTS, CkptTS: e.ckptTS}, nil
 		}
 		return nil, fmt.Errorf("kts: publish (%s,%d): %w", r.Key, newTS, perr)
@@ -331,7 +352,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 	e.noteLocked()
 	s.replicateToSucc(ctx, r.Key, tsID, e)
 	sp.Mark("replicate")
-	s.bumpGrants()
+	s.cGrants.Add(1)
 	s.rec.Record(ctx, "kts-grant", r.Key, "ts="+strconv.FormatUint(newTS, 10))
 	return &msg.ValidateResp{Status: msg.ValidateOK, ValidatedTS: newTS, LastTS: newTS, CkptTS: e.ckptTS}, nil
 }
@@ -391,9 +412,7 @@ func (s *Service) handleLastTS(ctx context.Context, r *msg.LastTSReq) *msg.LastT
 	if !s.ring.Owns(tsID) {
 		return &msg.LastTSResp{NotMaster: true}
 	}
-	s.statsMu.Lock()
-	s.lastTSCalls++
-	s.statsMu.Unlock()
+	s.cLastTSCalls.Add(1)
 	s.mu.Lock()
 	_, had := s.entries[r.Key]
 	s.mu.Unlock()
@@ -683,9 +702,7 @@ func (s *Service) Import(items []msg.StateItem) {
 		e.synced = false
 		e.mu.Unlock()
 	}
-	s.statsMu.Lock()
-	s.takeovers++
-	s.statsMu.Unlock()
+	s.cTakeovers.Add(1)
 	s.rec.Record(nil, "kts-takeover", "", "items="+strconv.Itoa(len(items)))
 }
 
@@ -801,52 +818,17 @@ func (s *Service) KeysHeld() map[string]bool {
 
 // Stats returns cumulative grant/reject/takeover counters.
 func (s *Service) Stats() (grants, rejects, takeovers int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.grants, s.rejects, s.takeovers
+	return s.cGrants.Value(), s.cRejects.Value(), s.cTakeovers.Value()
 }
 
 // AdmissionStats returns the hot-key protection counters: Behind
 // rejections answered on the lock-free fast path, and requests shed with
 // ValidateBusy by the admission limit.
 func (s *Service) AdmissionStats() (fastRejects, busyRejects int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.fastRejects, s.busyRejects
+	return s.cFastRejects.Value(), s.cBusyRejects.Value()
 }
 
 // LastTSCalls returns how many last_ts RPCs this node has served. The
 // gateway's follower-isolation tests assert it stays flat while
 // followers read.
-func (s *Service) LastTSCalls() int64 {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lastTSCalls
-}
-
-func (s *Service) bumpGrants() {
-	s.statsMu.Lock()
-	s.grants++
-	s.statsMu.Unlock()
-}
-
-func (s *Service) bumpRejects() {
-	s.statsMu.Lock()
-	s.rejects++
-	s.statsMu.Unlock()
-}
-
-// bumpFastRejects counts a fast-path Behind answer; it is also a reject,
-// so the aggregate reject counter the experiments report stays exact.
-func (s *Service) bumpFastRejects() {
-	s.statsMu.Lock()
-	s.rejects++
-	s.fastRejects++
-	s.statsMu.Unlock()
-}
-
-func (s *Service) bumpBusyRejects() {
-	s.statsMu.Lock()
-	s.busyRejects++
-	s.statsMu.Unlock()
-}
+func (s *Service) LastTSCalls() int64 { return s.cLastTSCalls.Value() }

@@ -351,7 +351,7 @@ func (f *Family) String() string {
 // Table rendering.
 
 // Table accumulates rows and renders an aligned plain-text table, the
-// output format of every experiment in EXPERIMENTS.md.
+// output format of every harness experiment.
 type Table struct {
 	header []string
 	rows   [][]string

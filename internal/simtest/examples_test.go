@@ -2,24 +2,73 @@ package simtest
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
-// TestCommittedE12PlanMatchesBuiltin guards the committed example plan
-// against drifting from the builtin it documents: CI sweeps the file,
-// tests sweep the builtin, and the two must stay the same experiment.
-// Regenerate on intentional changes:
-//
-//	go run ./cmd/p2pltr-sim plan -plan e12 > examples/plans/e12.json
-func TestCommittedE12PlanMatchesBuiltin(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "plans", "e12.json")
-	got, err := Load(path)
+// plansDir holds the committed plans: the file is the plan, CI runs and
+// sweeps the files, and the tests load the same files.
+const plansDir = "../../examples/plans"
+
+// failingExample is the one archived plan that violates an invariant on
+// purpose (the forensics worked example).
+const failingExample = "ckptlag-repro.json"
+
+func loadExample(t *testing.T, name string) Plan {
+	t.Helper()
+	p, err := Load(filepath.Join(plansDir, name))
 	if err != nil {
-		t.Fatalf("load committed plan: %v", err)
+		t.Fatal(err)
 	}
-	want := E12Plan().WithDefaults()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("examples/plans/e12.json drifted from the builtin E12 plan:\ngot  %+v\nwant %+v\n(regenerate: go run ./cmd/p2pltr-sim plan -plan e12 > examples/plans/e12.json)", got, want)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// examplePlans returns the file names of the committed plans.
+func examplePlans(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(plansDir, "*.json"))
+	if err != nil || len(paths) < 3 {
+		t.Fatalf("%s holds %v (%v), want at least e12, e13-hot and %s", plansDir, paths, err, failingExample)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
+}
+
+// TestPlanE12Shape runs the committed E12 plan (512 peers; its short
+// size under -short) and checks it exercised what it is there for, not
+// only that the invariants held: boundary authors died, only the
+// fallback producer could and did carry the checkpoint chain to every
+// document's last boundary, and the loss model dropped messages.
+func TestPlanE12Shape(t *testing.T) {
+	plan := loadExample(t, "e12.json")
+	if testing.Short() {
+		plan = plan.ApplyShort()
+	}
+	res := Run(plan, plan.Seed)
+	if !res.Pass() {
+		t.Fatalf("e12 plan violates its invariants: %+v", res.Violations())
+	}
+	if res.Commits == 0 || res.Kills == 0 {
+		t.Fatalf("degenerate workload: %d commits, %d boundary-author kills", res.Commits, res.Kills)
+	}
+	if res.Dropped == 0 {
+		t.Fatalf("sustained loss dropped no messages (sent %d)", res.Sent)
+	}
+	if res.Counters["fallback-checkpoints"] == 0 {
+		t.Fatalf("boundary authors died yet no fallback checkpoint was produced: %v", res.Counters)
+	}
+	interval := plan.CheckpointInterval
+	doomed := plan.DoomedDocs()
+	for i, d := range res.Docs {
+		if d.Doomed != doomed[i] {
+			t.Errorf("%s doomed = %v, the plan arms %v", d.Doc, d.Doomed, doomed)
+		}
+		if boundary := d.FinalTS - d.FinalTS%interval; d.CkptPtr < boundary {
+			t.Errorf("%s pointer %d below last boundary %d of final ts %d", d.Doc, d.CkptPtr, boundary, d.FinalTS)
+		}
 	}
 }

@@ -359,53 +359,3 @@ func Load(path string) (Plan, error) {
 	}
 	return p, nil
 }
-
-// E12Plan is the builtin plan expressing harness experiment E12 — the
-// full-stack scale scenario (KTS/log/checkpoint/maintain under churn,
-// sustained loss and boundary-author death) — declaratively. The
-// harness asserts its invariant results match the hand-written driver
-// (TestE12PlanEquivalence); examples/plans/e12.json is this plan
-// committed as a file.
-func E12Plan() Plan {
-	return Plan{
-		Name: "e12-full-stack",
-		Notes: "E12 as a declarative plan: 512 peers run the full " +
-			"KTS/log/checkpoint/maintain stack under 1% sustained loss and " +
-			"crash/join churn; on the first half of the documents every " +
-			"boundary author is killed at its checkpoint commit, so the " +
-			"maintenance engine's fallback producer must keep the " +
-			"checkpoint chain alive.",
-		Seed:           1,
-		Peers:          512,
-		Docs:           6,
-		EditorsPerDoc:  3,
-		EditsPerEditor: 6,
-		LossRate:       0.01,
-		Churn: []ChurnBatch{
-			{AtMS: 23_000, Crash: 10, Join: 10},
-			{AtMS: 43_000, Crash: 10, Join: 10},
-		},
-		Faults: []FaultEvent{
-			{Kind: FaultCrashBoundaryAuthor, Doc: 0},
-			{Kind: FaultCrashBoundaryAuthor, Doc: 1},
-			{Kind: FaultCrashBoundaryAuthor, Doc: 2},
-		},
-		Short: &Override{
-			Peers:          64,
-			Docs:           2,
-			EditorsPerDoc:  2,
-			EditsPerEditor: 5,
-			ChurnScale:     0.2,
-		},
-	}
-}
-
-// Builtin resolves a builtin plan by name ("" lists none). The CLI
-// falls back here when -plan names no readable file.
-func Builtin(name string) (Plan, bool) {
-	switch name {
-	case "e12", "e12-full-stack":
-		return E12Plan(), true
-	}
-	return Plan{}, false
-}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPlanRoundTrip(t *testing.T) {
-	p := E12Plan()
+	p := loadExample(t, "e12.json")
 	b, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestPlanApplyShort(t *testing.T) {
-	p := E12Plan()
+	p := loadExample(t, "e12.json")
 	s := p.ApplyShort()
 	if s.Short != nil {
 		t.Fatal("Short not consumed")
@@ -79,20 +79,5 @@ func TestPlanApplyShort(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("short variant invalid: %v", err)
-	}
-}
-
-func TestBuiltin(t *testing.T) {
-	for _, name := range []string{"e12", "e12-full-stack"} {
-		p, ok := Builtin(name)
-		if !ok || p.Name != "e12-full-stack" {
-			t.Fatalf("Builtin(%q) = %+v, %v", name, p, ok)
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("builtin %q invalid: %v", name, err)
-		}
-	}
-	if _, ok := Builtin("nope"); ok {
-		t.Fatal("unknown builtin resolved")
 	}
 }

@@ -66,6 +66,14 @@ type Result struct {
 	FlightEvents []flightrec.Event
 	FlightDigest uint64
 
+	// TraceSpans counts the spans the run's shared tracer finished and
+	// TraceDigest folds each, in completion order, with SpanData.Hash:
+	// span and trace IDs, peers, instants and every stage mark. Same-seed
+	// runs must agree on it; it is NOT folded into Digest, so adding or
+	// moving a span does not move campaign fingerprints.
+	TraceSpans  int64
+	TraceDigest uint64
+
 	// Forensics is assembled only for failing runs: the causal slice of
 	// the merged timeline around the violating keys. Deliberately NOT
 	// digest-folded — it is derived evidence, and keeping it out lets

@@ -124,13 +124,22 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 		staleMax: map[string]time.Duration{},
 		monitors: map[string][]*gateway.Follower{},
 	}
-	// One shared tracer across all peers (like the E13 harness): its
-	// span counter is advanced only at deterministically-scheduled
-	// points, so span and trace IDs reproduce bitwise under the same
-	// seed, and cross-peer segments of one commit land in one ring.
+	// One shared tracer across all peers: its span counter is advanced
+	// only at deterministically-scheduled points, so span and trace IDs
+	// reproduce bitwise under the same seed, and cross-peer segments of
+	// one commit land in one ring.
 	r.tracer = trace.New(clk, 4096)
 	r.tracer.SetOrigin("simtest")
-	// Paper-like timers, as in E11/E12: virtual time makes aggressive
+	// The sink runs on each span's ending goroutine, which the scheduler
+	// serializes: the fold order is the completion order.
+	res.TraceDigest = trace.HashSeed()
+	r.tracer.SetSink(func(d trace.SpanData) {
+		r.mu.Lock()
+		res.TraceDigest = d.Hash(res.TraceDigest)
+		res.TraceSpans++
+		r.mu.Unlock()
+	})
+	// Paper-like timers, as in E11: virtual time makes aggressive
 	// periods pointless, and at 512+ peers their event rate would
 	// dominate the wall-time budget.
 	r.opts = core.Options{
@@ -682,6 +691,9 @@ func (r *runner) sampleViewers() {
 // against whatever in-flight maintenance the teardown interrupts.
 func (r *runner) collectCounters() {
 	res := r.res
+	// The span stream closes here too: spans the teardown cuts short end
+	// in whatever order the peers stop.
+	r.tracer.SetSink(nil)
 	agg := metrics.NewFamily()
 	for _, p := range r.all {
 		if p.Maint != nil {

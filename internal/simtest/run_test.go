@@ -60,35 +60,52 @@ func TestRunSmallPlan(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic is satellite coverage for the campaign engine's
-// core assumption: same plan + same seed → identical events, verdicts,
-// reports and digest, bitwise.
+// TestRunDeterministic is the campaign engine's core assumption, over
+// smallPlan and every committed plan at its short size: same plan + same
+// seed → identical events, verdicts, reports, run digest, flight-recorder
+// digest and span-stream digest, bitwise.
 func TestRunDeterministic(t *testing.T) {
-	a := Run(smallPlan(), 11)
-	b := Run(smallPlan(), 11)
-	if !reflect.DeepEqual(a.Events, b.Events) {
-		min := len(a.Events)
-		if len(b.Events) < min {
-			min = len(b.Events)
-		}
-		for i := 0; i < min; i++ {
-			if a.Events[i] != b.Events[i] {
-				t.Fatalf("event order diverged at %d:\n%+v\nvs\n%+v", i, a.Events[i], b.Events[i])
+	type tc struct {
+		name string
+		plan Plan
+		seed int64
+	}
+	cases := []tc{{"small-all-faults", smallPlan(), 11}}
+	for _, name := range examplePlans(t) {
+		p := loadExample(t, name)
+		cases = append(cases, tc{name, p.ApplyShort(), p.Seed})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := Run(c.plan, c.seed), Run(c.plan, c.seed)
+			if pass := c.name != failingExample; a.Pass() != pass {
+				t.Fatalf("pass = %v, want %v: %+v", a.Pass(), pass, a.Violations())
 			}
-		}
-		t.Fatalf("event counts diverged: %d vs %d", len(a.Events), len(b.Events))
-	}
-	if !reflect.DeepEqual(stripWall(a), stripWall(b)) {
-		t.Fatalf("results diverged:\n%+v\nvs\n%+v", stripWall(a), stripWall(b))
-	}
-	if a.Digest != b.Digest {
-		t.Fatalf("digests diverged: %x vs %x", a.Digest, b.Digest)
-	}
-	// A different seed must actually change the trace — otherwise the
-	// comparison above proves nothing.
-	c := Run(smallPlan(), 12)
-	if a.Digest == c.Digest && reflect.DeepEqual(a.Events, c.Events) {
-		t.Fatal("different seeds produced identical traces; determinism test is vacuous")
+			if !reflect.DeepEqual(a.Events, b.Events) {
+				for i := 0; i < min(len(a.Events), len(b.Events)); i++ {
+					if a.Events[i] != b.Events[i] {
+						t.Fatalf("event order diverged at %d:\n%+v\nvs\n%+v", i, a.Events[i], b.Events[i])
+					}
+				}
+				t.Fatalf("event counts diverged: %d vs %d", len(a.Events), len(b.Events))
+			}
+			if a.Digest != b.Digest || a.FlightDigest != b.FlightDigest || a.TraceDigest != b.TraceDigest {
+				t.Fatalf("digests diverged: run %x vs %x, flight %x vs %x, trace %x vs %x",
+					a.Digest, b.Digest, a.FlightDigest, b.FlightDigest, a.TraceDigest, b.TraceDigest)
+			}
+			if !reflect.DeepEqual(stripWall(a), stripWall(b)) {
+				t.Fatalf("results diverged:\n%+v\nvs\n%+v", stripWall(a), stripWall(b))
+			}
+			if len(a.FlightEvents) == 0 || a.TraceSpans == 0 {
+				t.Fatalf("%d flight events, %d spans: a digest comparison is vacuous", len(a.FlightEvents), a.TraceSpans)
+			}
+			// A different seed must actually change the trace — otherwise
+			// the comparisons above prove nothing.
+			d := Run(c.plan, c.seed+1)
+			if a.Digest == d.Digest || a.TraceDigest == d.TraceDigest {
+				t.Fatal("different seeds produced identical traces; determinism test is vacuous")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,7 +128,7 @@ func (n *Simnet) Clock() vclock.Clock { return n.clock }
 // unique; an empty name is assigned automatically.
 func (n *Simnet) NewEndpoint(name string) Endpoint {
 	if name == "" {
-		name = "sim-" + itoa(int(n.seq.Add(1)))
+		name = "sim-" + strconv.Itoa(int(n.seq.Add(1)))
 	}
 	ep := &simEndpoint{net: n, addr: Addr(name)}
 	s := n.shard(ep.addr)
@@ -375,18 +376,4 @@ func (e *simEndpoint) Close() error {
 	delete(s.endpoints, e.addr)
 	s.mu.Unlock()
 	return nil
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
