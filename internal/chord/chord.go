@@ -65,13 +65,6 @@ type Config struct {
 	// the wall clock (production behavior); a *vclock.Virtual runs the
 	// node in simulated time for large-scale deterministic experiments.
 	Clock vclock.Clock
-	// OnEvict, when non-nil, observes every routing-state eviction this
-	// node performs. The scale experiments use it to classify evictions
-	// (a dead peer evicted is repair; a live peer evicted is
-	// loss-induced churn). Called synchronously on the evicting
-	// goroutine; implementations must be fast and must not call back
-	// into the node.
-	OnEvict func(dead msg.NodeRef)
 }
 
 // DefaultConfig suits real deployments over TCP.
@@ -197,22 +190,17 @@ type Node struct {
 	// the scale experiments watch under sustained loss.
 	evictions atomic.Int64
 
-	// evictObs are additional eviction observers registered at runtime
-	// (AddEvictObserver) — unlike Config.OnEvict they can be added after
-	// the node started, which layered subsystems (the serving gateway's
-	// route cache) need. Guarded by their own mutex so registration never
-	// contends with routing state.
+	// evictObs are the eviction observers (AddEvictObserver). They can be
+	// added after the node started, which layered subsystems (the serving
+	// gateway's route cache) need. Guarded by their own mutex so
+	// registration never contends with routing state.
 	evictObsMu sync.Mutex
 	evictObs   []func(dead msg.NodeRef)
 
-	// tracer, when set, opens a server-side child span around every
-	// dispatched RPC that arrived with a propagated trace context; rec,
-	// when set, records ring-lifecycle events (join, suspect, evict,
-	// handover, absorb) into the peer's flight recorder. Both are
-	// wiring-time configuration (SetTracer/SetRecorder before
-	// Create/Join), guarded by obsMu only so the setters are safe to
-	// call from tests after construction.
-	obsMu  sync.RWMutex
+	// tracer opens a server-side child span around every dispatched RPC
+	// that arrived with a propagated trace context; rec records
+	// ring-lifecycle events (join, suspect, evict, handover, absorb) into
+	// the peer's flight recorder. Either may be nil (a valid no-op).
 	tracer *trace.Tracer
 	rec    *flightrec.Recorder
 
@@ -226,43 +214,10 @@ type Node struct {
 	cEvictions      *metrics.Counter
 }
 
-// SetTracer installs the tracer that opens server-side child spans
-// around dispatched RPCs carrying a propagated trace context. Wiring-
-// time configuration: call before Create/Join.
-func (n *Node) SetTracer(t *trace.Tracer) {
-	n.obsMu.Lock()
-	defer n.obsMu.Unlock()
-	n.tracer = t
-}
-
-// SetRecorder installs the flight recorder this node logs its ring
-// lifecycle events into. Wiring-time configuration: call before
-// Create/Join.
-func (n *Node) SetRecorder(r *flightrec.Recorder) {
-	n.obsMu.Lock()
-	defer n.obsMu.Unlock()
-	n.rec = r
-}
-
-func (n *Node) getTracer() *trace.Tracer {
-	n.obsMu.RLock()
-	defer n.obsMu.RUnlock()
-	return n.tracer
-}
-
-// record logs one lifecycle event into the flight recorder, if any.
-func (n *Node) record(ctx context.Context, kind, key, detail string) {
-	n.obsMu.RLock()
-	r := n.rec
-	n.obsMu.RUnlock()
-	r.Record(ctx, kind, key, detail)
-}
-
 // AddEvictObserver registers fn to observe every routing-state eviction
-// this node performs, alongside Config.OnEvict. Like OnEvict, fn runs
-// synchronously on the evicting goroutine: it must be fast and must not
-// call back into the node. Observers cannot be removed; register
-// long-lived functions only.
+// this node performs. fn runs synchronously on the evicting goroutine:
+// it must be fast and must not call back into the node. Observers cannot
+// be removed; register long-lived functions only.
 func (n *Node) AddEvictObserver(fn func(dead msg.NodeRef)) {
 	if fn == nil {
 		return
@@ -274,13 +229,15 @@ func (n *Node) AddEvictObserver(fn func(dead msg.NodeRef)) {
 
 // NewNode creates a node bound to ep. The node's ring ID is the hash of
 // its transport address, as in consistent hashing; tests may override it
-// with NewNodeWithID.
-func NewNode(ep transport.Endpoint, cfg Config) *Node {
-	return NewNodeWithID(ep, ids.Hash([]byte(ep.Addr())), cfg)
+// with NewNodeWithID. tr opens server-side spans around dispatched RPCs
+// that carry a propagated trace context and rec receives the ring
+// lifecycle events; nil switches either off.
+func NewNode(ep transport.Endpoint, cfg Config, tr *trace.Tracer, rec *flightrec.Recorder) *Node {
+	return NewNodeWithID(ep, ids.Hash([]byte(ep.Addr())), cfg, tr, rec)
 }
 
 // NewNodeWithID creates a node with an explicit ring identifier.
-func NewNodeWithID(ep transport.Endpoint, id ids.ID, cfg Config) *Node {
+func NewNodeWithID(ep transport.Endpoint, id ids.ID, cfg Config, tr *trace.Tracer, rec *flightrec.Recorder) *Node {
 	if cfg.SuccListLen <= 0 {
 		clk := cfg.Clock
 		cfg = DefaultConfig()
@@ -292,6 +249,8 @@ func NewNodeWithID(ep transport.Endpoint, id ids.ID, cfg Config) *Node {
 		id:       id,
 		ref:      msg.NodeRef{ID: id, Addr: string(ep.Addr())},
 		clock:    vclock.OrSystem(cfg.Clock),
+		tracer:   tr,
+		rec:      rec,
 		counters: metrics.NewFamily(),
 	}
 	n.cLookups = n.counters.Counter("lookups")
@@ -537,7 +496,7 @@ func (n *Node) finishJoin(ctx context.Context, succ msg.NodeRef) error {
 	}
 
 	n.start()
-	n.record(ctx, "chord-join", succ.Addr, "")
+	n.rec.Record(ctx, "chord-join", succ.Addr, "")
 	// Proactively notify so the ring links in without waiting a full
 	// stabilization round.
 	_, _ = n.Call(ctx, transport.Addr(succ.Addr), &msg.NotifyReq{Candidate: n.ref})

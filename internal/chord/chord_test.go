@@ -30,11 +30,11 @@ func buildRing(t *testing.T, net *transport.Simnet, n int) []*Node {
 	t.Helper()
 	cfg := FastConfig()
 	nodes := make([]*Node, 0, n)
-	first := NewNode(net.NewEndpoint("node-0"), cfg)
+	first := NewNode(net.NewEndpoint("node-0"), cfg, nil, nil)
 	first.Create()
 	nodes = append(nodes, first)
 	for i := 1; i < n; i++ {
-		nd := NewNode(net.NewEndpoint(fmt.Sprintf("node-%d", i)), cfg)
+		nd := NewNode(net.NewEndpoint(fmt.Sprintf("node-%d", i)), cfg, nil, nil)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := nd.Join(ctx, first.Addr()); err != nil {
 			cancel()
@@ -164,13 +164,13 @@ func TestOwnershipPartition(t *testing.T) {
 func TestJoinTriggersHandover(t *testing.T) {
 	net := transport.NewSimnet()
 	cfg := FastConfig()
-	a := NewNode(net.NewEndpoint("a"), cfg)
+	a := NewNode(net.NewEndpoint("a"), cfg, nil, nil)
 	svc := newRecorderService("rec")
 	a.Attach(svc)
 	a.Create()
 	defer a.Stop()
 
-	b := NewNode(net.NewEndpoint("b"), cfg)
+	b := NewNode(net.NewEndpoint("b"), cfg, nil, nil)
 	bsvc := newRecorderService("rec")
 	b.Attach(bsvc)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -187,13 +187,13 @@ func TestJoinTriggersHandover(t *testing.T) {
 func TestLeavePushesStateToSuccessor(t *testing.T) {
 	net := transport.NewSimnet()
 	cfg := FastConfig()
-	a := NewNode(net.NewEndpoint("a"), cfg)
+	a := NewNode(net.NewEndpoint("a"), cfg, nil, nil)
 	asvc := newRecorderService("rec")
 	a.Attach(asvc)
 	a.Create()
 	defer a.Stop()
 
-	b := NewNode(net.NewEndpoint("b"), cfg)
+	b := NewNode(net.NewEndpoint("b"), cfg, nil, nil)
 	bsvc := newRecorderService("rec")
 	bsvc.items = []msg.StateItem{{Service: "rec", Key: "k", ID: 42, Value: []byte("v")}}
 	b.Attach(bsvc)

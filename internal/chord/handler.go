@@ -47,9 +47,9 @@ func (n *Node) handle(ctx context.Context, from transport.Addr, req msg.Message)
 	// route/rpc/validate/replicate segments on different peers end up
 	// sharing one trace ID. Gated on the remote carrier so untraced
 	// maintenance RPCs (pings, stabilize probes) open no spans at all.
-	if tr := n.getTracer(); tr != nil {
+	if n.tracer != nil {
 		if _, ok := trace.RemoteFromContext(ctx); ok {
-			sp := tr.StartRemote(ctx, "serve", req.Kind(), n.ref.Addr)
+			sp := n.tracer.StartRemote(ctx, "serve", req.Kind(), n.ref.Addr)
 			ctx = trace.NewContext(ctx, sp)
 			resp, err := n.dispatch(ctx, from, req)
 			sp.EndErr(err)
@@ -152,14 +152,14 @@ func (n *Node) handleHandover(ctx context.Context, r *msg.HandoverReq) (msg.Mess
 	for _, s := range n.services {
 		items = append(items, s.ExportOutside(newNode.ID, n.id)...)
 	}
-	n.record(ctx, "chord-handover", newNode.Addr, fmt.Sprintf("items=%d", len(items)))
+	n.rec.Record(ctx, "chord-handover", newNode.Addr, fmt.Sprintf("items=%d", len(items)))
 	return &msg.HandoverResp{Items: items}, nil
 }
 
 // handleAbsorb installs the state pushed by a voluntarily leaving
 // predecessor.
 func (n *Node) handleAbsorb(ctx context.Context, r *msg.AbsorbReq) {
-	n.record(ctx, "chord-absorb", r.Leaving.Addr, fmt.Sprintf("items=%d", len(r.Items)))
+	n.rec.Record(ctx, "chord-absorb", r.Leaving.Addr, fmt.Sprintf("items=%d", len(r.Items)))
 	n.importItems(r.Items)
 	n.mu.Lock()
 	if n.pred.Addr == r.Leaving.Addr {

@@ -22,7 +22,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// A zero config falls back to defaults at construction.
 	net := transport.NewSimnet()
-	n := NewNode(net.NewEndpoint("z"), Config{})
+	n := NewNode(net.NewEndpoint("z"), Config{}, nil, nil)
 	if n.cfg.SuccListLen != DefaultConfig().SuccListLen {
 		t.Fatalf("zero config not defaulted")
 	}
@@ -30,7 +30,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestNewNodeWithIDAndRef(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNodeWithID(net.NewEndpoint("n"), 42, FastConfig())
+	n := NewNodeWithID(net.NewEndpoint("n"), 42, FastConfig(), nil, nil)
 	if n.ID() != 42 {
 		t.Fatalf("id %v", n.ID())
 	}
@@ -42,7 +42,7 @@ func TestNewNodeWithIDAndRef(t *testing.T) {
 
 func TestAttachAfterStartPanics(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNode(net.NewEndpoint("n"), FastConfig())
+	n := NewNode(net.NewEndpoint("n"), FastConfig(), nil, nil)
 	n.Create()
 	defer n.Stop()
 	defer func() {
@@ -55,7 +55,7 @@ func TestAttachAfterStartPanics(t *testing.T) {
 
 func TestStopIsIdempotent(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNode(net.NewEndpoint("n"), FastConfig())
+	n := NewNode(net.NewEndpoint("n"), FastConfig(), nil, nil)
 	n.Create()
 	if !n.Running() {
 		t.Fatalf("not running after Create")
@@ -69,7 +69,7 @@ func TestStopIsIdempotent(t *testing.T) {
 
 func TestLeaveLastNode(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNode(net.NewEndpoint("n"), FastConfig())
+	n := NewNode(net.NewEndpoint("n"), FastConfig(), nil, nil)
 	svc := newRecorderService("rec")
 	// Attach before Create.
 	n.Attach(svc)
@@ -86,7 +86,7 @@ func TestLeaveLastNode(t *testing.T) {
 
 func TestJoinUnreachableBootstrap(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNode(net.NewEndpoint("n"), FastConfig())
+	n := NewNode(net.NewEndpoint("n"), FastConfig(), nil, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if err := n.Join(ctx, "ghost"); err == nil {
@@ -96,7 +96,7 @@ func TestJoinUnreachableBootstrap(t *testing.T) {
 
 func TestOwnsWithoutPredecessorClaimsAll(t *testing.T) {
 	net := transport.NewSimnet()
-	n := NewNodeWithID(net.NewEndpoint("n"), 1000, FastConfig())
+	n := NewNodeWithID(net.NewEndpoint("n"), 1000, FastConfig(), nil, nil)
 	// Before any ring formation: conservative full claim.
 	if !n.Owns(0) || !n.Owns(999) || !n.Owns(1000) || !n.Owns(5000) {
 		t.Fatalf("node without predecessor must claim every key")

@@ -287,7 +287,7 @@ func (n *Node) suspectFailureBudget(ref msg.NodeRef, budget int) bool {
 	if confirmed {
 		n.evict(ref)
 	} else {
-		n.record(nil, "chord-suspect", ref.Addr, fmt.Sprintf("strikes=%d/%d", strikes, budget))
+		n.rec.Record(nil, "chord-suspect", ref.Addr, fmt.Sprintf("strikes=%d/%d", strikes, budget))
 	}
 	return confirmed
 }
@@ -305,10 +305,7 @@ func (n *Node) clearSuspicion(addr string) {
 func (n *Node) evict(dead msg.NodeRef) {
 	n.evictions.Add(1)
 	n.cEvictions.Add(1)
-	n.record(nil, "chord-evict", dead.Addr, "")
-	if n.cfg.OnEvict != nil {
-		n.cfg.OnEvict(dead)
-	}
+	n.rec.Record(nil, "chord-evict", dead.Addr, "")
 	n.evictObsMu.Lock()
 	obs := n.evictObs
 	n.evictObsMu.Unlock()

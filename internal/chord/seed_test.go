@@ -17,7 +17,7 @@ func TestSeedRing(t *testing.T) {
 	const n = 24
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		nodes[i] = NewNode(net.NewEndpoint(fmt.Sprintf("seed-%d", i)), FastConfig())
+		nodes[i] = NewNode(net.NewEndpoint(fmt.Sprintf("seed-%d", i)), FastConfig(), nil, nil)
 	}
 	SeedRing(nodes)
 	t.Cleanup(func() {

@@ -72,11 +72,13 @@ type Options struct {
 	// Clock drives every timer, timeout, retry backoff and maintenance
 	// period on this peer. nil means the wall clock — production behavior
 	// is unchanged; a *vclock.Virtual runs the whole peer in simulated
-	// time for large-scale deterministic experiments.
+	// time for large-scale deterministic experiments. A peer has one
+	// clock: Chord.Clock is overwritten with it.
 	Clock vclock.Clock
 	// AdmissionLimit bounds how many validators may queue on any one
 	// key's serialization mutex at this peer's KTS master (hot-key
-	// admission; see kts.Service.SetAdmissionLimit). 0 = unlimited.
+	// admission: the excess is shed with ValidateBusy and a retry hint).
+	// 0 = unlimited.
 	AdmissionLimit int
 	// Tracer threads the commit-pipeline span tracer through this peer:
 	// replicas mark route/rpc/backoff/retrieve/checkpoint stages on the
@@ -97,16 +99,10 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Chord.SuccListLen == 0 {
-		clk := o.Chord.Clock
 		o.Chord = chord.DefaultConfig()
-		o.Chord.Clock = clk
 	}
-	if o.Clock == nil {
-		o.Clock = vclock.OrSystem(o.Chord.Clock)
-	}
-	if o.Chord.Clock == nil {
-		o.Chord.Clock = o.Clock
-	}
+	o.Clock = vclock.OrSystem(o.Clock)
+	o.Chord.Clock = o.Clock
 	if o.LogReplicas == 0 {
 		o.LogReplicas = p2plog.DefaultReplicas
 	}
@@ -154,75 +150,68 @@ type Peer struct {
 	Flight *flightrec.Recorder
 }
 
-// NewPeer wires a peer onto the given transport endpoint.
+// NewPeer wires a peer onto the given transport endpoint. Every service
+// receives its ring view, clock, tracer and recorder as constructor
+// arguments, in dependency order, and all of them are attached before the
+// node can start — nothing wired here changes afterwards.
 func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	opts = opts.withDefaults()
-	node := chord.NewNode(ep, opts.Chord)
-	p := &Peer{opts: opts, clock: opts.Clock, Node: node}
-	p.DHT = dht.NewService()
-	p.DHT.SetRing(node)
-	p.DHT.SetClock(opts.Clock)
-	p.Client = dht.NewClient(node, opts.ClientAttempts, opts.ClientBackoff)
-	p.Client.SetClock(opts.Clock)
-	p.Log = p2plog.New(p.Client, opts.LogReplicas)
-	p.Log.SetClock(opts.Clock)
-	p.Ckpt = checkpoint.NewStore(p.Client, opts.CheckpointReplicas)
-	p.KTS = kts.NewService(node, p.Log)
-	p.KTS.SetClock(opts.Clock)
-	p.KTS.SetCheckpointStore(p.Ckpt)
-	if opts.Tracer != nil {
-		p.KTS.SetTracer(opts.Tracer)
-		node.SetTracer(opts.Tracer)
-	}
+	p := &Peer{opts: opts, clock: opts.Clock}
 	if opts.FlightRecorder > 0 {
-		p.Flight = flightrec.New(opts.Clock, string(ep.Addr()), opts.FlightRecorder)
 		// The trace-ID hook keeps flightrec free of the span machinery:
 		// events are stamped with whatever trace the request context
 		// carries, local span or propagated remote context alike.
-		p.Flight.SetTraceIDFunc(trace.TraceIDFromContext)
-		node.SetRecorder(p.Flight)
-		p.DHT.SetRecorder(p.Flight)
-		p.KTS.SetRecorder(p.Flight)
+		p.Flight = flightrec.New(opts.Clock, string(ep.Addr()), opts.FlightRecorder, trace.TraceIDFromContext)
 	}
-	if opts.AdmissionLimit > 0 {
-		p.KTS.SetAdmissionLimit(opts.AdmissionLimit)
-	}
-	node.Attach(p.DHT)
-	node.Attach(p.KTS)
+	p.Node = chord.NewNode(ep, opts.Chord, opts.Tracer, p.Flight)
+	p.Client = dht.NewClient(p.Node, opts.ClientAttempts, opts.ClientBackoff, opts.Clock)
+	p.Log = p2plog.New(p.Client, opts.LogReplicas, opts.Clock)
+	p.Ckpt = checkpoint.NewStore(p.Client, opts.CheckpointReplicas)
+	var maintCfg maintain.Config
+	var floorHint func(ctx context.Context, key string) (uint64, bool)
 	if opts.Maintain != nil {
-		cfg := *opts.Maintain
-		if cfg.Interval == 0 {
-			cfg.Interval = opts.CheckpointInterval
+		maintCfg = *opts.Maintain
+		if maintCfg.Interval == 0 {
+			maintCfg.Interval = opts.CheckpointInterval
 		}
-		if cfg.Now == nil {
-			cfg.Now = opts.Clock.Now
+		if maintCfg.Now == nil {
+			maintCfg.Now = opts.Clock.Now
 		}
-		if cfg.Discover == nil {
-			cfg.Discover = p.discoverKeys
+		if maintCfg.Discover == nil {
+			maintCfg.Discover = p.discoverKeys
 		}
-		p.Maint = maintain.NewEngine(cfg, p.KTS, p.Ckpt, p.Log, snapshotter{p})
-		p.Maint.SetRecorder(p.Flight)
-		node.Attach(p.Maint)
-		// Truncation floors are in-memory; re-derive them after a restart
-		// from the replicated checkpoint pointer, minus the same safety
-		// margin the truncation sweep honors.
-		keep, interval := cfg.KeepIntervals, cfg.Interval
-		p.DHT.SetFloorHint(func(ctx context.Context, key string) (uint64, bool) {
-			ptr, err := p.Ckpt.LatestPointer(ctx, key)
-			if err != nil {
-				return 0, false
-			}
-			if keep > 0 {
-				margin := uint64(keep) * interval
-				if margin == 0 || ptr <= margin {
-					return 0, true // margin incomputable or nothing below it
-				}
-				ptr -= margin
-			}
-			return ptr, true
-		})
+		floorHint = floorFromCheckpoint(p.Ckpt, maintCfg.KeepIntervals, maintCfg.Interval)
+	}
+	p.DHT = dht.NewService(p.Node, opts.Clock, p.Flight, floorHint)
+	p.KTS = kts.NewService(p.Node, p.Log, p.Ckpt, opts.Clock, opts.Tracer, p.Flight, opts.AdmissionLimit)
+	p.Node.Attach(p.DHT)
+	p.Node.Attach(p.KTS)
+	if opts.Maintain != nil {
+		p.Maint = maintain.NewEngine(maintCfg, p.KTS, p.Ckpt, p.Log, snapshotter{p}, p.Flight)
+		p.Node.Attach(p.Maint)
 	}
 	return p
+}
+
+// floorFromCheckpoint is the DHT service's truncation-floor hint on a
+// peer that runs the maintenance engine. Truncation floors are in-memory;
+// after a restart they are re-derived from the replicated checkpoint
+// pointer, minus the same safety margin the truncation sweep honors.
+func floorFromCheckpoint(ckpt *checkpoint.Store, keep int, interval uint64) func(ctx context.Context, key string) (uint64, bool) {
+	return func(ctx context.Context, key string) (uint64, bool) {
+		ptr, err := ckpt.LatestPointer(ctx, key)
+		if err != nil {
+			return 0, false
+		}
+		if keep > 0 {
+			margin := uint64(keep) * interval
+			if margin == 0 || ptr <= margin {
+				return 0, true // margin incomputable or nothing below it
+			}
+			ptr -= margin
+		}
+		return ptr, true
+	}
 }
 
 // Front is what a serving front mounted on a peer (the gateway) lends

@@ -72,9 +72,6 @@ type Replica struct {
 	// stats
 	behindRounds int64
 	retrieved    int64
-	// busyHint is the largest admission retry-after hint the last Commit
-	// observed, pending consumption by the caller (see ConsumeBusyHint).
-	busyHint time.Duration
 	// checkpoint bookkeeping: the newest checkpoint timestamp learned
 	// from master acks, and counters for produced snapshots and
 	// checkpoint-based bootstraps.
@@ -147,18 +144,6 @@ func (r *Replica) Stats() (behindRounds, retrieved int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.behindRounds, r.retrieved
-}
-
-// ConsumeBusyHint returns the largest admission retry-after hint the last
-// Commit observed and resets it. A batching caller (the gateway editor)
-// uses it to stretch its next-batch cadence instead of hammering a shed
-// hot key at the regular tick.
-func (r *Replica) ConsumeBusyHint() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := r.busyHint
-	r.busyHint = 0
-	return d
 }
 
 // CheckpointStats returns how many checkpoints this replica produced and
@@ -299,7 +284,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 	}
 
 	sp := trace.FromContext(ctx)
-	r.busyHint = 0
 	// The wire form changes only when a Behind round rebased the ops: a
 	// Busy round resends these bytes, the ack applies final and hands enc
 	// on to the peer's serving front.
@@ -390,15 +374,10 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 
 		case msg.ValidateBusy:
 			// Hot-key admission shed this request before it touched any
-			// master state; honor the backoff hint and retry as-is. The
-			// hint is also kept for the caller (ConsumeBusyHint), so a
-			// batching editor can stretch its next-batch cadence too.
+			// master state; honor the backoff hint and retry as-is.
 			d := time.Duration(resp.RetryAfterMS) * time.Millisecond
 			if d <= 0 {
 				d = 25 * time.Millisecond
-			}
-			if d > r.busyHint {
-				r.busyHint = d
 			}
 			if err := r.peer.clock.Sleep(ctx, d); err != nil {
 				return r.committedTS, err

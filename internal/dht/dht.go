@@ -41,9 +41,17 @@ const ServiceName = "dht"
 type Service struct {
 	st    *store.Store // slots this peer serves (primary)
 	rep   *store.Store // successor copies of the predecessor's slots
-	mu    sync.Mutex
-	rng   chord.Ring // set by SetRing before the node starts
-	clock vclock.Clock
+	rng   chord.Ring   // the ring view successor replication and re-homing use
+	clock vclock.Clock // runs the asynchronous successor-copy pushes and their timeouts
+	// rec records storage-lifecycle events (promotion, re-home, floor
+	// sweep/derive) into the peer's flight recorder; nil is a valid no-op
+	// recorder.
+	rec *flightrec.Recorder
+	// floorHint re-derives truncation floors lost to a process restart
+	// (see NewService); nil disables the derivation.
+	floorHint func(ctx context.Context, key string) (uint64, bool)
+
+	mu sync.Mutex
 	// floors holds the per-document-key truncation low-water marks this
 	// peer has learned: every log slot of key with ts <= floors[key] was
 	// reclaimed under a fully-replicated checkpoint. Consulted on every
@@ -53,21 +61,15 @@ type Service struct {
 	// later sweep revisits (the maintenance engine's own low-water mark
 	// makes each sweep O(new history), so it never re-deletes them).
 	floors map[string]uint64
-	// floorHint re-derives floors lost to a process restart (see
-	// SetFloorHint); floorCheckedAt records when each key's hint was
-	// last consulted. Keys re-check every floorRecheck, so a checkpoint
+	// floorCheckedAt records when each key's floorHint was last
+	// consulted. Keys re-check every floorRecheck, so a checkpoint
 	// pointer that advances after the first consult still raises the
 	// floor — once-per-process derivation left every later pointer
 	// advance invisible until the next restart.
-	floorHint      func(ctx context.Context, key string) (uint64, bool)
 	floorCheckedAt map[string]time.Time
 	floorRecheck   time.Duration
 	// noSuccCopies disables the Log-Peers-Succ mechanism (ablation A1).
 	noSuccCopies bool
-	// rec, when set, records storage-lifecycle events (promotion,
-	// re-home, floor sweep/derive) into the peer's flight recorder; nil
-	// is a valid no-op recorder.
-	rec *flightrec.Recorder
 
 	// counters is the exportable storage metric family; members are
 	// cached so RPC hot paths skip the family map lookup.
@@ -83,9 +85,27 @@ type Service struct {
 	cRehomes      *metrics.Counter
 }
 
-// NewService returns an empty DHT storage service.
-func NewService() *Service {
-	s := &Service{st: store.New(), rep: store.New(), clock: vclock.System,
+// NewService returns an empty DHT storage service on ring. clk runs the
+// asynchronous successor-copy pushes (virtual-time simulations need their
+// goroutines and timeouts accounted for); rec receives the storage
+// lifecycle events (nil = off).
+//
+// floorHint, when non-nil, is the truncation-floor re-derivation source
+// Maintain consults for document keys that have log slots stored locally
+// — first for keys with no recorded floor (the state of a freshly
+// restarted process, whose in-memory floors are gone while stale slot
+// copies may still arrive from lagging peers), then again every
+// floorRecheck so an advancing pointer keeps raising the floor without
+// waiting for another restart. The hint returns the floor to record (0 =
+// none derivable) and ok=false when its source was unreachable (the key
+// is retried next pass). core.Peer passes the replicated checkpoint
+// pointer minus the maintenance engine's KeepIntervals safety margin:
+// everything below that would have been reclaimed by the truncation
+// sweep in steady state and is recoverable from the checkpoint the
+// pointer names.
+func NewService(ring chord.Ring, clk vclock.Clock, rec *flightrec.Recorder, floorHint func(ctx context.Context, key string) (uint64, bool)) *Service {
+	s := &Service{st: store.New(), rep: store.New(),
+		rng: ring, clock: clk, rec: rec, floorHint: floorHint,
 		floors: make(map[string]uint64), floorCheckedAt: make(map[string]time.Time),
 		floorRecheck: DefaultFloorRecheck,
 		counters:     metrics.NewFamily()}
@@ -106,51 +126,6 @@ func NewService() *Service {
 // floor-swept-slots, floors-derived, rehomes.
 func (s *Service) Counters() *metrics.Family { return s.counters }
 
-// SetRecorder wires the peer's flight recorder; replica promotions,
-// re-homings and truncation-floor advances are then recorded as
-// lifecycle events. Wiring-time configuration.
-func (s *Service) SetRecorder(r *flightrec.Recorder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rec = r
-}
-
-func (s *Service) recorder() *flightrec.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec
-}
-
-// SetClock routes the service's asynchronous successor-copy pushes (their
-// goroutines and timeouts) through c. Virtual-time simulations need it so
-// the scheduler can account for those goroutines; the default is the wall
-// clock.
-func (s *Service) SetClock(c vclock.Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = vclock.OrSystem(c)
-}
-
-func (s *Service) clk() vclock.Clock {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
-}
-
-// SetRing wires the ring view used for successor replication. Without it
-// the service still works but slots have no successor copies.
-func (s *Service) SetRing(r chord.Ring) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rng = r
-}
-
-func (s *Service) ring() chord.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng
-}
-
 // SetSuccessorReplication toggles the Log-Peers-Succ mechanism. It exists
 // for the A1 ablation, which measures what each availability mechanism
 // contributes; production peers leave it on.
@@ -164,25 +139,6 @@ func (s *Service) succCopiesEnabled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.noSuccCopies
-}
-
-// SetFloorHint wires the truncation-floor re-derivation source Maintain
-// consults for document keys that have log slots stored locally — first
-// for keys with no recorded floor (the state of a freshly restarted
-// process, whose in-memory floors are gone while stale slot copies may
-// still arrive from lagging peers), then again every floorRecheck so an
-// advancing pointer keeps raising the floor without waiting for another
-// restart. The hint returns the floor to record (0 = none
-// derivable) and ok=false when its source was unreachable (the key is
-// retried next pass). core.Peer wires it to the replicated checkpoint
-// pointer minus the maintenance engine's KeepIntervals safety margin:
-// everything below that would have been reclaimed by the truncation
-// sweep in steady state and is recoverable from the checkpoint the
-// pointer names.
-func (s *Service) SetFloorHint(hint func(ctx context.Context, key string) (uint64, bool)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.floorHint = hint
 }
 
 // DefaultFloorRecheck is how often deriveFloors re-consults the hint
@@ -248,7 +204,7 @@ func (s *Service) noteFloor(f msg.TruncFloor, sweepPrimary bool) (sweptPrimary i
 			}
 		}
 	}
-	s.recorder().Record(nil, "dht-floor-sweep", f.Key, fmt.Sprintf("ts=%d swept=%d", f.TS, swept))
+	s.rec.Record(nil, "dht-floor-sweep", f.Key, fmt.Sprintf("ts=%d swept=%d", f.TS, swept))
 	return sweptPrimary
 }
 
@@ -390,9 +346,9 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 				s.rep.Delete(r.ID)
 				return &msg.DHTGetResp{}, true, nil
 			}
-			if rng := s.ring(); rng != nil && rng.Owns(r.ID) {
+			if s.rng.Owns(r.ID) {
 				s.cPromotions.Add(1)
-				s.recorder().Record(ctx, "dht-promote", e.Key, "read-takeover")
+				s.rec.Record(ctx, "dht-promote", e.Key, "read-takeover")
 				s.st.Put(r.ID, e.Key, e.Value)
 				s.replicateToSucc([]msg.StateItem{{Service: ServiceName, Key: e.Key, ID: r.ID, Value: e.Value}})
 			}
@@ -408,19 +364,17 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 // successor, asynchronously and best-effort: a missed copy is restored by
 // the P2P-Log's read repair or the next put.
 func (s *Service) replicateToSucc(items []msg.StateItem) {
-	rng := s.ring()
-	if rng == nil || len(items) == 0 || !s.succCopiesEnabled() {
+	if len(items) == 0 || !s.succCopiesEnabled() {
 		return
 	}
-	succ := rng.Successor()
-	if succ.IsZero() || succ.ID == rng.Ref().ID {
+	succ := s.rng.Successor()
+	if succ.IsZero() || succ.ID == s.rng.Ref().ID {
 		return
 	}
-	clk := s.clk()
-	clk.Go(func() {
-		ctx, cancel := clk.WithTimeout(context.Background(), 2*time.Second)
+	s.clock.Go(func() {
+		ctx, cancel := s.clock.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_, _ = rng.Call(ctx, transport.Addr(succ.Addr), &msg.DHTReplicaPutReq{Items: items})
+		_, _ = s.rng.Call(ctx, transport.Addr(succ.Addr), &msg.DHTReplicaPutReq{Items: items})
 	})
 }
 
@@ -428,19 +382,17 @@ func (s *Service) replicateToSucc(items []msg.StateItem) {
 // asynchronously and best-effort: a survivor copy costs storage until
 // the floor piggybacked on the next Maintain refresh reclaims it.
 func (s *Service) deleteFromSucc(idsToDrop []ids.ID, floor msg.TruncFloor) {
-	rng := s.ring()
-	if rng == nil || len(idsToDrop) == 0 || !s.succCopiesEnabled() {
+	if len(idsToDrop) == 0 || !s.succCopiesEnabled() {
 		return
 	}
-	succ := rng.Successor()
-	if succ.IsZero() || succ.ID == rng.Ref().ID {
+	succ := s.rng.Successor()
+	if succ.IsZero() || succ.ID == s.rng.Ref().ID {
 		return
 	}
-	clk := s.clk()
-	clk.Go(func() {
-		ctx, cancel := clk.WithTimeout(context.Background(), 2*time.Second)
+	s.clock.Go(func() {
+		ctx, cancel := s.clock.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_, _ = rng.Call(ctx, transport.Addr(succ.Addr), &msg.DHTReplicaDeleteReq{IDs: idsToDrop, Floor: floor})
+		_, _ = s.rng.Call(ctx, transport.Addr(succ.Addr), &msg.DHTReplicaDeleteReq{IDs: idsToDrop, Floor: floor})
 	})
 }
 
@@ -449,10 +401,6 @@ func (s *Service) deleteFromSucc(idsToDrop []ids.ID, floor msg.TruncFloor) {
 // churn (a departed successor takes its copies with it) and promoting
 // owned replica-set entries whose primary holder vanished.
 func (s *Service) Maintain(ctx context.Context) {
-	rng := s.ring()
-	if rng == nil {
-		return
-	}
 	s.deriveFloors(ctx)
 	s.rehomeStranded(ctx)
 	if !s.succCopiesEnabled() {
@@ -467,10 +415,10 @@ func (s *Service) Maintain(ctx context.Context) {
 			s.rep.Delete(e.ID)
 			continue
 		}
-		if rng.Owns(e.ID) {
+		if s.rng.Owns(e.ID) {
 			if _, ok := s.st.Get(e.ID); !ok {
 				s.cPromotions.Add(1)
-				s.recorder().Record(ctx, "dht-promote", e.Key, "maintain")
+				s.rec.Record(ctx, "dht-promote", e.Key, "maintain")
 				s.st.Put(e.ID, e.Key, e.Value)
 			}
 			s.rep.Delete(e.ID)
@@ -485,8 +433,8 @@ func (s *Service) Maintain(ctx context.Context) {
 	// onward. (Out-of-band floor learning deliberately leaves primaries
 	// to this pass and the read path: sweeping them inline would race an
 	// in-flight truncation's delete accounting.)
-	succ := rng.Successor()
-	if succ.IsZero() || succ.ID == rng.Ref().ID {
+	succ := s.rng.Successor()
+	if succ.IsZero() || succ.ID == s.rng.Ref().ID {
 		return
 	}
 	var items []msg.StateItem
@@ -501,9 +449,9 @@ func (s *Service) Maintain(ctx context.Context) {
 	if len(items) == 0 && len(floors) == 0 {
 		return
 	}
-	cctx, cancel := s.clk().WithTimeout(ctx, 2*time.Second)
+	cctx, cancel := s.clock.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	_, _ = rng.Call(cctx, transport.Addr(succ.Addr), &msg.DHTReplicaPutReq{Items: items, Floors: floors})
+	_, _ = s.rng.Call(cctx, transport.Addr(succ.Addr), &msg.DHTReplicaPutReq{Items: items, Floors: floors})
 }
 
 // rehomeBatch bounds how many routing consults (and hence owner
@@ -527,14 +475,10 @@ const rehomeBatch = 16
 // fresher mutable record there, beats our stale copy), dropping local
 // primaries and their successor copies once the owner has acknowledged.
 func (s *Service) rehomeStranded(ctx context.Context) {
-	rng := s.ring()
-	if rng == nil {
-		return
-	}
-	self := rng.Ref()
+	self := s.rng.Ref()
 	var stranded []store.Entry
 	for _, e := range s.st.SnapshotAll() {
-		if s.belowFloor(e.Key) || rng.Owns(e.ID) {
+		if s.belowFloor(e.Key) || s.rng.Owns(e.ID) {
 			continue
 		}
 		stranded = append(stranded, e)
@@ -544,7 +488,7 @@ func (s *Service) rehomeStranded(ctx context.Context) {
 	for i := 0; i < len(stranded) && consults < rehomeBatch; {
 		e := stranded[i]
 		consults++
-		owner, _, err := rng.FindSuccessor(ctx, e.ID)
+		owner, _, err := s.rng.FindSuccessor(ctx, e.ID)
 		if err != nil || owner.IsZero() || owner.Addr == string(self.Addr) {
 			// Routing still names this node (or cannot answer yet):
 			// ownership is in flux, keep the primary and retry next pass.
@@ -563,8 +507,8 @@ func (s *Service) rehomeStranded(ctx context.Context) {
 			items = append(items, msg.StateItem{Service: ServiceName, Key: n.Key, ID: n.ID, Value: n.Value})
 			j++
 		}
-		cctx, cancel := s.clk().WithTimeout(ctx, 2*time.Second)
-		resp, err := rng.Call(cctx, transport.Addr(owner.Addr), &msg.DHTRehomeReq{Items: items})
+		cctx, cancel := s.clock.WithTimeout(ctx, 2*time.Second)
+		resp, err := s.rng.Call(cctx, transport.Addr(owner.Addr), &msg.DHTRehomeReq{Items: items})
 		cancel()
 		if err == nil {
 			if _, ok := resp.(*msg.DHTRehomeResp); ok {
@@ -577,7 +521,7 @@ func (s *Service) rehomeStranded(ctx context.Context) {
 				if dk, _, ok := ids.ParseLogSlotName(key); ok {
 					key = dk
 				}
-				s.recorder().Record(ctx, "dht-rehome", key,
+				s.rec.Record(ctx, "dht-rehome", key,
 					fmt.Sprintf("slots=%d owner=%s", len(items), owner.Addr))
 			}
 		}
@@ -601,13 +545,10 @@ func (s *Service) rehomeStranded(ctx context.Context) {
 // are reclaimed lazily by reads and the refresh walk, like every other
 // out-of-band floor.
 func (s *Service) deriveFloors(ctx context.Context) {
-	s.mu.Lock()
-	hint := s.floorHint
-	s.mu.Unlock()
-	if hint == nil {
+	if s.floorHint == nil {
 		return
 	}
-	now := s.clk().Now()
+	now := s.clock.Now()
 	cand := make(map[string]bool)
 	for _, st := range []*store.Store{s.st, s.rep} {
 		for _, e := range st.SnapshotMeta() {
@@ -633,7 +574,7 @@ func (s *Service) deriveFloors(ctx context.Context) {
 	// streams under deterministic simulation.
 	sort.Strings(keys)
 	for _, key := range keys {
-		ts, ok := hint(ctx, key)
+		ts, ok := s.floorHint(ctx, key)
 		if !ok {
 			continue // source unreachable; retried next pass
 		}
@@ -642,7 +583,7 @@ func (s *Service) deriveFloors(ctx context.Context) {
 		s.mu.Unlock()
 		if ts > 0 {
 			s.cFloorDerived.Add(1)
-			s.recorder().Record(ctx, "dht-floor-derive", key, fmt.Sprintf("ts=%d", ts))
+			s.rec.Record(ctx, "dht-floor-derive", key, fmt.Sprintf("ts=%d", ts))
 			s.noteFloor(msg.TruncFloor{Key: key, TS: ts}, false)
 		}
 	}
@@ -709,12 +650,13 @@ type Client struct {
 }
 
 // NewClient returns a client bound to the local ring view. attempts
-// bounds lookup+call retries (minimum 1); backoff separates them.
-func NewClient(ring chord.Ring, attempts int, backoff time.Duration) *Client {
+// bounds lookup+call retries (minimum 1); backoff separates them,
+// waiting on clk.
+func NewClient(ring chord.Ring, attempts int, backoff time.Duration, clk vclock.Clock) *Client {
 	if attempts < 1 {
 		attempts = 1
 	}
-	c := &Client{ring: ring, attempts: attempts, backoff: backoff, clock: vclock.System,
+	c := &Client{ring: ring, attempts: attempts, backoff: backoff, clock: clk,
 		counters: metrics.NewFamily()}
 	c.cCalls = c.counters.Counter("calls")
 	c.cRetries = c.counters.Counter("retries")
@@ -726,12 +668,6 @@ func NewClient(ring chord.Ring, attempts int, backoff time.Duration) *Client {
 // operation), retries (extra attempts after a failed lookup or call),
 // failures (operations exhausting every attempt).
 func (c *Client) Counters() *metrics.Family { return c.counters }
-
-// SetClock makes retry backoffs wait on c instead of the wall clock. It
-// is wiring-time configuration: call it before the client serves any
-// operation (the field is read without synchronization on the call
-// path).
-func (c *Client) SetClock(clk vclock.Clock) { c.clock = vclock.OrSystem(clk) }
 
 // call resolves successor(id) and invokes req on it, retrying on
 // unavailability.

@@ -11,6 +11,7 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/transport"
+	"p2pltr/internal/vclock"
 )
 
 // countingRing is a scripted chord.Ring: a fixed sorted node set, a
@@ -65,6 +66,12 @@ func (r *countingRing) CallWithTimeout(ctx context.Context, to transport.Addr, r
 
 var _ chord.Ring = (*countingRing)(nil)
 
+// newOwner is the service of a node that only receives re-homed slots:
+// its ring has no successor, so it pushes no copies onward.
+func newOwner(self msg.NodeRef) *dht.Service {
+	return dht.NewService(&countingRing{self: self}, vclock.System, nil, nil)
+}
+
 // TestRehomeStrandedBatchesPerOwner absorbs a large foreign range into a
 // node and asserts one routing consult plus one bulk RPC per owner —
 // not per slot — with every slot landing at its owner and leaving the
@@ -76,16 +83,14 @@ func TestRehomeStrandedBatchesPerOwner(t *testing.T) {
 	a := msg.NodeRef{ID: 1000, Addr: "a"}
 	b := msg.NodeRef{ID: 2000, Addr: "b"}
 
-	svcSelf := dht.NewService()
-	svcA := dht.NewService()
-	svcB := dht.NewService()
+	svcA, svcB := newOwner(a), newOwner(b)
 	ring := &countingRing{
 		self:  self,
 		pred:  3000,
 		nodes: []msg.NodeRef{a, b, self},
 		svc:   map[string]*dht.Service{"a": svcA, "b": svcB},
 	}
-	svcSelf.SetRing(ring)
+	svcSelf := dht.NewService(ring, vclock.System, nil, nil)
 
 	// 60 stranded slots across both foreign arcs, plus 5 slots this
 	// node legitimately owns (they must stay).
@@ -125,15 +130,14 @@ func TestRehomeStrandedBatchesPerOwner(t *testing.T) {
 func TestRehomeOccupiedSlotKeepsOwnerCopy(t *testing.T) {
 	self := msg.NodeRef{ID: 4000, Addr: "self"}
 	a := msg.NodeRef{ID: 1000, Addr: "a"}
-	svcSelf := dht.NewService()
-	svcA := dht.NewService()
+	svcA := newOwner(a)
 	ring := &countingRing{
 		self:  self,
 		pred:  3000,
 		nodes: []msg.NodeRef{a, self},
 		svc:   map[string]*dht.Service{"a": svcA},
 	}
-	svcSelf.SetRing(ring)
+	svcSelf := dht.NewService(ring, vclock.System, nil, nil)
 
 	svcA.Store().Put(500, "doc", []byte("owner-truth"))
 	svcSelf.Store().Put(500, "doc", []byte("stale"))

@@ -10,9 +10,8 @@
 // The recorder deliberately imports only vclock and the standard
 // library: subsystems down the stack (chord, dht, kts, maintain) record
 // into it without pulling in the span machinery. The trace-ID hook is
-// injected at wiring time (SetTraceIDFunc, normally
-// trace.TraceIDFromContext), keeping the dependency arrow pointing one
-// way.
+// a constructor argument (normally trace.TraceIDFromContext), keeping
+// the dependency arrow pointing one way.
 //
 // A nil *Recorder is a valid no-op, so instrumented code never branches
 // on "is the recorder on".
@@ -92,41 +91,33 @@ func DigestEvents(events []Event) uint64 {
 // Recorder is one peer's bounded event ring. Methods are safe for
 // concurrent use and no-ops on a nil receiver.
 type Recorder struct {
-	clk  vclock.Clock
-	peer string
-	keep int
-
-	mu      sync.Mutex
+	clk     vclock.Clock
+	peer    string
+	keep    int
 	traceID func(context.Context) uint64
-	ring    []Event
-	next    int
-	total   uint64
+
+	mu    sync.Mutex
+	ring  []Event
+	next  int
+	total uint64
 }
 
-// New returns a recorder for the named peer, timing through clk (system
-// clock when nil), retaining the last keep events (256 when keep <= 0).
-func New(clk vclock.Clock, peer string, keep int) *Recorder {
+// New returns a recorder for the named peer, timing through clk and
+// retaining the last keep events (256 when keep <= 0). traceID extracts
+// the active trace ID from a request context (normally
+// trace.TraceIDFromContext); with a nil traceID every event records
+// trace 0.
+func New(clk vclock.Clock, peer string, keep int, traceID func(context.Context) uint64) *Recorder {
 	if keep <= 0 {
 		keep = 256
 	}
 	return &Recorder{
-		clk:  vclock.OrSystem(clk),
-		peer: peer,
-		keep: keep,
-		ring: make([]Event, 0, keep),
+		clk:     clk,
+		peer:    peer,
+		keep:    keep,
+		traceID: traceID,
+		ring:    make([]Event, 0, keep),
 	}
-}
-
-// SetTraceIDFunc installs the hook that extracts the active trace ID
-// from a request context (normally trace.TraceIDFromContext). Wiring-
-// time configuration; without it every event records trace 0.
-func (r *Recorder) SetTraceIDFunc(fn func(context.Context) uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.traceID = fn
-	r.mu.Unlock()
 }
 
 // Peer returns the peer address this recorder stamps its events with.
@@ -147,11 +138,11 @@ func (r *Recorder) Record(ctx context.Context, kind, key, detail string) {
 		return
 	}
 	now := r.clk.Now()
-	r.mu.Lock()
 	var tid uint64
 	if r.traceID != nil {
 		tid = r.traceID(ctx)
 	}
+	r.mu.Lock()
 	r.total++
 	e := Event{Seq: r.total, T: now, Peer: r.peer, Trace: tid, Kind: kind, Key: key, Detail: detail}
 	if len(r.ring) < r.keep {

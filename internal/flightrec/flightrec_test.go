@@ -13,7 +13,7 @@ import (
 // are counted as dropped, and Events stays oldest-first across the
 // wrap-around.
 func TestRingOverflowEvictsOldest(t *testing.T) {
-	r := New(nil, "peer-a", 4)
+	r := New(vclock.System, "peer-a", 4, nil)
 	for i := 1; i <= 10; i++ {
 		r.Record(nil, "kind", fmt.Sprintf("k%02d", i), "")
 	}
@@ -42,7 +42,7 @@ func TestRingOverflowEvictsOldest(t *testing.T) {
 
 // Before overflow, Dropped is zero and everything recorded is retained.
 func TestRingUnderCapacity(t *testing.T) {
-	r := New(nil, "p", 8)
+	r := New(vclock.System, "p", 8, nil)
 	r.Record(nil, "a", "", "")
 	r.Record(nil, "b", "", "")
 	if r.Dropped() != 0 {
@@ -57,7 +57,6 @@ func TestRingUnderCapacity(t *testing.T) {
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
 	r.Record(context.Background(), "k", "key", "d")
-	r.SetTraceIDFunc(func(context.Context) uint64 { return 1 })
 	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 || r.Peer() != "" {
 		t.Fatal("nil recorder accessors not empty")
 	}
@@ -69,9 +68,9 @@ func TestNilRecorderNoOps(t *testing.T) {
 // The trace-ID hook stamps events with the trace active on the
 // triggering context; no hook (or no trace) means 0.
 func TestTraceIDStamping(t *testing.T) {
-	r := New(nil, "p", 8)
-	r.Record(context.Background(), "before-hook", "", "")
-	r.SetTraceIDFunc(func(ctx context.Context) uint64 {
+	noHook := New(vclock.System, "p", 8, nil)
+	noHook.Record(context.WithValue(context.Background(), "tid", uint64(0xbeef)), "no-hook", "", "")
+	r := New(vclock.System, "p", 8, func(ctx context.Context) uint64 {
 		if ctx == nil {
 			return 0
 		}
@@ -80,7 +79,7 @@ func TestTraceIDStamping(t *testing.T) {
 	})
 	r.Record(context.WithValue(context.Background(), "tid", uint64(0xbeef)), "traced", "", "")
 	r.Record(nil, "timer", "", "")
-	evs := r.Events()
+	evs := append(noHook.Events(), r.Events()...)
 	if evs[0].Trace != 0 || evs[1].Trace != 0xbeef || evs[2].Trace != 0 {
 		t.Fatalf("trace stamps %d/%d/%d, want 0/beef/0", evs[0].Trace, evs[1].Trace, evs[2].Trace)
 	}
@@ -92,8 +91,8 @@ func TestMergeTimelineOrder(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Register()
 	defer v.Unregister()
-	ra := New(v, "peer-a", 8)
-	rb := New(v, "peer-b", 8)
+	ra := New(v, "peer-a", 8, nil)
+	rb := New(v, "peer-b", 8, nil)
 	ctx := context.Background()
 
 	rb.Record(nil, "b1", "", "")
@@ -161,7 +160,7 @@ func TestVirtualClockStamps(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Register()
 	defer v.Unregister()
-	r := New(v, "p", 8)
+	r := New(v, "p", 8, nil)
 	r.Record(nil, "t0", "", "")
 	_ = v.Sleep(context.Background(), 42*time.Millisecond)
 	r.Record(nil, "t1", "", "")

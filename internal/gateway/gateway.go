@@ -372,11 +372,11 @@ func (e *Editor) Replica() *core.Replica { return e.rep }
 func (e *Editor) run() {
 	g := e.g
 	tr := g.peer.Tracer()
-	// The cadence is a sleep loop rather than a fixed ticker so the
-	// editor can honor the master's admission retry-after hint: when a
-	// commit was shed off a hot key, the next batch waits out the hint
-	// instead of rejoining the convoy at the regular tick.
-	wait := g.cfg.BatchTick
+	// The cadence is a sleep loop, not a ticker: the next batch starts
+	// one BatchTick after the previous commit returned, so a slow commit
+	// pushes the following batches back instead of letting ticks pile up
+	// behind it.
+	//
 	// Lines drained from the queue but not yet acked (a failed commit
 	// leaves them as tentative ops on the replica): the next tick
 	// retries them even when nothing new was enqueued, and they count
@@ -386,10 +386,9 @@ func (e *Editor) run() {
 		retryStart time.Time
 	)
 	for {
-		if err := g.clk.Sleep(g.ctx, wait); err != nil {
+		if err := g.clk.Sleep(g.ctx, g.cfg.BatchTick); err != nil {
 			return
 		}
-		wait = g.cfg.BatchTick
 		e.mu.Lock()
 		lines := e.pending
 		start := e.oldest
@@ -410,11 +409,6 @@ func (e *Editor) run() {
 		sp := tr.StartAt("commit", e.doc, start)
 		sp.MarkN("queue-wait", int64(len(lines)))
 		ts, err := e.rep.Commit(trace.NewContext(g.ctx, sp))
-		if hint := e.rep.ConsumeBusyHint(); hint > wait {
-			wait = hint
-			g.counters.Counter("busy-deferrals").Add(1)
-			sp.Note("busy-deferred", int64(hint/time.Millisecond))
-		}
 		if err != nil {
 			sp.EndErr(err)
 			if g.ctx.Err() != nil {

@@ -103,18 +103,19 @@ func runE11(seed int64, peers, rounds int) (*e11Result, error) {
 		byID    []int // membership (incl. dead peers) in ring-ID order
 		posOf   []int // node index -> position in byID
 	)
-	// Classify evictions as they happen: the hook runs synchronously on
-	// the evicting goroutine, and the virtual scheduler admits one
+	// Classify evictions as they happen: the observer runs synchronously
+	// on the evicting goroutine, and the virtual scheduler admits one
 	// goroutine at a time, so reading the membership state here is safe
 	// and deterministic.
-	cfg.OnEvict = func(dead msg.NodeRef) {
+	onEvict := func(dead msg.NodeRef) {
 		if i, known := addrIdx[transport.Addr(dead.Addr)]; known && !down[i] {
 			res.FalseEvictions++
 		}
 	}
 	newNode := func() int {
 		i := len(nodes)
-		nd := chord.NewNode(net.NewEndpoint(fmt.Sprintf("sim-%05d", i)), cfg)
+		nd := chord.NewNode(net.NewEndpoint(fmt.Sprintf("sim-%05d", i)), cfg, nil, nil)
+		nd.AddEvictObserver(onEvict)
 		nodes = append(nodes, nd)
 		down = append(down, false)
 		addrIdx[nd.Addr()] = i

@@ -109,20 +109,26 @@ func (e *entry) noteLocked() {
 type Service struct {
 	ring  chord.Ring
 	log   *p2plog.Log
-	ckpt  *checkpoint.Store // nil until SetCheckpointStore
-	clock vclock.Clock
+	ckpt  *checkpoint.Store
+	clock vclock.Clock // accounts the per-key serialization waits (see entry.mu)
 
 	mu      sync.Mutex
 	entries map[string]*entry
 
-	// admission is the per-key inflight validator limit (0 = unlimited);
-	// see SetAdmissionLimit.
-	admission atomic.Int64
+	// admission bounds how many validators may wait on any one key's
+	// serialization mutex at once (hot-key admission; 0 = unlimited).
+	// Requests beyond it receive ValidateBusy with a backoff hint instead
+	// of queueing, so a thousand concurrent editors of one document
+	// degrade to bounded per-request latency rather than an unbounded
+	// master queue.
+	admission int64
 
-	// tracer records per-validation spans when set (nil = tracing off;
-	// every span call is a no-op on nil). rec, when set, records
-	// timestamp-lifecycle events (grant, shed, takeover) into the peer's
-	// flight recorder; nil is a valid no-op recorder.
+	// tracer records a "validate" span per request, with
+	// admission-wait/sync/publish/replicate stages and
+	// fast-reject/busy-shed annotations (nil = tracing off; every span
+	// call is a no-op on nil). rec records timestamp-lifecycle events
+	// (grant, shed, takeover) into the peer's flight recorder; nil is a
+	// valid no-op recorder.
 	tracer *trace.Tracer
 	rec    *flightrec.Recorder
 
@@ -139,11 +145,16 @@ type Service struct {
 }
 
 // NewService creates a timestamp service. log is used for sendToPublish
-// and for last-ts recovery.
-func NewService(ring chord.Ring, log *p2plog.Log) *Service {
+// and for last-ts recovery; ckpt holds the per-key latest-checkpoint
+// pointer the service maintains on announcements and fast-forwards
+// last-ts recovery across truncated history with. admissionLimit <= 0
+// leaves hot-key admission unlimited; tr and rec may be nil.
+func NewService(ring chord.Ring, log *p2plog.Log, ckpt *checkpoint.Store, clk vclock.Clock,
+	tr *trace.Tracer, rec *flightrec.Recorder, admissionLimit int) *Service {
 	f := metrics.NewFamily()
 	return &Service{
-		ring: ring, log: log, clock: vclock.System, entries: make(map[string]*entry),
+		ring: ring, log: log, ckpt: ckpt, clock: clk, entries: make(map[string]*entry),
+		admission: int64(admissionLimit), tracer: tr, rec: rec,
 		counters:     f,
 		cGrants:      f.Counter("grants"),
 		cRejects:     f.Counter("rejects"),
@@ -159,30 +170,6 @@ func NewService(ring chord.Ring, log *p2plog.Log) *Service {
 // last-ts-calls.
 func (s *Service) Counters() *metrics.Family { return s.counters }
 
-// SetClock accounts the per-key serialization waits on c (see entry.mu).
-// Wiring-time configuration: call it before the service handles any RPC
-// and before any entry state exists.
-func (s *Service) SetClock(c vclock.Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = vclock.OrSystem(c)
-}
-
-// SetCheckpointStore wires the checkpoint layer: the service then accepts
-// checkpoint announcements, maintains the per-key latest-checkpoint
-// pointer, and fast-forwards last-ts recovery across truncated history.
-func (s *Service) SetCheckpointStore(cs *checkpoint.Store) { s.ckpt = cs }
-
-// SetTracer wires the span tracer; each validation then records a
-// "validate" span with admission-wait/sync/publish/replicate stages and
-// fast-reject/busy-shed annotations. Wiring-time configuration.
-func (s *Service) SetTracer(tr *trace.Tracer) { s.tracer = tr }
-
-// SetRecorder wires the peer's flight recorder; grants, busy-sheds and
-// state takeovers are then recorded as lifecycle events. Wiring-time
-// configuration.
-func (s *Service) SetRecorder(r *flightrec.Recorder) { s.rec = r }
-
 // AdmissionQueueDepth returns the instantaneous number of validators
 // admitted past the fast path and not yet finished, summed over keys —
 // the live depth the admission limit bounds per key.
@@ -195,19 +182,6 @@ func (s *Service) AdmissionQueueDepth() int64 {
 		n += e.inflight.Load()
 	}
 	return n
-}
-
-// SetAdmissionLimit bounds how many validators may wait on any one key's
-// serialization mutex at once (hot-key admission). Requests beyond the
-// limit receive ValidateBusy with a backoff hint instead of queueing, so
-// a thousand concurrent editors of one document degrade to bounded
-// per-request latency rather than an unbounded master queue. limit <= 0
-// restores the default unlimited behavior.
-func (s *Service) SetAdmissionLimit(limit int) {
-	if limit < 0 {
-		limit = 0
-	}
-	s.admission.Store(int64(limit))
 }
 
 // Name implements chord.Service.
@@ -272,7 +246,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 
 	// Hot-key admission: shed validators beyond the inflight limit with a
 	// backoff hint instead of queueing them all on the mutex.
-	if limit := s.admission.Load(); limit > 0 {
+	if limit := s.admission; limit > 0 {
 		n := e.inflight.Add(1)
 		if n > limit {
 			e.inflight.Add(-1)
@@ -363,17 +337,15 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 // success the entry is marked synced: this node may answer for it
 // authoritatively until it loses mastership. Called with e.mu held.
 func (s *Service) syncFromLogLocked(ctx context.Context, key string, e *entry) error {
-	if s.ckpt != nil {
-		ptr, err := s.ckpt.LatestPointer(ctx, key)
-		if err != nil {
-			return fmt.Errorf("kts: checkpoint pointer for %s: %w", key, err)
-		}
-		if ptr > e.ckptTS {
-			e.ckptTS = ptr
-		}
-		if ptr > e.lastTS {
-			e.lastTS = ptr
-		}
+	ptr, err := s.ckpt.LatestPointer(ctx, key)
+	if err != nil {
+		return fmt.Errorf("kts: checkpoint pointer for %s: %w", key, err)
+	}
+	if ptr > e.ckptTS {
+		e.ckptTS = ptr
+	}
+	if ptr > e.lastTS {
+		e.lastTS = ptr
 	}
 	for {
 		ok, err := s.log.Exists(ctx, key, e.lastTS+1)
@@ -451,21 +423,16 @@ func (s *Service) handleAnnounce(ctx context.Context, r *msg.CheckpointAnnounceR
 			return &msg.CheckpointAnnounceResp{Accepted: false, CkptTS: e.ckptTS}, nil
 		}
 	}
-	if s.ckpt != nil {
-		// The pointer is a promise that bootstrap will succeed: the
-		// snapshot must be retrievable before the pointer moves.
-		if _, err := s.ckpt.Fetch(ctx, r.Key, r.TS); err != nil {
-			return nil, fmt.Errorf("kts: announced checkpoint unreadable: %w", err)
-		}
-		e.ckptTS = r.TS
-		e.noteLocked()
-		// Pointer records are advisory replicas of e.ckptTS; a failed
-		// write heals on the next announce or Maintain pass.
-		_ = s.ckpt.WritePointer(ctx, r.Key, r.TS)
-	} else {
-		e.ckptTS = r.TS
-		e.noteLocked()
+	// The pointer is a promise that bootstrap will succeed: the
+	// snapshot must be retrievable before the pointer moves.
+	if _, err := s.ckpt.Fetch(ctx, r.Key, r.TS); err != nil {
+		return nil, fmt.Errorf("kts: announced checkpoint unreadable: %w", err)
 	}
+	e.ckptTS = r.TS
+	e.noteLocked()
+	// Pointer records are advisory replicas of e.ckptTS; a failed
+	// write heals on the next announce or Maintain pass.
+	_ = s.ckpt.WritePointer(ctx, r.Key, r.TS)
 	s.replicateToSucc(ctx, r.Key, tsID, e)
 	return &msg.CheckpointAnnounceResp{Accepted: true, CkptTS: e.ckptTS}, nil
 }

@@ -180,7 +180,7 @@ type Engine struct {
 	lastDiscover time.Time
 
 	counters *metrics.Family
-	// rec, when set, records maintenance-lifecycle events (fallback
+	// rec records maintenance-lifecycle events (fallback
 	// checkpoint production, slot repair, truncation) into the peer's
 	// flight recorder; nil is a valid no-op recorder.
 	rec *flightrec.Recorder
@@ -190,8 +190,9 @@ type Engine struct {
 // key's throttle state.
 const dropAfterMisses = 8
 
-// NewEngine wires a maintenance engine over the given subsystems.
-func NewEngine(cfg Config, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller) *Engine {
+// NewEngine wires a maintenance engine over the given subsystems. rec
+// receives the maintenance-lifecycle events (nil = off).
+func NewEngine(cfg Config, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller, rec *flightrec.Recorder) *Engine {
 	if cfg.TruncateEvery <= 0 {
 		cfg.TruncateEvery = DefaultTruncateEvery
 	}
@@ -228,6 +229,7 @@ func NewEngine(cfg Config, ts *kts.Service, store *checkpoint.Store, log *p2plog
 		lastFull:    make(map[string]bool),
 		notMaster:   make(map[string]int),
 		counters:    metrics.NewFamily(),
+		rec:         rec,
 	}
 	// Eagerly create every member the engine ever bumps: a counter that
 	// exists only after its first use is invisible to registry snapshots
@@ -242,21 +244,6 @@ func NewEngine(cfg Config, ts *kts.Service, store *checkpoint.Store, log *p2plog
 		e.counters.Counter(name)
 	}
 	return e
-}
-
-// SetRecorder wires the peer's flight recorder; fallback checkpoint
-// productions, slot repairs and truncations are then recorded as
-// lifecycle events. Wiring-time configuration.
-func (e *Engine) SetRecorder(r *flightrec.Recorder) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rec = r
-}
-
-func (e *Engine) recorder() *flightrec.Recorder {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rec
 }
 
 // Counters exposes the engine's action counter family: passes,
@@ -437,7 +424,7 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 			full = f
 			if repaired > 0 {
 				e.counters.Counter("slots-repaired").Add(int64(repaired))
-				e.recorder().Record(ctx, "ckpt-repair", st.Key,
+				e.rec.Record(ctx, "ckpt-repair", st.Key,
 					"ts="+strconv.FormatUint(st.CkptTS, 10)+" slots="+strconv.Itoa(repaired))
 			}
 			// Refresh pointer records that fell behind the master's
@@ -493,7 +480,7 @@ func (e *Engine) produce(ctx context.Context, key string, boundary uint64) (uint
 		return ckptTS, ckptTS >= boundary
 	}
 	e.counters.Counter("fallback-checkpoints").Add(1)
-	e.recorder().Record(ctx, "ckpt-fallback", key, "ts="+strconv.FormatUint(boundary, 10))
+	e.rec.Record(ctx, "ckpt-fallback", key, "ts="+strconv.FormatUint(boundary, 10))
 	return boundary, true
 }
 
@@ -550,6 +537,6 @@ func (e *Engine) maybeTruncate(ctx context.Context, st kts.KeyState) {
 	e.mu.Unlock()
 	e.counters.Counter("truncations").Add(1)
 	e.counters.Counter("slots-truncated").Add(int64(deleted))
-	e.recorder().Record(ctx, "log-truncate", st.Key,
+	e.rec.Record(ctx, "log-truncate", st.Key,
 		"to="+strconv.FormatUint(target, 10)+" slots="+strconv.Itoa(deleted))
 }

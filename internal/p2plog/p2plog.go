@@ -59,18 +59,14 @@ type Log struct {
 // that finds the record at some replica re-publishes it to replicas that
 // are missing it, restoring the replication degree after Log-Peer crashes
 // and re-homing slots onto the peers that currently own their positions.
-func New(c *dht.Client, replicas int) *Log {
+// The windowed-retrieval worker goroutines run on clk, so virtual-time
+// simulations can account for them.
+func New(c *dht.Client, replicas int, clk vclock.Clock) *Log {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Log{c: c, replicas: replicas, readRepair: true, prefetch: defaultPrefetch, clock: vclock.System}
+	return &Log{c: c, replicas: replicas, readRepair: true, prefetch: defaultPrefetch, clock: clk}
 }
-
-// SetClock tracks the windowed-retrieval worker goroutines on c, so
-// virtual-time simulations can account for them. Default: wall clock.
-// Wiring-time configuration: call it before the log serves any
-// operation (the field is read without synchronization).
-func (l *Log) SetClock(c vclock.Clock) { l.clock = vclock.OrSystem(c) }
 
 // SetReadRepair toggles fetch-time re-replication (used by the E6
 // availability ablation to measure the bare replication factor).

@@ -11,6 +11,7 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
+	"p2pltr/internal/vclock"
 )
 
 func newCluster(t *testing.T, n int, replicas int) *ringtest.Cluster {
@@ -247,7 +248,7 @@ func TestReplicaSlotsSpreadAcrossPeers(t *testing.T) {
 }
 
 func TestReplicasDefault(t *testing.T) {
-	l := p2plog.New(nil, 0)
+	l := p2plog.New(nil, 0, vclock.System)
 	if l.Replicas() != p2plog.DefaultReplicas {
 		t.Fatalf("default replicas = %d", l.Replicas())
 	}
