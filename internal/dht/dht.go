@@ -71,6 +71,12 @@ type Service struct {
 	// noSuccCopies disables the Log-Peers-Succ mechanism (ablation A1).
 	noSuccCopies bool
 
+	// parkMu guards parked: the reads parked on each empty primary slot,
+	// in arrival order (see parkGet). Its own lock, so a wake never
+	// contends with the floor bookkeeping; never held across a park.
+	parkMu sync.Mutex
+	parked map[ids.ID][]*parkedRead
+
 	// counters is the exportable storage metric family; members are
 	// cached so RPC hot paths skip the family map lookup.
 	counters      *metrics.Family
@@ -108,6 +114,7 @@ func NewService(ring chord.Ring, clk vclock.Clock, rec *flightrec.Recorder, floo
 		rng: ring, clock: clk, rec: rec, floorHint: floorHint,
 		floors: make(map[string]uint64), floorCheckedAt: make(map[string]time.Time),
 		floorRecheck: DefaultFloorRecheck,
+		parked:       make(map[ids.ID][]*parkedRead),
 		counters:     metrics.NewFamily()}
 	s.cPuts = s.counters.Counter("puts")
 	s.cReplicaPuts = s.counters.Counter("replica-puts")
@@ -271,6 +278,7 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 			resp = &msg.DHTPutResp{Stored: true}
 		}
 		if resp.Stored {
+			s.wakeParked(r.ID)
 			s.replicateToSucc([]msg.StateItem{{Service: ServiceName, Key: r.Key, ID: r.ID, Value: r.Value}})
 		}
 		return resp, true, nil
@@ -287,6 +295,7 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 				continue
 			}
 			if ok, _ := s.st.PutIfAbsent(it.ID, it.Key, it.Value); ok {
+				s.wakeParked(it.ID)
 				stored = append(stored, msg.StateItem{Service: ServiceName, Key: it.Key, ID: it.ID, Value: it.Value})
 			}
 		}
@@ -324,40 +333,111 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 		return &msg.Ack{}, true, nil
 	case *msg.DHTGetReq:
 		s.cGets.Add(1)
-		if e, ok := s.st.GetEntry(r.ID); ok {
-			if s.belowFloor(e.Key) {
-				// A primary that slipped below an out-of-band floor (the
-				// horizon arrived via a replica push while this slot's own
-				// delete was lost): reclaim lazily rather than serve
-				// checkpoint-covered history back to readers.
-				s.st.Delete(r.ID)
-				return &msg.DHTGetResp{}, true, nil
-			}
-			return &msg.DHTGetResp{Found: true, Value: e.Value}, true, nil
+		resp, empty := s.get(ctx, r.ID)
+		if empty && r.Wait > 0 {
+			resp, empty = s.parkGet(ctx, r.ID, r.Wait)
 		}
-		// Takeover path: the previous owner of this slot crashed and we
-		// hold its successor copy. The lookup routed here because routing
-		// believes we are now responsible, so serve the copy; promote it
-		// to primary when ownership is confirmed locally.
-		if e, ok := s.rep.GetEntry(r.ID); ok {
-			if s.belowFloor(e.Key) {
-				// A stale copy of a truncated slot that slipped past the
-				// async replica delete: reclaim it instead of promoting.
-				s.rep.Delete(r.ID)
-				return &msg.DHTGetResp{}, true, nil
-			}
-			if s.rng.Owns(r.ID) {
-				s.cPromotions.Add(1)
-				s.rec.Record(ctx, "dht-promote", e.Key, "read-takeover")
-				s.st.Put(r.ID, e.Key, e.Value)
-				s.replicateToSucc([]msg.StateItem{{Service: ServiceName, Key: e.Key, ID: r.ID, Value: e.Value}})
-			}
-			return &msg.DHTGetResp{Found: true, Value: e.Value}, true, nil
+		if empty {
+			s.cGetMisses.Add(1)
 		}
-		s.cGetMisses.Add(1)
-		return &msg.DHTGetResp{}, true, nil
+		return resp, true, nil
 	}
 	return nil, false, nil
+}
+
+// get reads one slot. empty reports that this peer holds nothing for it
+// — the only outcome a put can still change; a below-floor slot reads as
+// not found but is reclaimed history, not empty.
+func (s *Service) get(ctx context.Context, id ids.ID) (resp *msg.DHTGetResp, empty bool) {
+	if e, ok := s.st.GetEntry(id); ok {
+		if s.belowFloor(e.Key) {
+			// A primary that slipped below an out-of-band floor (the
+			// horizon arrived via a replica push while this slot's own
+			// delete was lost): reclaim lazily rather than serve
+			// checkpoint-covered history back to readers.
+			s.st.Delete(id)
+			return &msg.DHTGetResp{}, false
+		}
+		return &msg.DHTGetResp{Found: true, Value: e.Value}, false
+	}
+	// Takeover path: the previous owner of this slot crashed and we
+	// hold its successor copy. The lookup routed here because routing
+	// believes we are now responsible, so serve the copy; promote it
+	// to primary when ownership is confirmed locally.
+	if e, ok := s.rep.GetEntry(id); ok {
+		if s.belowFloor(e.Key) {
+			// A stale copy of a truncated slot that slipped past the
+			// async replica delete: reclaim it instead of promoting.
+			s.rep.Delete(id)
+			return &msg.DHTGetResp{}, false
+		}
+		if s.rng.Owns(id) {
+			s.cPromotions.Add(1)
+			s.rec.Record(ctx, "dht-promote", e.Key, "read-takeover")
+			s.st.Put(id, e.Key, e.Value)
+			s.wakeParked(id)
+			s.replicateToSucc([]msg.StateItem{{Service: ServiceName, Key: e.Key, ID: id, Value: e.Value}})
+		}
+		return &msg.DHTGetResp{Found: true, Value: e.Value}, false
+	}
+	return &msg.DHTGetResp{}, true
+}
+
+// parkedRead is one read parked on an empty slot; wake answers it early.
+type parkedRead struct{ wake context.CancelFunc }
+
+// parkGet parks a read of the empty slot id on the clock until a put
+// fills the slot or wait passes, then reads the slot again. A log reader
+// that has reached the end of the log thus learns of the next record the
+// instant its first replica lands, instead of polling for it. The slot is
+// re-checked under parkMu before parking: a put that landed after get's
+// miss woke nobody, and every store path takes parkMu after storing, so
+// it either shows here or finds this read registered. The lock is
+// released before the park.
+func (s *Service) parkGet(ctx context.Context, id ids.ID, wait time.Duration) (*msg.DHTGetResp, bool) {
+	pctx, wake := s.clock.WithTimeout(ctx, wait)
+	defer wake()
+	me := &parkedRead{wake: wake}
+	s.parkMu.Lock()
+	if _, ok := s.st.Get(id); !ok {
+		s.parked[id] = append(s.parked[id], me)
+		s.parkMu.Unlock()
+		_ = s.clock.Sleep(pctx, wait)
+		s.parkMu.Lock()
+		s.unparkLocked(id, me)
+	}
+	s.parkMu.Unlock()
+	return s.get(ctx, id)
+}
+
+// unparkLocked drops a read that returned without being woken. Caller
+// holds parkMu.
+func (s *Service) unparkLocked(id ids.ID, me *parkedRead) {
+	reads := s.parked[id]
+	for i, p := range reads {
+		if p == me {
+			reads = append(reads[:i:i], reads[i+1:]...)
+			break
+		}
+	}
+	if len(reads) == 0 {
+		delete(s.parked, id)
+	} else {
+		s.parked[id] = reads
+	}
+}
+
+// wakeParked answers the reads parked on a primary slot that was just
+// stored, in arrival order. Every path that stores a primary calls it;
+// with nobody parked it is one map lookup.
+func (s *Service) wakeParked(id ids.ID) {
+	s.parkMu.Lock()
+	reads := s.parked[id]
+	delete(s.parked, id)
+	s.parkMu.Unlock()
+	for _, p := range reads {
+		p.wake()
+	}
 }
 
 // replicateToSucc pushes copies of stored slots to the immediate
@@ -420,6 +500,7 @@ func (s *Service) Maintain(ctx context.Context) {
 				s.cPromotions.Add(1)
 				s.rec.Record(ctx, "dht-promote", e.Key, "maintain")
 				s.st.Put(e.ID, e.Key, e.Value)
+				s.wakeParked(e.ID)
 			}
 			s.rep.Delete(e.ID)
 		}
@@ -614,6 +695,7 @@ func (s *Service) Import(items []msg.StateItem) {
 			continue
 		}
 		s.st.Put(it.ID, it.Key, it.Value)
+		s.wakeParked(it.ID)
 		kept = append(kept, it)
 	}
 	s.replicateToSucc(kept)
@@ -672,6 +754,12 @@ func (c *Client) Counters() *metrics.Family { return c.counters }
 // call resolves successor(id) and invokes req on it, retrying on
 // unavailability.
 func (c *Client) call(ctx context.Context, id ids.ID, req msg.Message) (msg.Message, error) {
+	return c.callWithin(ctx, id, req, 0)
+}
+
+// callWithin is call with each attempt's RPC bounded by d instead of
+// chord's CallTimeout (d = 0).
+func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d time.Duration) (msg.Message, error) {
 	c.cCalls.Add(1)
 	var lastErr error
 	for a := 0; a < c.attempts; a++ {
@@ -688,7 +776,12 @@ func (c *Client) call(ctx context.Context, id ids.ID, req msg.Message) (msg.Mess
 			lastErr = err
 			continue
 		}
-		resp, err := c.ring.Call(ctx, transport.Addr(owner.Addr), req)
+		var resp msg.Message
+		if d > 0 {
+			resp, err = c.ring.CallWithTimeout(ctx, transport.Addr(owner.Addr), req, d)
+		} else {
+			resp, err = c.ring.Call(ctx, transport.Addr(owner.Addr), req)
+		}
 		if err != nil {
 			lastErr = err
 			if transport.IsUnavailable(err) {
@@ -753,7 +846,20 @@ func (c *Client) deleteID(ctx context.Context, id ids.ID, floor msg.TruncFloor) 
 
 // GetID fetches the value at ring position id.
 func (c *Client) GetID(ctx context.Context, id ids.ID) ([]byte, bool, error) {
-	resp, err := c.call(ctx, id, &msg.DHTGetReq{ID: id})
+	return c.getID(ctx, id, 0)
+}
+
+// AwaitID is GetID parked at the owner: when the slot is empty the owner
+// holds the read for up to wait and answers the moment a put fills the
+// slot; found=false means nothing arrived in time. The RPC is bounded by
+// twice wait — the park plus as long again for the hops, since chord's
+// CallTimeout is a one-round-trip bound that would cut every park short.
+func (c *Client) AwaitID(ctx context.Context, id ids.ID, wait time.Duration) ([]byte, bool, error) {
+	return c.getID(ctx, id, wait)
+}
+
+func (c *Client) getID(ctx context.Context, id ids.ID, wait time.Duration) ([]byte, bool, error) {
+	resp, err := c.callWithin(ctx, id, &msg.DHTGetReq{ID: id, Wait: wait}, 2*wait)
 	if err != nil {
 		return nil, false, err
 	}

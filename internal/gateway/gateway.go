@@ -4,11 +4,14 @@
 //
 // It layers four mechanisms over core:
 //
-//   - Session multiplexing with per-tick batching. Editors enqueue line
-//     edits at any rate; the gateway drains each editor's queue once per
-//     BatchTick and publishes ONE validated patch per editor per tick,
-//     so the KTS master sees O(editors/tick) validations instead of
-//     O(keystrokes).
+//   - One writer per (gateway, document), batching per tick. Every
+//     editor a gateway opens on a document is the same writer: one
+//     replica, one queue, one goroutine. Editors enqueue line edits at
+//     any rate; the writer drains the queue once per BatchTick and
+//     publishes ONE validated patch per tick, so the KTS master sees at
+//     most one validation in flight per gateway and document — however
+//     many clients edit it — instead of a convoy of contenders racing
+//     each other to the next timestamp.
 //
 //   - Read-only follower replicas. Each document a gateway serves has
 //     one feed goroutine that tails the committed P2P-Log (bootstrapping
@@ -16,17 +19,20 @@
 //     A feed cycle reads in windows that double with what the cycle has
 //     found (1, 1, 2, 4, 8 records) and publishes after every window, so
 //     a backlog of N costs ~log2 N round trips and shows as it shrinks.
-//     Followers read that snapshot in-process: a follower read NEVER
-//     enters the OT/validation path and NEVER contacts the KTS master —
-//     viewers are free no matter how many watch a hot document.
+//     At the end of the log the feed does not poll: it parks a read at
+//     the next record's first Log-Peer, which answers the moment the
+//     master publishes there. Followers read the snapshot in-process: a
+//     follower read NEVER enters the OT/validation path and NEVER
+//     contacts the KTS master — viewers are free no matter how many
+//     watch a hot document.
 //
-//   - One log reader per (gateway, document). The feed and the editor
-//     replicas of a document read its log through one tail (tail.go): a
+//   - One log reader per (gateway, document). The feed and the writer
+//     of a document read its log through one tail (tail.go): a
 //     write-once ring of the newest 8 committed records, filled by
-//     whoever reads a record first and by every master ack, plus the
-//     editors' reads in flight, which later readers await instead of
-//     repeating. The gateway lends it to core through the same hook as
-//     the route cache (core.Peer.SetFront).
+//     whoever reads a record first, by the feed's parked read and by
+//     every master ack, plus the writer's reads in flight, which later
+//     readers await instead of repeating. The gateway lends it to core
+//     through the same hook as the route cache (core.Peer.SetFront).
 //
 //   - Route and checkpoint-pointer caches. The gateway memoizes the
 //     Master-key route per document (installed into the host peer via
@@ -39,10 +45,11 @@
 //
 // Determinism: the gateway holds no plain lock across a clock park.
 // Feed state is mutated only by the feed's own goroutine; the published
-// snapshot, the tails and all maps are guarded by plain mutexes whose
-// critical sections never sleep. The one wait in the package — for a
-// log record somebody else is reading — is on a vclock.Mutex, which
-// queues under the scheduler, so the package runs
+// snapshot, the tails, the writer queues and all maps are guarded by
+// plain mutexes whose critical sections never sleep. The one wait in the
+// package — for a log record somebody else is reading — is on a
+// vclock.Mutex, which queues under the scheduler, and the feed's parked
+// read parks on the clock at the Log-Peer, so the package runs
 // bitwise-deterministically under vclock.Virtual.
 package gateway
 
@@ -64,20 +71,24 @@ import (
 
 // Config tunes one gateway.
 type Config struct {
-	// BatchTick is the multiplexing period: each editor commits its
-	// queued edits as one patch per tick, and each feed probes the log
-	// at least this often while traffic flows. Default 250ms.
+	// BatchTick is the multiplexing period: each document's writer
+	// commits its queued edits as one patch per tick. It is not a feed
+	// cadence: a feed waits one tick only before its first read and after
+	// a failed read or park. Default 250ms.
 	BatchTick time.Duration
-	// ProbeIdle caps the feed's idle backoff: a feed that finds nothing
-	// new doubles its probe interval up to this bound, and snaps back to
-	// BatchTick on progress. Default 2s.
+	// ProbeIdle bounds one parked read: a feed at the end of the log
+	// waits at most this long at the next record's first Log-Peer, then
+	// re-reads the log and re-checks the checkpoint pointer before it
+	// parks again. It is therefore also the longest a follower lags when
+	// that Log-Peer missed the publish. Default 2s.
 	ProbeIdle time.Duration
 	// FetchTimeout bounds one feed fetch (log record, checkpoint,
 	// pointer read). Default 10s.
 	FetchTimeout time.Duration
-	// OnCommit, when non-nil, observes every batched commit: the
-	// document key, the validated timestamp, and the latency from the
-	// first enqueue of the batch to the master's ack.
+	// OnCommit, when non-nil, observes every batched commit, once per
+	// granted timestamp: the document key, the validated timestamp, and
+	// the latency from the first enqueue of the batch to the master's
+	// ack.
 	OnCommit func(doc string, ts uint64, latency time.Duration)
 	// OnDeliver, when non-nil, observes every snapshot the feed
 	// publishes: the document key and the newest committed timestamp
@@ -111,6 +122,7 @@ type Gateway struct {
 	// sections only touch memory, never the clock or the network.
 	mu       sync.Mutex
 	feeds    map[string]*feed
+	writers  map[string]*Editor
 	sessions map[string]*Session
 	routes   map[string]msg.NodeRef
 	ptrTS    map[string]uint64
@@ -136,6 +148,7 @@ func New(peer *core.Peer, cfg Config) *Gateway {
 		ctx:      ctx,
 		cancel:   cancel,
 		feeds:    make(map[string]*feed),
+		writers:  make(map[string]*Editor),
 		sessions: make(map[string]*Session),
 		routes:   make(map[string]msg.NodeRef),
 		ptrTS:    make(map[string]uint64),
@@ -155,8 +168,9 @@ func New(peer *core.Peer, cfg Config) *Gateway {
 // Peer returns the host ring peer.
 func (g *Gateway) Peer() *core.Peer { return g.peer }
 
-// Counters exposes the gateway's metric family: commits, batched-ops,
-// commit-errors, feeds, feed-errors, follower-reads,
+// Counters exposes the gateway's metric family: editors (writers, one
+// per document edited here), commits, batched-ops, commit-errors, feeds,
+// feed-errors, followers, follower-reads,
 // follower-bootstraps, route-hits, route-misses, route-invalidations,
 // ptr-cache-hits, ptr-cache-misses, tail-hits (log records served from a
 // tail's ring), tail-misses (log records fetched from the DHT),
@@ -250,7 +264,7 @@ func (g *Gateway) FetchRange(ctx context.Context, key string, from, to uint64) (
 }
 
 // Committed files a record the master just acked to a replica on the
-// host peer, so neither the feed nor a co-editor fetches it.
+// host peer, so the feed does not fetch it.
 func (g *Gateway) Committed(rec p2plog.Record) {
 	if f := g.servedFeed(rec.Key); f != nil {
 		f.tail.insert(g.ctx, rec)
@@ -312,9 +326,10 @@ func (s *Session) ID() string { return s.id }
 // ---------------------------------------------------------------------------
 // Editors: write multiplexing.
 
-// Editor is a writing client of one document within a session. Enqueue
-// buffers line insertions; the editor's goroutine drains the buffer
-// once per BatchTick and commits it as a single validated patch.
+// Editor is the writer of one document on a gateway, shared by every
+// session that edits it there. Enqueue buffers line insertions; the
+// writer's goroutine drains the buffer once per BatchTick and commits it
+// as a single validated patch.
 type Editor struct {
 	g   *Gateway
 	doc string
@@ -327,18 +342,26 @@ type Editor struct {
 	commits int64
 }
 
-// Editor opens a batched editor on doc; site must be unique among all
-// writers of the document (it is the OT author identity).
+// Editor returns the gateway's writer of doc, creating it on the first
+// call, which names its site: site must be unique among all writers of
+// the document (it is the OT author identity). Later calls, from any
+// session, return the same writer and ignore their site — their lines
+// join its queue and commit under its identity, so the gateway never
+// races itself to the document's next timestamp.
 func (s *Session) Editor(doc, site string) *Editor {
 	g := s.g
-	g.feedFor(doc) // an edited document is a served one: its replicas read through its tail
-	e := &Editor{
-		g:   g,
-		doc: doc,
-		rep: core.NewReplica(g.peer, doc, site),
+	g.feedFor(doc) // an edited document is a served one: its replica reads through its tail
+	g.mu.Lock()
+	e, ok := g.writers[doc]
+	if !ok {
+		e = &Editor{g: g, doc: doc, rep: core.NewReplica(g.peer, doc, site)}
+		g.writers[doc] = e
 	}
-	g.counters.Counter("editors").Add(1)
-	g.clk.Go(e.run)
+	g.mu.Unlock()
+	if !ok {
+		g.counters.Counter("editors").Add(1)
+		g.clk.Go(e.run)
+	}
 	return e
 }
 
@@ -352,7 +375,7 @@ func (e *Editor) Enqueue(line string) {
 	e.mu.Unlock()
 }
 
-// Commits returns how many batched patches this editor has validated.
+// Commits returns how many batched patches the writer has validated.
 func (e *Editor) Commits() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -366,7 +389,7 @@ func (e *Editor) Err() error {
 	return e.err
 }
 
-// Replica exposes the editor's underlying document replica.
+// Replica exposes the writer's underlying document replica.
 func (e *Editor) Replica() *core.Replica { return e.rep }
 
 func (e *Editor) run() {
@@ -495,11 +518,20 @@ func (f *feed) publish(doc *patch.Document, ts uint64) {
 // integrates what a window found into the working document and publishes
 // a fresh snapshot after every window. A window is as wide as the number
 // of records the cycle has found so far, capped at tailSize — 1, 1, 2, 4,
-// 8 — so an idle probe and a hit-then-miss cycle ask for one record at a
-// time while a backlog of N costs ~log2 N round trips. The probe interval
-// doubles up to ProbeIdle while idle and snaps back to BatchTick on
-// progress, or when the tail already holds a record past the snapshot
-// (a local editor's ack put it there).
+// 8 — so a hit-then-miss cycle asks for one record at a time while a
+// backlog of N costs ~log2 N round trips.
+//
+// A cycle that ends at the end of the log parks a read of the next record
+// at its first Log-Peer for up to ProbeIdle instead of sleeping. A record
+// that arrives there goes into the tail at once, where the writer's
+// retrievals find it. Followers get it one read later: the feed reads it
+// across every replica slot and re-publishes it to the ones still empty,
+// as the polling feed did for every record, so a snapshot does not show
+// a record that one Log-Peer crash could take back. The next cycle then
+// starts at once and finds the record in the tail. An empty return starts
+// a cycle too, which re-reads the log across every replica and re-checks
+// the checkpoint pointer before parking again. Only a failed cycle or a
+// failed park waits a BatchTick.
 //
 // The loop touches ONLY the DHT read path — the log through the tail and
 // the checkpoint store — never the KTS master and never OT: committed
@@ -510,9 +542,9 @@ func (f *feed) run() {
 	doc := patch.NewDocument("")
 	var ts uint64
 	booted := false
-	interval := g.cfg.BatchTick
+	wait := g.cfg.BatchTick // the first cycle starts one tick after the feed
 	for {
-		if err := g.clk.Sleep(g.ctx, interval); err != nil {
+		if err := g.clk.Sleep(g.ctx, wait); err != nil {
 			return
 		}
 		cycleStart := g.clk.Now()
@@ -527,6 +559,7 @@ func (f *feed) run() {
 		// when the cycle advanced the snapshot.
 		var sp *trace.Span
 		found := 0
+		failed := false
 		for {
 			width := uint64(min(max(found, 1), tailSize))
 			fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
@@ -562,6 +595,7 @@ func (f *feed) run() {
 			}
 			if !errors.Is(err, p2plog.ErrMissing) {
 				g.counters.Counter("feed-errors").Add(1)
+				failed = true
 				break
 			}
 			// The window's first hole: either the tail genuinely ends
@@ -579,14 +613,31 @@ func (f *feed) run() {
 			found++
 		}
 		sp.End()
-		if found > 0 || f.tail.newestTS() > ts {
-			interval = g.cfg.BatchTick
-		} else {
-			interval *= 2
-			if interval > g.cfg.ProbeIdle {
-				interval = g.cfg.ProbeIdle
-			}
+		wait = g.cfg.BatchTick
+		if failed {
+			continue
 		}
+		parked := g.clk.Now()
+		rec, ok, err := g.peer.Log.Await(g.ctx, f.key, ts+1, g.cfg.ProbeIdle)
+		switch {
+		case g.ctx.Err() != nil:
+			return
+		case err != nil:
+			g.counters.Counter("feed-errors").Add(1)
+		case ok:
+			// The writer may use the record now; followers after the read
+			// across every replica slot.
+			f.tail.insert(g.ctx, rec)
+			fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
+			_, _ = g.peer.Log.Fetch(fctx, f.key, rec.TS)
+			cancel()
+			wait = 0
+		case g.clk.Since(parked) >= g.cfg.ProbeIdle:
+			wait = 0
+		}
+		// An empty return before ProbeIdle is a Log-Peer that would not
+		// park (the slot lies below its truncation floor): that waits a
+		// BatchTick like an error, so the feed polls instead of spinning.
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/gateway"
 	"p2pltr/internal/ids"
+	"p2pltr/internal/msg"
 	"p2pltr/internal/ringtest"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
@@ -164,10 +167,12 @@ func TestFollowerReadsBypassKTS(t *testing.T) {
 }
 
 // TestAdmissionShedsCommitEveryLineOnce pins hot-key admission end to
-// end: a single-slot admission limit under four editors of one document
-// forces the master to shed validators, and every enqueued line must
-// still reach the log exactly once — a shed request is retried as-is by
-// Commit's busy back-off, never dropped and never doubled.
+// end: a single-slot admission limit under four writers of one document
+// — one per gateway, four gateways on four peers, since the editors of
+// one gateway share a writer — forces the master to shed validators, and
+// every enqueued line must still reach the log exactly once — a shed
+// request is retried as-is by Commit's busy back-off, never dropped and
+// never doubled.
 func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
 	opts := ringtest.FastOptions()
 	opts.AdmissionLimit = 1
@@ -177,13 +182,13 @@ func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
 		transport.WithLatency(transport.NewLogNormalLatency(25*time.Millisecond, 0.5, 7)))
 	ctx := context.Background()
 
-	gw := gateway.New(c.Peers[0], gateway.Config{BatchTick: 10 * time.Millisecond, ProbeIdle: 500 * time.Millisecond})
-	t.Cleanup(gw.Close)
-
 	const editors, rounds = 4, 20
 	eds := make([]*gateway.Editor, editors)
+	gws := make([]*gateway.Gateway, editors)
 	for i := range eds {
-		eds[i] = gw.Session(fmt.Sprintf("s%d", i)).Editor("hotdoc", fmt.Sprintf("site-%d", i))
+		gws[i] = gateway.New(c.Peers[2*i], gateway.Config{BatchTick: 10 * time.Millisecond, ProbeIdle: 500 * time.Millisecond})
+		t.Cleanup(gws[i].Close)
+		eds[i] = gws[i].Session(fmt.Sprintf("s%d", i)).Editor("hotdoc", fmt.Sprintf("site-%d", i))
 	}
 	want := make(map[string]int)
 	for r := 0; r < rounds; r++ {
@@ -195,7 +200,11 @@ func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
 		_ = clk.Sleep(ctx, 10*time.Millisecond)
 	}
 	waitUntil(t, clk, 120*time.Second, "convoy workload to drain", func() bool {
-		return gw.Counters().Counter("batched-ops").Value() == int64(len(want))
+		var acked int64
+		for _, gw := range gws {
+			acked += gw.Counters().Counter("batched-ops").Value()
+		}
+		return acked == int64(len(want))
 	})
 
 	var busy int64
@@ -221,6 +230,236 @@ func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("log holds %d distinct lines, want each of %d exactly once: %v", len(got), len(want), got)
 	}
+}
+
+// tap observes the requests the peers of a tapped cluster send over the
+// network. A peer's calls to itself short-cut the transport and are not
+// seen.
+type tap struct {
+	mu          sync.Mutex
+	validating  map[string]int // ValidateReq in flight, per document
+	maxValidate map[string]int
+	parkedGets  map[transport.Addr]int // DHTGetReq with a Wait, per sender
+}
+
+func (tp *tap) parkedFrom(a transport.Addr) int {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return tp.parkedGets[a]
+}
+
+type tapEndpoint struct {
+	transport.Endpoint
+	tp *tap
+}
+
+func (e tapEndpoint) Call(ctx context.Context, to transport.Addr, req msg.Message) (msg.Message, error) {
+	tp := e.tp
+	switch r := req.(type) {
+	case *msg.ValidateReq:
+		tp.mu.Lock()
+		tp.validating[r.Key]++
+		tp.maxValidate[r.Key] = max(tp.maxValidate[r.Key], tp.validating[r.Key])
+		tp.mu.Unlock()
+		defer func() {
+			tp.mu.Lock()
+			tp.validating[r.Key]--
+			tp.mu.Unlock()
+		}()
+	case *msg.DHTGetReq:
+		if r.Wait > 0 {
+			tp.mu.Lock()
+			tp.parkedGets[e.Addr()]++
+			tp.mu.Unlock()
+		}
+	}
+	return e.Endpoint.Call(ctx, to, req)
+}
+
+// newTappedCluster is newCluster with every peer's endpoint tapped.
+func newTappedCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual, *tap) {
+	t.Helper()
+	tp := &tap{validating: map[string]int{}, maxValidate: map[string]int{}, parkedGets: map[transport.Addr]int{}}
+	clk := vclock.NewVirtual()
+	clk.Register()
+	opts := ringtest.FastOptions()
+	opts.Chord.Clock, opts.Clock = clk, clk
+	c := &ringtest.Cluster{
+		Net:  transport.NewSimnet(append([]transport.SimnetOption{transport.WithClock(clk)}, netOpts...)...),
+		Opts: opts,
+	}
+	var nodes []*chord.Node
+	for i := 0; i < n; i++ {
+		p := core.NewPeer(tapEndpoint{Endpoint: c.Net.NewEndpoint(fmt.Sprintf("peer-%d", i)), tp: tp}, opts)
+		c.Peers = append(c.Peers, p)
+		nodes = append(nodes, p.Node)
+	}
+	chord.SeedRing(nodes)
+	t.Cleanup(func() {
+		c.Stop()
+		clk.Unregister()
+	})
+	return c, clk, tp
+}
+
+// TestOneWriterPerDocument: eight editors of one document on one gateway
+// are one writer. It never has two validations of the document in flight,
+// reports each granted timestamp once, and every line reaches the log
+// exactly once.
+func TestOneWriterPerDocument(t *testing.T) {
+	twice(t, func(t *testing.T) string {
+		c, clk, tp := newTappedCluster(t, 8, netDelay)
+		ctx := context.Background()
+		// A host that is not the document's master: its validations cross
+		// the tapped transport.
+		host := c.Peers[0]
+		if host == c.MasterOf(uint64(ids.HashTS("doc"))) {
+			host = c.Peers[1]
+		}
+		var (
+			mu   sync.Mutex
+			acks []uint64
+		)
+		cfg := gwConfig()
+		cfg.OnCommit = func(_ string, ts uint64, _ time.Duration) {
+			mu.Lock()
+			acks = append(acks, ts)
+			mu.Unlock()
+		}
+		gw := gateway.New(host, cfg)
+		t.Cleanup(gw.Close)
+
+		const editors, rounds = 8, 5
+		eds := make([]*gateway.Editor, editors)
+		for i := range eds {
+			eds[i] = gw.Session(fmt.Sprintf("s%d", i)).Editor("doc", fmt.Sprintf("site-%d", i))
+			if eds[i] != eds[0] {
+				t.Fatalf("editor %d is not the document's writer", i)
+			}
+		}
+		if n := gwCount(gw, "editors"); n != 1 {
+			t.Fatalf("%d writers for one document", n)
+		}
+		want := make(map[string]int)
+		for r := 0; r < rounds; r++ {
+			for i, ed := range eds {
+				line := fmt.Sprintf("e%d-%d", i, r)
+				ed.Enqueue(line)
+				want[line] = 1
+				_ = clk.Sleep(ctx, 20*time.Millisecond)
+			}
+		}
+		waitUntil(t, clk, 60*time.Second, "every line to commit", func() bool {
+			return gwCount(gw, "batched-ops") == editors*rounds
+		})
+
+		tp.mu.Lock()
+		inflight := tp.maxValidate["doc"]
+		tp.mu.Unlock()
+		if inflight != 1 {
+			t.Fatalf("at most %d validations of the document in flight, want 1", inflight)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, ts := range acks {
+			if ts != uint64(i+1) {
+				t.Fatalf("OnCommit reported timestamps %v, want each of 1..%d once", acks, len(acks))
+			}
+		}
+		if n := eds[0].Commits(); int64(len(acks)) != n || n >= editors*rounds {
+			t.Fatalf("%d OnCommit calls for %d commits of %d lines", len(acks), n, editors*rounds)
+		}
+		reader := core.NewReplica(c.Peers[5], "doc", "reader")
+		if err := reader.Pull(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int)
+		for _, line := range strings.Split(reader.CommittedText(), "\n") {
+			got[line]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("log holds %v, want each of %d lines once", got, len(want))
+		}
+		return fmt.Sprint(acks)
+	})
+}
+
+// TestFeedParksAtTheLogPeer: on an idle ring a follower on gateway B
+// publishes each timestamp no later than the committing editor on
+// gateway A hears its ack — the feed's parked read is answered by the
+// publish at the record's first Log-Peer — and an idle feed issues at
+// most one parked read per ProbeIdle.
+func TestFeedParksAtTheLogPeer(t *testing.T) {
+	twice(t, func(t *testing.T) string {
+		c, clk, tp := newTappedCluster(t, 8, netDelay)
+		ctx := context.Background()
+		const commits = 4
+		// B's host must not own the slot its idle feed parks on, or the
+		// parked read would short-cut the tapped transport.
+		hostA, hostB := c.Peers[0], c.Peers[1]
+		if hostB == c.MasterOf(uint64(ids.ReplicaHash(0, "doc", commits+1))) {
+			hostB = c.Peers[2]
+		}
+		start := clk.Now()
+		var (
+			mu       sync.Mutex
+			acked    []time.Duration // by ts-1
+			delivers []string
+			firstAt  = map[uint64]time.Duration{} // ts -> first snapshot at or past it
+		)
+		cfgA := gwConfig()
+		cfgA.OnCommit = func(_ string, ts uint64, _ time.Duration) {
+			mu.Lock()
+			acked = append(acked, clk.Since(start))
+			mu.Unlock()
+		}
+		cfgB := gwConfig()
+		cfgB.OnDeliver = func(_ string, ts uint64) {
+			mu.Lock()
+			at := clk.Since(start)
+			delivers = append(delivers, fmt.Sprintf("%d@%v", ts, at))
+			for t := uint64(1); t <= ts; t++ {
+				if _, ok := firstAt[t]; !ok {
+					firstAt[t] = at
+				}
+			}
+			mu.Unlock()
+		}
+		gwA := gateway.New(hostA, cfgA)
+		t.Cleanup(gwA.Close)
+		gwB := gateway.New(hostB, cfgB)
+		t.Cleanup(gwB.Close)
+		ed := gwA.Session("w").Editor("doc", "w")
+		viewer := gwB.Session("r").Follower("doc")
+		_ = clk.Sleep(ctx, time.Second) // B's feed reaches the end of the empty log
+
+		for i := 0; i < commits; i++ {
+			ed.Enqueue(fmt.Sprintf("line-%d", i))
+			waitUntil(t, clk, 30*time.Second, "the commit", func() bool { return ed.Commits() == int64(i+1) })
+			_ = clk.Sleep(ctx, 700*time.Millisecond)
+		}
+		waitUntil(t, clk, 10*time.Second, "the follower to reach the last commit", func() bool {
+			return viewer.TS() == commits
+		})
+		mu.Lock()
+		for i, at := range acked {
+			if d, ok := firstAt[uint64(i+1)]; !ok || d > at {
+				t.Errorf("ts %d acked at %v, follower published %v", i+1, at, delivers)
+			}
+		}
+		mu.Unlock()
+
+		before := tp.parkedFrom(hostB.Addr())
+		const idle = 10 * time.Second
+		_ = clk.Sleep(ctx, idle)
+		parks := tp.parkedFrom(hostB.Addr()) - before
+		if limit := int(idle/cfgB.ProbeIdle) + 1; parks < 1 || parks > limit {
+			t.Fatalf("an idle feed issued %d parked reads in %v; want 1..%d", parks, idle, limit)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("acks %v\ndelivers %v\nidle parks %d", acked, delivers, parks)
+	})
 }
 
 // TestRouteCacheInvalidationOnEviction crashes the cached Master-key

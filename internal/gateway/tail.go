@@ -18,10 +18,10 @@ const tailSize = 8
 
 // tail is one document's log as this gateway has read it: a ring of the
 // newest tailSize committed records and the reads in flight. Everybody on
-// the gateway who reads the document's log — its feed, and each editor
+// the gateway who reads the document's log — its feed, and its writer's
 // replica retrieving after a Behind verdict — reads through it, so a
 // record comes from the DHT once per gateway (twice when a feed's probe
-// and an editor's read cross), not once per reader.
+// and the writer's read cross), not once per reader.
 //
 // Log slots are write-once, so a record in the ring never goes stale and
 // the ring is never invalidated. Only found records are kept: a missing
@@ -42,13 +42,6 @@ type tail struct {
 
 func newTail(g *Gateway, key string) *tail {
 	return &tail{g: g, key: key, reading: make(map[uint64]*vclock.Mutex)}
-}
-
-// newestTS returns the newest timestamp the ring has held.
-func (t *tail) newestTS() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.newest
 }
 
 func (t *tail) hasLocked(ts uint64) bool { return t.ring[ts%tailSize].TS == ts }

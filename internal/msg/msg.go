@@ -13,6 +13,7 @@ package msg
 import (
 	"encoding/gob"
 	"fmt"
+	"time"
 
 	"p2pltr/internal/ids"
 )
@@ -196,6 +197,11 @@ type TruncFloor struct {
 // DHTGetReq fetches the value at ring position ID.
 type DHTGetReq struct {
 	ID ids.ID
+	// Wait, when positive, parks a read that misses at the owner for up
+	// to Wait: the first store that fills the slot (put, re-home,
+	// promotion) answers it at once, and an empty answer after Wait means
+	// nothing arrived. Zero is a plain get.
+	Wait time.Duration
 }
 
 // DHTGetResp returns the value if present.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
@@ -196,6 +197,25 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 		l.repair(ctx, rec, enc, missing)
 	}
 	return rec, nil
+}
+
+// Await reads (key, ts) at its first replica slot and, while that slot is
+// empty, waits there up to wait: the slot's Log-Peer holds the read and
+// answers the moment the publish lands. Publish writes slot 0 first, so a
+// reader parked at the end of the log gets the next record as soon as it
+// exists — before the master's ack reaches the committer — without
+// polling. found=false means nothing arrived in time. It never falls back
+// across replicas and never repairs: a reader that wants the record
+// however it can be had uses Fetch.
+func (l *Log) Await(ctx context.Context, key string, ts uint64, wait time.Duration) (rec Record, found bool, err error) {
+	v, found, err := l.c.AwaitID(ctx, ids.ReplicaHash(0, key, ts), wait)
+	if err != nil || !found {
+		return Record{}, false, err
+	}
+	if rec, err = decodeRecord(v); err != nil {
+		return Record{}, false, err
+	}
+	return rec, true, nil
 }
 
 // repair best-effort re-publishes an encoded record to the replica slots

@@ -195,10 +195,12 @@ func (r *runner) settle(workloadEnd time.Duration) {
 	monoOK, monoDetail, monoKey := true, "", ""
 	seen := map[string]map[uint64]bool{}
 	lastBySite := map[string]uint64{}
+	grants := 0
 	for _, ev := range r.res.Events {
 		if ev.Kind != "commit" {
 			continue
 		}
+		grants++
 		if seen[ev.Doc] == nil {
 			seen[ev.Doc] = map[uint64]bool{}
 		}
@@ -216,7 +218,7 @@ func (r *runner) settle(workloadEnd time.Duration) {
 			lastBySite[k] = ev.TS
 		}
 	}
-	r.res.checkk("ts-monotonic", monoKey, monoOK, "%s", orf(monoDetail, "%d grants unique and site-ordered", len(lastBySite)))
+	r.res.checkk("ts-monotonic", monoKey, monoOK, "%s", orf(monoDetail, "%d grants unique, %d editing sites in order", grants, len(lastBySite)))
 
 	// Invariant: feed staleness bound (gateway plans). Every follower
 	// monitor must reach the final timestamp, and no observed
