@@ -210,43 +210,37 @@ func BenchmarkE8PullUnderReplication(b *testing.B) {
 }
 
 // BenchmarkLogTruncateDeepHistory measures checkpoint-gated log
-// reclamation on a deep history, serial (window=1) vs windowed deletes.
-// Slots of consecutive timestamps live at independent ring positions, so
-// batching the deletes cuts truncation latency the same way FetchRange's
-// prefetch cuts retrieval; the simnet adds per-hop latency to make the
+// reclamation on a deep history. Slots of consecutive timestamps live at
+// independent ring positions, so the deletes go out in windows the way
+// FetchRange's prefetch does; the simnet adds per-hop latency to make the
 // round-trip count visible.
 func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 	const depth = 64
-	for _, window := range []int{1, 8} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			c, err := ringtest.NewCluster(8, ringtest.FastOptions(),
-				transport.WithLatency(transport.ConstantLatency(200*time.Microsecond)))
-			if err != nil {
+	c, err := ringtest.NewCluster(8, ringtest.FastOptions(),
+		transport.WithLatency(transport.ConstantLatency(200*time.Microsecond)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Stop)
+	ctx := context.Background()
+	log := c.Peers[0].Log
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		key := fmt.Sprintf("trunc-doc-%d", i)
+		for ts := uint64(1); ts <= depth; ts++ {
+			rec := p2plog.Record{Key: key, TS: ts, PatchID: fmt.Sprintf("b#%d", ts), Patch: []byte("payload")}
+			if _, err := log.Publish(ctx, rec); err != nil {
 				b.Fatal(err)
 			}
-			b.Cleanup(c.Stop)
-			ctx := context.Background()
-			log := c.Peers[0].Log
-			log.SetPrefetch(window)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				key := fmt.Sprintf("trunc-doc-%d", i)
-				for ts := uint64(1); ts <= depth; ts++ {
-					rec := p2plog.Record{Key: key, TS: ts, PatchID: fmt.Sprintf("b#%d", ts), Patch: []byte("payload")}
-					if _, err := log.Publish(ctx, rec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				deleted, err := log.Truncate(ctx, key, depth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if deleted == 0 {
-					b.Fatal("nothing deleted")
-				}
-			}
-		})
+		}
+		b.StartTimer()
+		deleted, err := log.Truncate(ctx, key, depth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if deleted == 0 {
+			b.Fatal("nothing deleted")
+		}
 	}
 }

@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,13 +19,11 @@ import (
 	"p2pltr/internal/chord"
 	"p2pltr/internal/dht"
 	"p2pltr/internal/flightrec"
-	"p2pltr/internal/ids"
 	"p2pltr/internal/kts"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/p2plog"
-	"p2pltr/internal/store"
 	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
@@ -38,36 +35,23 @@ type Options struct {
 	// chord.DefaultConfig.
 	Chord chord.Config
 	// LogReplicas is n = |Hr|, the patch replication factor
-	// (p2plog.DefaultReplicas if zero).
+	// (p2plog.DefaultReplicas if zero). Checkpoints are replicated at as
+	// many Hc positions.
 	LogReplicas int
-	// ClientAttempts bounds per-operation lookup+call retries (default 6).
-	ClientAttempts int
 	// ClientBackoff separates retries (default 2x stabilize interval).
 	ClientBackoff time.Duration
-	// MasterOpTimeout bounds one master-key operation attempt (validate,
-	// last_ts, checkpoint announce). These RPCs are NOT single round
-	// trips — the master's handler publishes to the Log-Peers, walks the
-	// log to re-synchronize after failover, verifies checkpoint slots —
-	// so the chord CallTimeout (the one-round-trip failure-suspicion
-	// bound) must not cap them: under realistic latency a validation
-	// would then time out every time regardless of health. Default:
-	// 20x the chord CallTimeout, at least 10s.
-	MasterOpTimeout time.Duration
 	// CheckpointInterval makes replicas on this peer snapshot a document
 	// into the DHT every CheckpointInterval committed patches (the author
 	// of the boundary patch is the elected producer). 0 disables
 	// production; replicas still bootstrap from checkpoints published by
 	// others.
 	CheckpointInterval uint64
-	// CheckpointReplicas is |Hc|, the checkpoint replication factor
-	// (defaults to LogReplicas).
-	CheckpointReplicas int
 	// Maintain, when non-nil, mounts the self-healing maintenance engine
 	// on this peer: fallback checkpoint production for boundary authors
 	// that died before snapshotting, re-replication of eroded checkpoint
 	// slots, and rate-limited checkpoint-gated log truncation — all run
-	// from the Chord maintenance tick for keys this peer masters. The
-	// config's Interval defaults to CheckpointInterval.
+	// from the Chord maintenance tick for keys this peer masters, with
+	// CheckpointInterval as the period the lag detector assumes.
 	Maintain *maintain.Config
 	// Clock drives every timer, timeout, retry backoff and maintenance
 	// period on this peer. nil means the wall clock — production behavior
@@ -106,23 +90,15 @@ func (o Options) withDefaults() Options {
 	if o.LogReplicas == 0 {
 		o.LogReplicas = p2plog.DefaultReplicas
 	}
-	if o.ClientAttempts == 0 {
-		o.ClientAttempts = 6
-	}
 	if o.ClientBackoff == 0 {
 		o.ClientBackoff = 2 * o.Chord.StabilizeEvery
 	}
-	if o.CheckpointReplicas == 0 {
-		o.CheckpointReplicas = o.LogReplicas
-	}
-	if o.MasterOpTimeout == 0 {
-		o.MasterOpTimeout = 20 * o.Chord.CallTimeout
-		if o.MasterOpTimeout < 10*time.Second {
-			o.MasterOpTimeout = 10 * time.Second
-		}
-	}
 	return o
 }
+
+// clientAttempts bounds the lookup+call attempts of one DHT operation and
+// of one master-key call.
+const clientAttempts = 6
 
 // Peer is one P2P-LTR ring member. Depending on the keys it is
 // responsible for, it simultaneously plays the paper's Master-key,
@@ -131,6 +107,15 @@ func (o Options) withDefaults() Options {
 type Peer struct {
 	opts  Options
 	clock vclock.Clock
+	// masterOpTimeout bounds one master-key operation attempt (validate,
+	// last_ts, checkpoint announce): 20x the chord CallTimeout, at least
+	// 10s. These RPCs are NOT single round trips — the master's handler
+	// publishes to the Log-Peers, walks the log to re-synchronize after
+	// failover, verifies checkpoint slots — so the chord CallTimeout (the
+	// one-round-trip failure-suspicion bound) must not cap them: under
+	// realistic latency a validation would then time out every time
+	// regardless of health.
+	masterOpTimeout time.Duration
 
 	frontMu sync.RWMutex
 	front   Front
@@ -156,7 +141,7 @@ type Peer struct {
 // node can start — nothing wired here changes afterwards.
 func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	opts = opts.withDefaults()
-	p := &Peer{opts: opts, clock: opts.Clock}
+	p := &Peer{opts: opts, clock: opts.Clock, masterOpTimeout: max(20*opts.Chord.CallTimeout, 10*time.Second)}
 	if opts.FlightRecorder > 0 {
 		// The trace-ID hook keeps flightrec free of the span machinery:
 		// events are stamped with whatever trace the request context
@@ -164,30 +149,24 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 		p.Flight = flightrec.New(opts.Clock, string(ep.Addr()), opts.FlightRecorder, trace.TraceIDFromContext)
 	}
 	p.Node = chord.NewNode(ep, opts.Chord, opts.Tracer, p.Flight)
-	p.Client = dht.NewClient(p.Node, opts.ClientAttempts, opts.ClientBackoff, opts.Clock)
+	p.Client = dht.NewClient(p.Node, clientAttempts, opts.ClientBackoff, opts.Clock)
 	p.Log = p2plog.New(p.Client, opts.LogReplicas, opts.Clock)
-	p.Ckpt = checkpoint.NewStore(p.Client, opts.CheckpointReplicas)
+	p.Ckpt = checkpoint.NewStore(p.Client, opts.LogReplicas)
 	var maintCfg maintain.Config
 	var floorHint func(ctx context.Context, key string) (uint64, bool)
 	if opts.Maintain != nil {
 		maintCfg = *opts.Maintain
-		if maintCfg.Interval == 0 {
-			maintCfg.Interval = opts.CheckpointInterval
-		}
 		if maintCfg.Now == nil {
 			maintCfg.Now = opts.Clock.Now
 		}
-		if maintCfg.Discover == nil {
-			maintCfg.Discover = p.discoverKeys
-		}
-		floorHint = floorFromCheckpoint(p.Ckpt, maintCfg.KeepIntervals, maintCfg.Interval)
+		floorHint = floorFromCheckpoint(p.Ckpt, maintCfg.KeepIntervals, opts.CheckpointInterval)
 	}
 	p.DHT = dht.NewService(p.Node, opts.Clock, p.Flight, floorHint)
 	p.KTS = kts.NewService(p.Node, p.Log, p.Ckpt, opts.Clock, opts.Tracer, p.Flight, opts.AdmissionLimit)
 	p.Node.Attach(p.DHT)
 	p.Node.Attach(p.KTS)
 	if opts.Maintain != nil {
-		p.Maint = maintain.NewEngine(maintCfg, p.KTS, p.Ckpt, p.Log, snapshotter{p}, p.Flight)
+		p.Maint = maintain.NewEngine(maintCfg, opts.CheckpointInterval, p.KTS, p.Ckpt, p.Log, snapshotter{p}, p.Flight)
 		p.Node.Attach(p.Maint)
 	}
 	return p
@@ -250,34 +229,6 @@ func (p *Peer) servingFront() Front {
 	p.frontMu.RLock()
 	defer p.frontMu.RUnlock()
 	return p.front
-}
-
-// discoverKeys enumerates the document keys evidenced by locally stored
-// DHT slots — log records, checkpoint snapshots and pointer records, in
-// both the primary and successor-replica stores. It is the maintenance
-// engine's default discovery source: a key whose whole KTS entry chain
-// died with its master and successor is still named by these slots.
-func (p *Peer) discoverKeys() []string {
-	seen := make(map[string]struct{})
-	collect := func(entries []store.Entry) {
-		for _, e := range entries {
-			if key, _, ok := ids.ParseLogSlotName(e.Key); ok {
-				seen[key] = struct{}{}
-			} else if key, _, ok := checkpoint.ParseSlotName(e.Key); ok {
-				seen[key] = struct{}{}
-			} else if key, ok := checkpoint.ParsePtrName(e.Key); ok {
-				seen[key] = struct{}{}
-			}
-		}
-	}
-	collect(p.DHT.Store().SnapshotMeta())
-	collect(p.DHT.ReplicaStore().SnapshotMeta())
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CheckpointInterval returns the configured checkpoint period (0 when

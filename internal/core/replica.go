@@ -702,7 +702,7 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 		// detected by the callee itself, dropped, and the full lookup below
 		// runs with its complete retry budget.
 		if ref, ok := rc.Lookup(r.key); ok {
-			resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.opts.MasterOpTimeout)
+			resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
 			switch {
 			case err == nil && !notMaster(resp):
 				sp.MarkN("rpc", 1)
@@ -723,7 +723,7 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 			}
 		}
 	}
-	for attempt := 0; attempt < r.peer.opts.ClientAttempts; attempt++ {
+	for attempt := 0; attempt < clientAttempts; attempt++ {
 		if attempt > 0 {
 			if err := r.peer.clock.Sleep(ctx, r.peer.opts.ClientBackoff); err != nil {
 				return nil, err
@@ -738,8 +738,8 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 		}
 		// Master operations run nested network work inside their handler,
 		// so they get the application-level budget, not the chord
-		// CallTimeout (see Options.MasterOpTimeout).
-		resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(master.Addr), req, r.peer.opts.MasterOpTimeout)
+		// CallTimeout (see Peer.masterOpTimeout).
+		resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(master.Addr), req, r.peer.masterOpTimeout)
 		sp.MarkN("rpc", 1)
 		if err != nil {
 			lastErr = err

@@ -62,12 +62,11 @@ type Service struct {
 	// makes each sweep O(new history), so it never re-deletes them).
 	floors map[string]uint64
 	// floorCheckedAt records when each key's floorHint was last
-	// consulted. Keys re-check every floorRecheck, so a checkpoint
-	// pointer that advances after the first consult still raises the
-	// floor — once-per-process derivation left every later pointer
-	// advance invisible until the next restart.
+	// consulted. Keys re-check every DefaultFloorRecheck, so a
+	// checkpoint pointer that advances after the first consult still
+	// raises the floor — once-per-process derivation left every later
+	// pointer advance invisible until the next restart.
 	floorCheckedAt map[string]time.Time
-	floorRecheck   time.Duration
 	// noSuccCopies disables the Log-Peers-Succ mechanism (ablation A1).
 	noSuccCopies bool
 
@@ -101,10 +100,10 @@ type Service struct {
 // — first for keys with no recorded floor (the state of a freshly
 // restarted process, whose in-memory floors are gone while stale slot
 // copies may still arrive from lagging peers), then again every
-// floorRecheck so an advancing pointer keeps raising the floor without
-// waiting for another restart. The hint returns the floor to record (0 =
-// none derivable) and ok=false when its source was unreachable (the key
-// is retried next pass). core.Peer passes the replicated checkpoint
+// DefaultFloorRecheck so an advancing pointer keeps raising the floor
+// without waiting for another restart. The hint returns the floor to
+// record (0 = none derivable) and ok=false when its source was
+// unreachable (the key is retried next pass). core.Peer passes the replicated checkpoint
 // pointer minus the maintenance engine's KeepIntervals safety margin:
 // everything below that would have been reclaimed by the truncation
 // sweep in steady state and is recoverable from the checkpoint the
@@ -113,9 +112,8 @@ func NewService(ring chord.Ring, clk vclock.Clock, rec *flightrec.Recorder, floo
 	s := &Service{st: store.New(), rep: store.New(),
 		rng: ring, clock: clk, rec: rec, floorHint: floorHint,
 		floors: make(map[string]uint64), floorCheckedAt: make(map[string]time.Time),
-		floorRecheck: DefaultFloorRecheck,
-		parked:       make(map[ids.ID][]*parkedRead),
-		counters:     metrics.NewFamily()}
+		parked:   make(map[ids.ID][]*parkedRead),
+		counters: metrics.NewFamily()}
 	s.cPuts = s.counters.Counter("puts")
 	s.cReplicaPuts = s.counters.Counter("replica-puts")
 	s.cGets = s.counters.Counter("gets")
@@ -153,16 +151,6 @@ func (s *Service) succCopiesEnabled() bool {
 // stay O(new history), short enough that a pointer advancing after the
 // first consult raises the floor within a couple of truncation periods.
 const DefaultFloorRecheck = time.Minute
-
-// SetFloorRecheckEvery overrides the per-key floor re-derivation period
-// (tests compress it to virtual seconds).
-func (s *Service) SetFloorRecheckEvery(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d > 0 {
-		s.floorRecheck = d
-	}
-}
 
 // noteFloor records a truncation low-water mark. When it rises, the
 // replica set — and, on the truncation's own delete channel, the
@@ -615,8 +603,8 @@ func (s *Service) rehomeStranded(ctx context.Context) {
 // For each document key that appears in a locally stored log slot but
 // has no recorded floor, it consults the hint and records the result as
 // an out-of-band floor; a key that entered the hint cycle this way is
-// then RE-consulted every floorRecheck, so a checkpoint pointer that
-// advances after the first consult still raises the floor (the old
+// then RE-consulted every DefaultFloorRecheck, so a checkpoint pointer
+// that advances after the first consult still raises the floor (the old
 // once-per-process consult left every later advance invisible until the
 // next restart). Keys whose floor arrived through a truncation sweep
 // never enter the cycle: the sweep channel that reached them keeps
@@ -640,9 +628,8 @@ func (s *Service) deriveFloors(ctx context.Context) {
 			s.mu.Lock()
 			_, hasFloor := s.floors[key]
 			last, checked := s.floorCheckedAt[key]
-			recheck := s.floorRecheck
 			s.mu.Unlock()
-			if (!checked && !hasFloor) || (checked && now.Sub(last) >= recheck) {
+			if (!checked && !hasFloor) || (checked && now.Sub(last) >= DefaultFloorRecheck) {
 				cand[key] = true
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
+	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/transport"
@@ -52,9 +53,6 @@ func TestFloorRecheckTracksAdvancingPointer(t *testing.T) {
 	nodes := make([]*chord.Node, len(peers))
 	for i := range peers {
 		peers[i] = core.NewPeer(net.NewEndpoint(fmt.Sprintf("fc-%02d", i)), opts)
-		// Compress the recheck period so the pointer advance below is
-		// picked up within a couple of maintenance ticks of virtual time.
-		peers[i].DHT.SetFloorRecheckEvery(2 * time.Second)
 		nodes[i] = peers[i].Node
 	}
 	chord.SeedRing(nodes)
@@ -112,13 +110,14 @@ func TestFloorRecheckTracksAdvancingPointer(t *testing.T) {
 
 	// Advance the pointer AFTER that first consult. Under once-per-process
 	// derivation every holder has burned its check and the floor would
-	// stay at 4 forever; the periodic recheck must raise it to 12.
+	// stay at 4 forever; the periodic recheck must raise it to 12 once
+	// the virtual clock has run past one recheck period.
 	commitTo(finalTS)
 	waitVirtual(t, clk, 60*time.Second, "checkpoint pointer at the new boundary", func() bool {
 		ptr, err := peers[1].Ckpt.LatestPointer(ctx, key)
 		return err == nil && ptr == finalTS
 	})
-	waitVirtual(t, clk, 60*time.Second, "floor re-derived after pointer advance",
+	waitVirtual(t, clk, dht.DefaultFloorRecheck+60*time.Second, "floor re-derived after pointer advance",
 		floorsAt(finalTS-interval))
 
 	// Below the raised floor, history is dead; inside the margin the log

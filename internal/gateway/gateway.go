@@ -82,9 +82,6 @@ type Config struct {
 	// parks again. It is therefore also the longest a follower lags when
 	// that Log-Peer missed the publish. Default 2s.
 	ProbeIdle time.Duration
-	// FetchTimeout bounds one feed fetch (log record, checkpoint,
-	// pointer read). Default 10s.
-	FetchTimeout time.Duration
 	// OnCommit, when non-nil, observes every batched commit, once per
 	// granted timestamp: the document key, the validated timestamp, and
 	// the latency from the first enqueue of the batch to the master's
@@ -103,11 +100,12 @@ func (c Config) withDefaults() Config {
 	if c.ProbeIdle <= 0 {
 		c.ProbeIdle = 2 * time.Second
 	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 10 * time.Second
-	}
 	return c
 }
+
+// fetchTimeout bounds one feed fetch (log record, checkpoint, pointer
+// read).
+const fetchTimeout = 10 * time.Second
 
 // Gateway multiplexes sessions over one host peer. Create with New,
 // shut down with Close.
@@ -176,12 +174,6 @@ func (g *Gateway) Peer() *core.Peer { return g.peer }
 // tail's ring), tail-misses (log records fetched from the DHT),
 // tail-conflicts (two patches seen at one timestamp).
 func (g *Gateway) Counters() *metrics.Family { return g.counters }
-
-// BatchSizes exposes the acked-ops-per-commit histogram.
-func (g *Gateway) BatchSizes() *metrics.Histogram { return g.batchSizes }
-
-// FeedGap exposes the gap-between-snapshot-publishes histogram.
-func (g *Gateway) FeedGap() *metrics.Histogram { return g.feedGap }
 
 // RegisterMetrics exports the gateway's counters and histograms into reg
 // under the p2pltr_gateway prefix.
@@ -401,9 +393,12 @@ func (e *Editor) run() {
 	// behind it.
 	//
 	// Lines drained from the queue but not yet acked (a failed commit
-	// leaves them as tentative ops on the replica): the next tick
-	// retries them even when nothing new was enqueued, and they count
-	// into batched-ops exactly once, on the ack.
+	// leaves them as tentative ops on the replica): the next ticks retry
+	// that tentative patch unchanged — same ops, same patch ID — until it
+	// is acked, so a patch the master logged before the failure is
+	// recognised in the log instead of committed a second time. Lines
+	// enqueued meanwhile stay queued for the batch after it. The retried
+	// lines count into batched-ops exactly once, on the ack.
 	var (
 		uncounted  int
 		retryStart time.Time
@@ -412,20 +407,20 @@ func (e *Editor) run() {
 		if err := g.clk.Sleep(g.ctx, g.cfg.BatchTick); err != nil {
 			return
 		}
-		e.mu.Lock()
-		lines := e.pending
-		start := e.oldest
-		e.pending = nil
-		e.mu.Unlock()
-		if len(lines) == 0 && uncounted == 0 {
-			continue
-		}
-		if uncounted > 0 && (len(lines) == 0 || retryStart.Before(start)) {
-			start = retryStart
-		}
-		// The whole batch becomes one tentative patch: append in order.
-		for _, line := range lines {
-			_ = e.rep.Insert(0, line)
+		var lines []string
+		start := retryStart
+		if uncounted == 0 {
+			e.mu.Lock()
+			lines, start = e.pending, e.oldest
+			e.pending = nil
+			e.mu.Unlock()
+			if len(lines) == 0 {
+				continue
+			}
+			// The whole batch becomes one tentative patch: append in order.
+			for _, line := range lines {
+				_ = e.rep.Insert(0, line)
+			}
 		}
 		// The span starts at the oldest enqueue so queue-wait — the time
 		// a line sat buffered before its batch tick — is a visible stage.
@@ -562,7 +557,7 @@ func (f *feed) run() {
 		failed := false
 		for {
 			width := uint64(min(max(found, 1), tailSize))
-			fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
+			fctx, cancel := g.clk.WithTimeout(g.ctx, fetchTimeout)
 			recs, err := f.tail.fetchRange(fctx, ts, ts+width, false)
 			cancel()
 			if g.ctx.Err() != nil {
@@ -628,7 +623,7 @@ func (f *feed) run() {
 			// The writer may use the record now; followers after the read
 			// across every replica slot.
 			f.tail.insert(g.ctx, rec)
-			fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
+			fctx, cancel := g.clk.WithTimeout(g.ctx, fetchTimeout)
 			_, _ = g.peer.Log.Fetch(fctx, f.key, rec.TS)
 			cancel()
 			wait = 0
@@ -653,7 +648,7 @@ func (f *feed) bootstrap(cur uint64) (*patch.Document, uint64, bool) {
 		g.counters.Counter("ptr-cache-hits").Add(1)
 	} else {
 		g.counters.Counter("ptr-cache-misses").Add(1)
-		fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
+		fctx, cancel := g.clk.WithTimeout(g.ctx, fetchTimeout)
 		p, err := g.peer.Ckpt.LatestPointer(fctx, f.key)
 		cancel()
 		if err != nil {
@@ -666,7 +661,7 @@ func (f *feed) bootstrap(cur uint64) (*patch.Document, uint64, bool) {
 	if ptr <= cur {
 		return nil, 0, false
 	}
-	fctx, cancel := g.clk.WithTimeout(g.ctx, g.cfg.FetchTimeout)
+	fctx, cancel := g.clk.WithTimeout(g.ctx, fetchTimeout)
 	cp, err := g.peer.Ckpt.Fetch(fctx, f.key, ptr)
 	cancel()
 	if err != nil {

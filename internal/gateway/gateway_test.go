@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +281,16 @@ func (e tapEndpoint) Call(ctx context.Context, to transport.Addr, req msg.Messag
 func newTappedCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual, *tap) {
 	t.Helper()
 	tp := &tap{validating: map[string]int{}, maxValidate: map[string]int{}, parkedGets: map[transport.Addr]int{}}
+	c, clk := newWrappedCluster(t, n, func(_ int, ep transport.Endpoint) transport.Endpoint {
+		return tapEndpoint{Endpoint: ep, tp: tp}
+	}, netOpts...)
+	return c, clk, tp
+}
+
+// newWrappedCluster is newCluster with peer i's endpoint replaced by
+// wrap(i, endpoint).
+func newWrappedCluster(t *testing.T, n int, wrap func(i int, ep transport.Endpoint) transport.Endpoint, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual) {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	clk.Register()
 	opts := ringtest.FastOptions()
@@ -290,7 +301,7 @@ func newTappedCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) (*
 	}
 	var nodes []*chord.Node
 	for i := 0; i < n; i++ {
-		p := core.NewPeer(tapEndpoint{Endpoint: c.Net.NewEndpoint(fmt.Sprintf("peer-%d", i)), tp: tp}, opts)
+		p := core.NewPeer(wrap(i, c.Net.NewEndpoint(fmt.Sprintf("peer-%d", i))), opts)
 		c.Peers = append(c.Peers, p)
 		nodes = append(nodes, p.Node)
 	}
@@ -299,7 +310,105 @@ func newTappedCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) (*
 		c.Stop()
 		clk.Unregister()
 	})
-	return c, clk, tp
+	return c, clk
+}
+
+// ackLoser is an endpoint that, once armed, delivers the next granted
+// validation and then loses its ack — the master has logged the patch,
+// the caller sees a timeout — and from then on times out every
+// validation it is asked to send until down is cleared. onLose runs at
+// the loss, while nobody knows yet.
+type ackLoser struct {
+	transport.Endpoint
+	armed, down atomic.Bool
+	onLose      func()
+}
+
+func (e *ackLoser) Call(ctx context.Context, to transport.Addr, req msg.Message) (msg.Message, error) {
+	if _, ok := req.(*msg.ValidateReq); ok && e.down.Load() {
+		return nil, transport.ErrTimeout
+	}
+	resp, err := e.Endpoint.Call(ctx, to, req)
+	if vr, ok := resp.(*msg.ValidateResp); ok && vr.Status == msg.ValidateOK && e.armed.CompareAndSwap(true, false) {
+		e.down.Store(true)
+		e.onLose()
+		return nil, transport.ErrTimeout
+	}
+	return resp, err
+}
+
+// TestRetriedBatchKeepsItsPatchID: the master logs the writer's batch but
+// its ack is lost, and the master stays unreachable until the commit
+// gives up. Lines enqueued meanwhile must not join the failed batch: the
+// writer retries it unchanged, under its patch ID, so it finds its own
+// record in the log instead of committing the batch a second time, and
+// the new lines go out in the batch after it. Every line is in the log
+// once and OnCommit reports each timestamp once.
+func TestRetriedBatchKeepsItsPatchID(t *testing.T) {
+	twice(t, func(t *testing.T) string {
+		var host *ackLoser
+		c, clk := newWrappedCluster(t, 8, func(i int, ep transport.Endpoint) transport.Endpoint {
+			if i == 0 {
+				host = &ackLoser{Endpoint: ep}
+				return host
+			}
+			return ep
+		}, netDelay)
+		ctx := context.Background()
+		// A document mastered off the host, so its validations cross the
+		// lossy endpoint.
+		doc := ""
+		for i := 0; doc == ""; i++ {
+			if cand := fmt.Sprintf("doc-%d", i); c.MasterOf(uint64(ids.HashTS(cand))) != c.Peers[0] {
+				doc = cand
+			}
+		}
+		var (
+			mu   sync.Mutex
+			acks []uint64
+		)
+		cfg := gwConfig()
+		cfg.OnCommit = func(_ string, ts uint64, _ time.Duration) {
+			mu.Lock()
+			acks = append(acks, ts)
+			mu.Unlock()
+		}
+		gw := gateway.New(c.Peers[0], cfg)
+		t.Cleanup(gw.Close)
+		ed := gw.Session("s").Editor(doc, "w")
+		host.onLose = func() {
+			ed.Enqueue("late-1")
+			ed.Enqueue("late-2")
+		}
+
+		host.armed.Store(true)
+		ed.Enqueue("early-1")
+		ed.Enqueue("early-2")
+		waitUntil(t, clk, 30*time.Second, "the commit to give up", func() bool { return ed.Err() != nil })
+		host.down.Store(false)
+		waitUntil(t, clk, 60*time.Second, "every line to commit", func() bool {
+			return gwCount(gw, "batched-ops") == 4
+		})
+
+		reader := core.NewReplica(c.Peers[5], doc, "reader")
+		if err := reader.Pull(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int)
+		for _, line := range strings.Split(reader.CommittedText(), "\n") {
+			got[line]++
+		}
+		want := map[string]int{"early-1": 1, "early-2": 1, "late-1": 1, "late-2": 1}
+		if !reflect.DeepEqual(got, want) || reader.CommittedTS() != 2 {
+			t.Fatalf("log holds %v at ts %d, want each of %d lines once at ts 2", got, reader.CommittedTS(), len(want))
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !reflect.DeepEqual(acks, []uint64{1, 2}) {
+			t.Fatalf("OnCommit reported timestamps %v, want 1 and 2 once each", acks)
+		}
+		return fmt.Sprint(acks, " ", reader.CommittedText())
+	})
 }
 
 // TestOneWriterPerDocument: eight editors of one document on one gateway

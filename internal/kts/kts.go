@@ -699,7 +699,7 @@ func parseStateValue(v string) (lastTS, ckptTS uint64, err error) {
 }
 
 // ---------------------------------------------------------------------------
-// Introspection for experiments and the demo binary.
+// Introspection for experiments and tests.
 
 // LastTSLocal returns the locally known last-ts for key (primary or
 // replica) without any ownership check.
@@ -713,20 +713,6 @@ func (s *Service) LastTSLocal(key string) (uint64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.lastTS, true
-}
-
-// CheckpointTSLocal returns the locally known latest-checkpoint pointer
-// for key (primary or replica) without any ownership check.
-func (s *Service) CheckpointTSLocal(key string) (uint64, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ckptTS, true
 }
 
 // KeyState is the per-key view the maintenance scan iterates: the local

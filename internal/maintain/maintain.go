@@ -65,103 +65,89 @@ const ServiceName = "maintain"
 const DefaultTruncateEvery = 30 * time.Second
 
 // DefaultRepairEvery is the minimum spacing between checkpoint-slot
-// repair probes per key when none is configured. In steady state a probe
-// reads every Hc replica slot plus the pointer records; running that at
-// the full pass rate (every maintenance tick per mastered key) is
-// background read load with no benefit, the same way unthrottled sweeps
-// were before the truncation rate limiter.
+// repair probes (and the pointer-record refresh they gate) per key in
+// steady state. A probe reads every Hc replica slot plus the pointer
+// records; running that at the full pass rate (every maintenance tick per
+// mastered key) is background read load with no benefit, the same way
+// unthrottled sweeps were before the truncation rate limiter. A pass that
+// fallback-produced a checkpoint always repairs immediately, so healing
+// is never delayed — only re-verification of already-healthy keys is.
+// While a probe is skipped, truncation is gated on the previous probe's
+// replication verdict; the stale-verdict window this opens is at most
+// DefaultRepairEvery and risks only the stronger-than-required
+// full-replication margin, never the pointer's ≥1-replica retrievability
+// invariant.
 const DefaultRepairEvery = 10 * time.Second
 
-// DefaultMaxCatchupIntervals caps how many missed checkpoint intervals
-// the fallback producer closes in one pass when none is configured.
+// DefaultMaxCatchupIntervals caps how many missed checkpoint boundaries
+// the fallback producer publishes in one pass. The fallback pulls replay
+// the log synchronously on the shared chord maintenance goroutine —
+// without the cap, the first pass over a deep no-checkpoint history
+// replays it all inside one tick and stalls every other service's
+// Maintain. Every intermediate boundary is still published on the way
+// (the complete chain history navigation needs); the cap only decides how
+// many of them one tick may produce before resuming at the next.
 const DefaultMaxCatchupIntervals = 4
 
 // DefaultDiscoverEvery is the minimum spacing between DHT-walk discovery
-// passes when none is configured. Discovery probes each absent key with
-// one last_ts RPC, so it runs well below the pass rate.
+// passes. Discovery probes each absent key with one last_ts RPC, so it
+// runs well below the pass rate.
 const DefaultDiscoverEvery = 30 * time.Second
 
 // Config tunes the engine.
 type Config struct {
-	// Interval is the checkpoint period in committed patches the lag
-	// detector assumes (0 disables fallback production; repair and
-	// truncation still run, off the checkpoint pointer this node's KTS
-	// entry knows — i.e. checkpoints other nodes announced). core.Peer
-	// fills it from its CheckpointInterval when left zero.
-	Interval uint64
 	// TruncateEvery is the minimum spacing between truncation attempts
 	// per key (DefaultTruncateEvery if zero).
 	TruncateEvery time.Duration
-	// RepairEvery is the minimum spacing between checkpoint-slot repair
-	// probes (and the pointer-record refresh they gate) per key in steady
-	// state (DefaultRepairEvery if zero; negative disables the throttle).
-	// A pass that fallback-produced a checkpoint always repairs
-	// immediately, so healing is never delayed — only re-verification of
-	// already-healthy keys is. While a probe is skipped, truncation is
-	// gated on the previous probe's replication verdict; the stale-verdict
-	// window this opens is at most RepairEvery and risks only the
-	// stronger-than-required full-replication margin, never the
-	// pointer's ≥1-replica retrievability invariant.
-	RepairEvery time.Duration
-	// MaxCatchupIntervals caps how many missed checkpoint boundaries the
-	// fallback producer publishes in one pass (DefaultMaxCatchupIntervals
-	// if zero; negative removes the cap). The fallback pulls replay the
-	// log synchronously on the shared chord maintenance goroutine —
-	// without the cap, the first pass over a deep no-checkpoint history
-	// replays it all inside one tick and stalls every other service's
-	// Maintain. Capped or not, every intermediate boundary is published
-	// on the way (the complete chain history navigation needs); the cap
-	// only decides how many of them one tick may produce before
-	// resuming at the next.
-	MaxCatchupIntervals int
 	// KeepIntervals is a safety margin for automatic truncation: the
-	// newest KeepIntervals*Interval timestamps below the pointer are NOT
+	// newest KeepIntervals checkpoint intervals below the pointer are NOT
 	// reclaimed, so an editor with tentative edits that lags by less
 	// than the margin can still retrieve the patches OT needs instead of
 	// hitting ErrTruncated (or a lossy rebase) one maintenance tick
 	// after a boundary. 0 reclaims everything the pointer covers —
 	// maximum storage win, maximum reliance on the rebase policy.
 	KeepIntervals int
-	// Discover enumerates document keys evidenced by this peer's locally
-	// stored DHT slots (log records, checkpoint snapshots, pointer
-	// records). When set, the engine periodically probes every discovered
-	// key the KTS scan did not visit and re-establishes its timestamp
-	// entry chain via kts.EnsureKey. This is the recovery path for total
-	// entry-chain loss: when a key's master and successor crash together,
-	// no surviving node holds an entry, so the per-key scan would never
-	// visit the key again even though its log and checkpoint slots
-	// persist. core.Peer fills it with a DHT store scan when left nil and
-	// maintenance is enabled.
-	Discover func() []string
-	// DiscoverEvery rate-limits the discovery pass (DefaultDiscoverEvery
-	// if zero; negative disables the throttle so every pass discovers —
-	// tests only).
-	DiscoverEvery time.Duration
 	// Now overrides the engine's clock; tests use it to drive the
-	// truncation rate limiter deterministically. Defaults to
-	// vclock.System.Now — core.Peer always wires its own clock in, so
-	// the default only reaches standalone constructions, which must
-	// still not read the OS clock directly.
+	// truncation, repair and discovery rate limiters deterministically.
+	// Defaults to vclock.System.Now — core.Peer always wires its own
+	// clock in, so the default only reaches standalone constructions,
+	// which must still not read the OS clock directly.
 	Now func() time.Time
 }
 
-// Puller reconstructs committed document state for the fallback producer.
-// core.Peer adapts its user-replica pull path (checkpoint bootstrap plus
-// log tail) to this.
+// Puller reconstructs committed document state for the fallback producer
+// and names the documents this peer holds slots of. core.Peer adapts its
+// user-replica pull path (checkpoint bootstrap plus log tail) and its DHT
+// stores to this.
 type Puller interface {
 	// SnapshotAt returns the committed lines of key at exactly ts.
 	SnapshotAt(ctx context.Context, key string, ts uint64) ([]string, error)
+	// Discover enumerates document keys evidenced by this peer's locally
+	// stored DHT slots (log records, checkpoint snapshots, pointer
+	// records). The engine periodically probes every discovered key the
+	// KTS scan did not visit and re-establishes its timestamp entry chain
+	// via kts.EnsureKey. This is the recovery path for total entry-chain
+	// loss: when a key's master and successor crash together, no
+	// surviving node holds an entry, so the per-key scan would never
+	// visit the key again even though its log and checkpoint slots
+	// persist.
+	Discover() []string
 }
 
 // Engine is the per-peer maintenance service. It implements
 // chord.Service (stateless: nothing to hand over) and chord.Maintainer,
 // which is how the node drives it.
 type Engine struct {
-	cfg   Config
-	kts   *kts.Service
-	store *checkpoint.Store
-	log   *p2plog.Log
-	pull  Puller
+	cfg Config
+	// interval is the checkpoint period in committed patches the lag
+	// detector assumes (0 disables fallback production; repair and
+	// truncation still run, off the checkpoint pointer this node's KTS
+	// entry knows — i.e. checkpoints other nodes announced).
+	interval uint64
+	kts      *kts.Service
+	store    *checkpoint.Store
+	log      *p2plog.Log
+	pull     Puller
 
 	mu          sync.Mutex
 	truncatedTo map[string]uint64
@@ -190,35 +176,19 @@ type Engine struct {
 // key's throttle state.
 const dropAfterMisses = 8
 
-// NewEngine wires a maintenance engine over the given subsystems. rec
-// receives the maintenance-lifecycle events (nil = off).
-func NewEngine(cfg Config, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller, rec *flightrec.Recorder) *Engine {
+// NewEngine wires a maintenance engine over the given subsystems, for a
+// checkpoint period of interval committed patches. rec receives the
+// maintenance-lifecycle events (nil = off).
+func NewEngine(cfg Config, interval uint64, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller, rec *flightrec.Recorder) *Engine {
 	if cfg.TruncateEvery <= 0 {
 		cfg.TruncateEvery = DefaultTruncateEvery
-	}
-	switch {
-	case cfg.RepairEvery == 0:
-		cfg.RepairEvery = DefaultRepairEvery
-	case cfg.RepairEvery < 0:
-		cfg.RepairEvery = 0
-	}
-	switch {
-	case cfg.MaxCatchupIntervals == 0:
-		cfg.MaxCatchupIntervals = DefaultMaxCatchupIntervals
-	case cfg.MaxCatchupIntervals < 0:
-		cfg.MaxCatchupIntervals = 0
-	}
-	switch {
-	case cfg.DiscoverEvery == 0:
-		cfg.DiscoverEvery = DefaultDiscoverEvery
-	case cfg.DiscoverEvery < 0:
-		cfg.DiscoverEvery = 0
 	}
 	if cfg.Now == nil {
 		cfg.Now = vclock.System.Now
 	}
 	e := &Engine{
 		cfg:         cfg,
+		interval:    interval,
 		kts:         ts,
 		store:       store,
 		log:         log,
@@ -322,12 +292,9 @@ func (e *Engine) Maintain(ctx context.Context) {
 // the surviving write-once record. Probes run in sorted key order (the
 // RPCs draw from seeded latency streams under deterministic simulation).
 func (e *Engine) discover(ctx context.Context, states []kts.KeyState) {
-	if e.cfg.Discover == nil {
-		return
-	}
 	now := e.cfg.Now()
 	e.mu.Lock()
-	if e.cfg.DiscoverEvery > 0 && !e.lastDiscover.IsZero() && now.Sub(e.lastDiscover) < e.cfg.DiscoverEvery {
+	if !e.lastDiscover.IsZero() && now.Sub(e.lastDiscover) < DefaultDiscoverEvery {
 		e.mu.Unlock()
 		return
 	}
@@ -337,7 +304,7 @@ func (e *Engine) discover(ctx context.Context, states []kts.KeyState) {
 	for _, st := range states {
 		known[st.Key] = true
 	}
-	keys := e.cfg.Discover()
+	keys := e.pull.Discover()
 	sort.Strings(keys)
 	for _, key := range keys {
 		if key == "" || known[key] {
@@ -359,8 +326,8 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 	// DHT record (unsynced replica entry after failover), so consult the
 	// published pointer before committing to an expensive reconstruction.
 	produced := false
-	if e.cfg.Interval > 0 && st.LastTS >= e.cfg.Interval {
-		boundary := st.LastTS - st.LastTS%e.cfg.Interval
+	if e.interval > 0 && st.LastTS >= e.interval {
+		boundary := st.LastTS - st.LastTS%e.interval
 		if boundary > st.CkptTS {
 			if ptr, err := e.store.LatestPointer(ctx, st.Key); err == nil && ptr > st.CkptTS {
 				st.CkptTS = ptr
@@ -370,15 +337,15 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 			// Close the gap one boundary at a time, publishing EVERY
 			// intermediate boundary on the way: history navigation (time
 			// travel, audit) needs the complete boundary chain, not every
-			// MaxCatchupIntervals-th link. The cap still bounds the pass —
-			// at most MaxCatchupIntervals boundary productions per tick,
-			// resuming next tick — so a deep no-checkpoint history never
-			// replays in full on the shared chord maintenance goroutine.
-			// Each production pulls from the boundary just published, so a
-			// pass costs O(published boundaries × interval), same total
-			// replay as one capped jump.
-			steps := e.cfg.MaxCatchupIntervals
-			for b := st.CkptTS - st.CkptTS%e.cfg.Interval + e.cfg.Interval; b <= boundary; b += e.cfg.Interval {
+			// DefaultMaxCatchupIntervals-th link. The cap still bounds the
+			// pass — at most DefaultMaxCatchupIntervals boundary
+			// productions per tick, resuming next tick — so a deep
+			// no-checkpoint history never replays in full on the shared
+			// chord maintenance goroutine. Each production pulls from the
+			// boundary just published, so a pass costs O(published
+			// boundaries × interval), same total replay as one capped jump.
+			steps := 0
+			for b := st.CkptTS - st.CkptTS%e.interval + e.interval; b <= boundary; b += e.interval {
 				if b <= st.CkptTS {
 					continue // a racing author already covered this boundary
 				}
@@ -390,10 +357,8 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 					st.CkptTS = ts
 				}
 				produced = true
-				if steps > 0 {
-					if steps--; steps == 0 {
-						break
-					}
+				if steps++; steps == DefaultMaxCatchupIntervals {
+					break
 				}
 			}
 		}
@@ -410,7 +375,7 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 	e.mu.Lock()
 	last, haveLast := e.lastRepair[st.Key]
 	full := e.lastFull[st.Key]
-	probe := produced || e.cfg.RepairEvery <= 0 || !haveLast || now.Sub(last) >= e.cfg.RepairEvery
+	probe := produced || !haveLast || now.Sub(last) >= DefaultRepairEvery
 	if probe {
 		e.lastRepair[st.Key] = now
 	}
@@ -493,7 +458,7 @@ func (e *Engine) maybeTruncate(ctx context.Context, st kts.KeyState) {
 	// st.CkptTS covers any shorter prefix, so the gate still stands.
 	target := st.CkptTS
 	if e.cfg.KeepIntervals > 0 {
-		margin := uint64(e.cfg.KeepIntervals) * e.cfg.Interval
+		margin := uint64(e.cfg.KeepIntervals) * e.interval
 		if margin == 0 {
 			// Interval unknown (0): the margin cannot be computed, and
 			// truncating anyway would reclaim history the operator asked
@@ -520,11 +485,11 @@ func (e *Engine) maybeTruncate(ctx context.Context, st kts.KeyState) {
 	e.lastTrunc[st.Key] = now
 	e.mu.Unlock()
 
-	// TruncateTo (not TruncateRange): the sweep also declares target the
-	// key's truncation low-water mark on every contacted Log-Peer, which
-	// is what reclaims replicas that churn smuggled past an earlier
-	// sweep's async copy deletes — this engine's own horizon (after)
-	// makes each sweep O(new history), so it would never revisit them.
+	// TruncateTo also declares target the key's truncation low-water mark
+	// on every contacted Log-Peer, which is what reclaims replicas that
+	// churn smuggled past an earlier sweep's async copy deletes — this
+	// engine's own horizon (after) makes each sweep O(new history), so it
+	// would never revisit them.
 	deleted, err := e.log.TruncateTo(ctx, st.Key, after, target)
 	if err != nil {
 		e.counters.Counter("errors").Add(1)

@@ -30,6 +30,27 @@ func newMaintCluster(t *testing.T, n int, interval uint64, cfg maintain.Config) 
 	return c
 }
 
+// testClock is an engine clock the test moves by hand, so the engine's
+// rate limiters open exactly when the test drives it past their periods.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newTestClock() *testClock { return &testClock{now: time.Now()} }
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *testClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
 // counters aggregates the engine counter families across every peer (the
 // key's master does the work, but which peer that is depends on hashing).
 func counters(c *ringtest.Cluster) map[string]int64 {
@@ -151,7 +172,8 @@ func TestFallbackProducerHealsMissedBoundary(t *testing.T) {
 // silently, so without repair the degree erodes forever.
 func TestRepairsLostCheckpointSlots(t *testing.T) {
 	const interval = 4
-	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour, RepairEvery: -1})
+	clk := newTestClock()
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour, Now: clk.Now})
 	key := "lost-slot"
 	ctx := context.Background()
 	w := core.NewReplica(c.Peers[0], key, "author")
@@ -168,12 +190,15 @@ func TestRepairsLostCheckpointSlots(t *testing.T) {
 
 	// Wait for the repair counter, not the read path: a read can
 	// transiently resolve to the successor's copy while the async
-	// replica delete is still in flight, which is not a repair.
+	// replica delete is still in flight, which is not a repair. Each poll
+	// moves the engine clock past the repair throttle, so every pass
+	// probes.
 	deadline := time.Now().Add(20 * time.Second)
 	for counters(c)["slots-repaired"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("engine never repaired the lost checkpoint slot; counters: %v", counters(c))
 		}
+		clk.advance(maintain.DefaultRepairEvery)
 		time.Sleep(10 * time.Millisecond)
 	}
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); !found {
@@ -186,21 +211,8 @@ func TestRepairsLostCheckpointSlots(t *testing.T) {
 // reclaimed immediately, the next only after the clock advances.
 func TestTruncationRateLimited(t *testing.T) {
 	const interval = 4
-	var (
-		mu  sync.Mutex
-		now = time.Now()
-	)
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour, Now: clock})
+	clk := newTestClock()
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour, Now: clk.Now})
 	key := "ratelimit"
 	w := core.NewReplica(c.Peers[0], key, "author")
 	commit(t, w, interval)
@@ -230,7 +242,7 @@ func TestTruncationRateLimited(t *testing.T) {
 		t.Fatalf("throttled passes not counted: %v", snap)
 	}
 
-	advance(2 * time.Hour)
+	clk.advance(2 * time.Hour)
 	// Poll the counter, not the slot count: the engine bumps it only
 	// after the last delete lands.
 	deadline = time.Now().Add(20 * time.Second)
@@ -282,30 +294,13 @@ func TestNoopWhenAuthorCheckpointed(t *testing.T) {
 
 // TestRepairIntervalThrottlesSteadyState: checkpoint-slot repair probes
 // run at the full maintenance pass rate only until the first verdict;
-// afterwards they respect RepairEvery, so a healthy key stops paying
-// |Hc|+pointer background reads every tick. The injected clock drives
-// the window deterministically.
+// afterwards they respect DefaultRepairEvery, so a healthy key stops
+// paying |Hc|+pointer background reads every tick. The injected clock
+// drives the window deterministically.
 func TestRepairIntervalThrottlesSteadyState(t *testing.T) {
 	const interval = 4
-	var (
-		mu  sync.Mutex
-		now = time.Now()
-	)
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-	c := newMaintCluster(t, 5, interval, maintain.Config{
-		TruncateEvery: time.Hour,
-		RepairEvery:   time.Hour,
-		Now:           clock,
-	})
+	clk := newTestClock()
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour, Now: clk.Now})
 	key := "repair-throttle"
 	ctx := context.Background()
 	w := core.NewReplica(c.Peers[0], key, "author")
@@ -329,11 +324,11 @@ func TestRepairIntervalThrottlesSteadyState(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond) // many passes, all inside the window
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
-		t.Fatal("slot repaired inside the RepairEvery window")
+		t.Fatal("slot repaired inside the repair window")
 	}
 
 	// Once the window passes, the next probe repairs it.
-	advance(2 * time.Hour)
+	clk.advance(2 * maintain.DefaultRepairEvery)
 	deadline = time.Now().Add(20 * time.Second)
 	for {
 		if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
@@ -350,18 +345,15 @@ func TestRepairIntervalThrottlesSteadyState(t *testing.T) {
 }
 
 // TestFallbackCatchupCapped: a deep history with no checkpoints at all
-// is closed stepwise — at most MaxCatchupIntervals intervals per pass,
-// publishing the intermediate boundaries on the way — instead of one
-// pass replaying everything on the shared maintenance goroutine.
+// is closed stepwise — at most DefaultMaxCatchupIntervals intervals per
+// pass, publishing the intermediate boundaries on the way — instead of
+// one pass replaying everything on the shared maintenance goroutine.
 func TestFallbackCatchupCapped(t *testing.T) {
 	const (
 		interval   = 2
-		boundaries = 4
+		boundaries = maintain.DefaultMaxCatchupIntervals + 1 // deeper than one pass may close
 	)
-	c := newMaintCluster(t, 5, interval, maintain.Config{
-		TruncateEvery:       time.Hour,
-		MaxCatchupIntervals: 1,
-	})
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour})
 	key := "deep-history"
 	w := core.NewReplica(c.Peers[0], key, "author")
 	w.SetCheckpointProduction(false)
@@ -383,15 +375,12 @@ func TestFallbackCatchupCapped(t *testing.T) {
 // needs — not just the capped pass's newest one.
 func TestFallbackPublishesEveryBoundary(t *testing.T) {
 	const (
-		interval   = 2
-		boundaries = 4
-	)
-	c := newMaintCluster(t, 5, interval, maintain.Config{
-		TruncateEvery: time.Hour,
+		interval = 2
 		// The whole gap fits in one pass: before the fix this published
 		// only the newest boundary and the chain had holes.
-		MaxCatchupIntervals: boundaries + 1,
-	})
+		boundaries = maintain.DefaultMaxCatchupIntervals
+	)
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Hour})
 	key := "chain-history"
 	w := core.NewReplica(c.Peers[0], key, "author")
 	w.SetCheckpointProduction(false)
@@ -421,10 +410,8 @@ func TestFallbackPublishesEveryBoundary(t *testing.T) {
 // entry from the log, so the total order continues where it left off.
 func TestDiscoveryResurrectsLostEntryChain(t *testing.T) {
 	const interval = 4
-	c := newMaintCluster(t, 7, interval, maintain.Config{
-		TruncateEvery: time.Hour,
-		DiscoverEvery: -1, // every pass: the test wants the discovery latency, not the throttle
-	})
+	clk := newTestClock()
+	c := newMaintCluster(t, 7, interval, maintain.Config{TruncateEvery: time.Hour, Now: clk.Now})
 	key := "lost-chain"
 	master := c.MasterOf(uint64(ids.HashTS(key)))
 	succAddr := master.Node.Successor().Addr
@@ -458,6 +445,8 @@ func TestDiscoveryResurrectsLostEntryChain(t *testing.T) {
 		}
 		return 0, false
 	}
+	// Each poll moves the engine clock past the discovery throttle: the
+	// test wants the discovery latency, not the throttle.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if counters(c)["keys-discovered"] >= 1 {
@@ -468,6 +457,7 @@ func TestDiscoveryResurrectsLostEntryChain(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("entry chain never resurrected by discovery; counters %v", counters(c))
 		}
+		clk.advance(maintain.DefaultDiscoverEvery)
 		time.Sleep(10 * time.Millisecond)
 	}
 

