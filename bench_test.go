@@ -1,7 +1,8 @@
 // Package p2pltr's root benchmarks time the paper's scenarios under
-// `go test -bench`: each BenchmarkE* corresponds to one harness
-// experiment, and custom metrics report the quantities the paper
-// demonstrates (latency, behind-rounds, takeover). The per-layer costs —
+// `go test -bench` — timestamp generation, concurrent publishing, master
+// failover and join, catch-up — with custom metrics for the quantities
+// the paper demonstrates (latency, behind-rounds, takeover). The
+// per-layer costs —
 // lookups, log publish and range fetch, DHT put/get, cold catch-up,
 // follower reads — are the benchmark's probes (benchmark/probes.go) and
 // are not duplicated here.

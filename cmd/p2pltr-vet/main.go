@@ -15,7 +15,7 @@
 // The tool exits nonzero (per package) when an invariant is violated;
 // each rule's escape hatch is named in its diagnostic. CI runs the full
 // suite over the repository on every push, which is what lets the
-// bitwise-determinism claims behind E11, the plans under examples/plans
+// bitwise-determinism claims behind the scale tests, examples/plans
 // and the benchmark's -verify survive new code: the hand audits of
 // PR 4/5 are now compile-time errors.
 package main

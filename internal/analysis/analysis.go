@@ -1,7 +1,7 @@
 // Package analysis is the determinism-invariant analyzer suite: five
 // static checks that mechanize the hand audits which keep this stack
 // bitwise-reproducible under vclock.Virtual. Every scale result in the
-// repo (E11, the seeded plan campaigns, the benchmark) depends on
+// repo (chord's scale tests, the plan campaigns, the benchmark) depends on
 // same-seed runs replaying identically; the invariants below were
 // previously enforced by a grep script and one-off manual audits, and
 // each has a real regression behind it:
@@ -92,13 +92,7 @@ const ModulePath = "p2pltr"
 //   - internal/vclock IS the clock seam: its Real implementation wraps
 //     time.*, Virtual implements the scheduler with raw goroutines and
 //     channels, and vclock.Mutex is the one lock that may legally park.
-//   - internal/harness measures wall time of real experiment runs on
-//     purpose and fans work out on OS goroutines between runs.
 //   - internal/ringtest drives real-time cluster variants.
-//   - internal/baseline holds the comparison baselines (central
-//     coordinator, leaderless quorum) that only ever run on the wall
-//     clock over real transports; they are measured against P2P-LTR,
-//     never replayed under vclock.Virtual.
 //
 // cmd/ binaries run on the system clock by definition and are outside
 // the instrumented set — EXCEPT cmd/p2pltr-sim, which drives
@@ -106,9 +100,7 @@ const ModulePath = "p2pltr"
 // vclock seam (simtest measures throughput via vclock.System).
 var excludedPackages = []string{
 	ModulePath + "/internal/vclock",
-	ModulePath + "/internal/harness",
 	ModulePath + "/internal/ringtest",
-	ModulePath + "/internal/baseline",
 }
 
 // Instrumented reports whether the package at path is subject to the

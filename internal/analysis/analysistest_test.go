@@ -13,7 +13,7 @@ package analysis
 //     line (several backquoted regexps may follow one want);
 //   - every diagnostic must be matched by a want and every want must
 //     match a diagnostic, or the test fails with a position-sorted diff;
-//   - fixture packages under excluded paths (p2pltr/internal/harness/...)
+//   - fixture packages under excluded paths (p2pltr/internal/ringtest/...)
 //     carry no wants and assert the exclusion produces zero diagnostics.
 
 import (
@@ -238,7 +238,7 @@ func TestWallclockFixtures(t *testing.T) {
 // same constructs that fire in wcfix produce nothing under an excluded
 // path (the fixture file carries no wants).
 func TestWallclockExcludedPackage(t *testing.T) {
-	runFixture(t, WallclockAnalyzer, "p2pltr/internal/harness/wcexempt")
+	runFixture(t, WallclockAnalyzer, "p2pltr/internal/ringtest/wcexempt")
 }
 
 func TestLockparkFixtures(t *testing.T) {
@@ -271,12 +271,10 @@ func TestInstrumented(t *testing.T) {
 		{ModulePath + "/internal/flightrec", true},
 		{ModulePath + "/internal/trace", true},
 		{ModulePath + "/cmd/p2pltr-sim", true},
-		{ModulePath + "/cmd/p2pltr-bench", false},
+		{ModulePath + "/cmd/p2pltr-node", false},
 		{ModulePath + "/internal/vclock", false},
-		{ModulePath + "/internal/harness", false},
-		{ModulePath + "/internal/harness/sub", false},
 		{ModulePath + "/internal/ringtest", false},
-		{ModulePath + "/internal/baseline", false},
+		{ModulePath + "/internal/ringtest/sub", false},
 		{"other/module", false},
 	}
 	for _, c := range cases {

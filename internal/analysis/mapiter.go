@@ -13,7 +13,7 @@ import (
 // a style nit — it is the exact class of bug PR 4 hand-fixed in
 // kts.KeyStates: two same-seed virtual-time runs visited entries in
 // different orders, emitted RPCs in different orders, and the bitwise
-// determinism the E-series experiments assert broke. An iteration is
+// determinism the plans and scale tests assert broke. An iteration is
 // order-dependent when its body appends to an accumulator, performs a
 // send, spawns a goroutine, or calls any non-builtin function (RPC,
 // trace/metrics emission, anything with observable order).

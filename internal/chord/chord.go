@@ -17,7 +17,8 @@
 //
 // Lookups are resolved iteratively from the caller using finger tables,
 // falling back across successor-list entries when fingers are stale, and
-// report the hop count (experiment E5 checks the O(log N) shape).
+// report the hop count (TestHopCountGrowsLogarithmically checks the
+// O(log N) shape).
 package chord
 
 import (
@@ -186,13 +187,10 @@ type Node struct {
 	lossMu   sync.Mutex
 	lossEWMA float64
 
-	// evictions counts routing-state evictions — the finger-churn metric
-	// the scale experiments watch under sustained loss.
-	evictions atomic.Int64
-
-	// evictObs are the eviction observers (AddEvictObserver). They can be
-	// added after the node started, which layered subsystems (the serving
-	// gateway's route cache) need. Guarded by their own mutex so
+	// evictObs are the eviction observers (AddEvictObserver): the serving
+	// gateway's route cache, and the scale tests' false-eviction count.
+	// They can be added after the node started, which layered subsystems
+	// like the gateway need. Guarded by their own mutex so
 	// registration never contends with routing state.
 	evictObsMu sync.Mutex
 	evictObs   []func(dead msg.NodeRef)
@@ -650,11 +648,6 @@ func (n *Node) Running() bool {
 	defer n.mu.RUnlock()
 	return n.started && !n.stopped
 }
-
-// Evictions returns how many times this node evicted a peer from its
-// routing state (fingers, successor list, predecessor) — each eviction
-// is churn the following stabilization rounds must repair.
-func (n *Node) Evictions() int64 { return n.evictions.Load() }
 
 // LookupStats returns the number of lookups initiated at this node and
 // their mean hop count.

@@ -303,7 +303,6 @@ func (n *Node) clearSuspicion(addr string) {
 // evict removes a dead node from the local routing state, remembering it
 // in the eviction history in case the suspicion was false.
 func (n *Node) evict(dead msg.NodeRef) {
-	n.evictions.Add(1)
 	n.cEvictions.Add(1)
 	n.rec.Record(nil, "chord-evict", dead.Addr, "")
 	n.evictObsMu.Lock()

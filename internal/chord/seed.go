@@ -10,7 +10,7 @@ import (
 // SeedRing wires the given not-yet-started nodes into an already
 // consistent ring — successor lists, predecessors and finger tables are
 // computed directly from the sorted membership — and then starts their
-// maintenance. It is the warm start the scale experiments use: building
+// maintenance. It is the warm start the scale tests use: building
 // a thousand-peer ring through sequential Joins costs O(N log N) RPC
 // round trips of (virtual) time before the measured phase can begin,
 // whereas a seeded ring is in the same state those joins converge to.

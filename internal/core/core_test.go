@@ -364,13 +364,18 @@ func TestJoinDuringEditing(t *testing.T) {
 	if r.CommittedTS() != 6 {
 		t.Fatalf("ts=%d want 6 (continuity across joins)", r.CommittedTS())
 	}
-	// A replica on a new peer converges to the same text.
+	// A replica on a new peer converges to the same text. Without
+	// checkpoints its cold join replays the whole history — the cost
+	// TestColdJoinBootstrapsFromCheckpoint bounds by the interval.
 	nr := core.NewReplica(c.Peers[len(c.Peers)-1], key, "newbie")
 	if err := nr.Pull(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if nr.Text() != r.Text() {
 		t.Fatalf("new peer diverged: %q vs %q", nr.Text(), r.Text())
+	}
+	if _, retrieved := nr.Stats(); retrieved != 6 {
+		t.Fatalf("cold join without checkpoints fetched %d patches, want all 6", retrieved)
 	}
 }
 

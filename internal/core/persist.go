@@ -19,6 +19,9 @@ type replicaState struct {
 	CommittedTS uint64
 	Lines       []string
 	Tentative   []patch.Op
+	// PendingID is the patch ID minted for Tentative, so a Commit retried
+	// after a restart is recognised in the log (empty = none minted).
+	PendingID string
 }
 
 // snapshotLocked captures the current state; r.mu must be held.
@@ -30,6 +33,7 @@ func (r *Replica) snapshotLocked() replicaState {
 		CommittedTS: r.committedTS,
 		Lines:       r.committed.Lines(),
 		Tentative:   append([]patch.Op(nil), r.tentative...),
+		PendingID:   r.pendingID,
 	}
 }
 
@@ -45,6 +49,7 @@ func (r *Replica) restoreLocked(st replicaState) error {
 	r.committedTS = st.CommittedTS
 	r.committed = patch.FromLines(st.Lines)
 	r.tentative = append([]patch.Op(nil), st.Tentative...)
+	r.pendingID = st.PendingID
 	return nil
 }
 
@@ -70,9 +75,10 @@ const compactThreshold = 1 << 20
 
 // OpenReplica opens (or creates) a durable replica journaled at path.
 // If the journal holds a previous session's state for the same document
-// and site, it is restored — committed prefix, tentative edits and the
-// author's patch sequence number all survive the restart, preserving the
-// continuity of PatchIDs the crash-recovery protocol depends on.
+// and site, it is restored — committed prefix, tentative edits, their
+// pending patch ID and the author's patch sequence number all survive the
+// restart, preserving the continuity of PatchIDs the crash-recovery
+// protocol depends on.
 //
 // Commit and Pull persist automatically; call Save after local edits that
 // must survive a crash before the next commit. Close the replica's

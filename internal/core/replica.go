@@ -79,8 +79,9 @@ type Replica struct {
 	ckptPublished  int64
 	ckptBootstraps int64
 	ckptRebases    int64
-	// noCkptProduce suppresses boundary-author snapshot production (the
-	// harness models an author dying right after its boundary commit).
+	// noCkptProduce suppresses boundary-author snapshot production (tests,
+	// plans and the benchmark model an author dying right after its
+	// boundary commit).
 	noCkptProduce bool
 	// rebaseOnCkpt opts into rebasing tentative edits onto the checkpoint
 	// state when the log prefix beneath them was truncated.
@@ -171,7 +172,8 @@ func (r *Replica) Rebases() int64 {
 }
 
 // SetCheckpointProduction toggles this replica's boundary-author snapshot
-// production (on by default). The harness turns it off to model an author
+// production (on by default). The maintain tests, the plan runner's
+// boundary-author kills and churn-heal turn it off to model an author
 // that dies right after its boundary commit — the liveness gap the
 // maintenance engine's fallback producer closes.
 func (r *Replica) SetCheckpointProduction(on bool) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,36 +90,55 @@ func retryWorld(t *testing.T) (c *ringtest.Cluster, ep *ackLoser, front *flakyFr
 // TestRetriedCommitKeepsPatchID: the master grants and logs bob's patch,
 // the ack is lost, and the catch-up that would have recognised the patch
 // in the log fails before reaching it, so Commit errors. The retry must
-// go out under the same patch ID: it then finds its own record, the line
-// lands once and the timestamp returned is the one the log holds.
+// go out under the same patch ID — also when bob's replica is saved and
+// reopened from its journal in between: it then finds its own record,
+// the line lands once and the timestamp returned is the one the log holds.
 func TestRetriedCommitKeepsPatchID(t *testing.T) {
-	c, ep, front, host, key := retryWorld(t)
-	ctx := ctxT(t, 60*time.Second)
-	bob := core.NewReplica(host, key, "bob")
-	if err := bob.Insert(0, "bob's line"); err != nil {
-		t.Fatal(err)
-	}
-	ep.armed.Store(true)
-	front.arm(0)
-	if ts, err := bob.Commit(ctx); err == nil {
-		t.Fatalf("commit with a lost ack and a failed retrieval returned ts %d, want an error", ts)
-	}
-	ts, err := bob.Commit(ctx)
-	if err != nil {
-		t.Fatalf("retried commit: %v", err)
-	}
-	if ts != 1 {
-		t.Fatalf("retried commit returned ts %d, the log holds the patch at 1", ts)
-	}
-	reader := core.NewReplica(c.Peers[1], key, "reader")
-	if err := reader.Pull(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(reader.Text(), "bob's line"); n != 1 || reader.CommittedTS() != 1 {
-		t.Fatalf("line occurs %d times at ts %d, want once at ts 1: %q", n, reader.CommittedTS(), reader.Text())
-	}
-	if bob.Text() != reader.Text() || bob.Dirty() {
-		t.Fatalf("bob diverged or still dirty: %q vs %q", bob.Text(), reader.Text())
+	for _, reopen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+			c, ep, front, host, key := retryWorld(t)
+			ctx := ctxT(t, 60*time.Second)
+			path := filepath.Join(t.TempDir(), "bob.journal")
+			bob, err := core.OpenReplica(host, key, "bob", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bob.Insert(0, "bob's line"); err != nil {
+				t.Fatal(err)
+			}
+			ep.armed.Store(true)
+			front.arm(0)
+			if ts, err := bob.Commit(ctx); err == nil {
+				t.Fatalf("commit with a lost ack and a failed retrieval returned ts %d, want an error", ts)
+			}
+			if reopen {
+				if err := bob.Save(); err != nil {
+					t.Fatal(err)
+				}
+				if err := bob.CloseJournal(); err != nil {
+					t.Fatal(err)
+				}
+				if bob, err = core.OpenReplica(host, key, "bob", path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer bob.CloseJournal()
+			ts, err := bob.Commit(ctx)
+			if err != nil {
+				t.Fatalf("retried commit: %v", err)
+			}
+			reader := core.NewReplica(c.Peers[1], key, "reader")
+			if err := reader.Pull(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(reader.Text(), "bob's line"); n != 1 || ts != 1 || reader.CommittedTS() != 1 {
+				t.Fatalf("retried commit ts %d, line occurs %d times, log at ts %d; want ts 1, once: %q",
+					ts, n, reader.CommittedTS(), reader.Text())
+			}
+			if bob.Text() != reader.Text() || bob.Dirty() {
+				t.Fatalf("bob diverged or still dirty: %q vs %q", bob.Text(), reader.Text())
+			}
+		})
 	}
 }
 

@@ -67,8 +67,6 @@ type Service struct {
 	// raises the floor — once-per-process derivation left every later
 	// pointer advance invisible until the next restart.
 	floorCheckedAt map[string]time.Time
-	// noSuccCopies disables the Log-Peers-Succ mechanism (ablation A1).
-	noSuccCopies bool
 
 	// parkMu guards parked: the reads parked on each empty primary slot,
 	// in arrival order (see parkGet). Its own lock, so a wake never
@@ -130,21 +128,6 @@ func NewService(ring chord.Ring, clk vclock.Clock, rec *flightrec.Recorder, floo
 // replica-puts, gets, get-misses, deletes, promotions,
 // floor-swept-slots, floors-derived, rehomes.
 func (s *Service) Counters() *metrics.Family { return s.counters }
-
-// SetSuccessorReplication toggles the Log-Peers-Succ mechanism. It exists
-// for the A1 ablation, which measures what each availability mechanism
-// contributes; production peers leave it on.
-func (s *Service) SetSuccessorReplication(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noSuccCopies = !on
-}
-
-func (s *Service) succCopiesEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.noSuccCopies
-}
 
 // DefaultFloorRecheck is how often deriveFloors re-consults the hint
 // for a key it already checked: long enough that steady-state passes
@@ -432,7 +415,7 @@ func (s *Service) wakeParked(id ids.ID) {
 // successor, asynchronously and best-effort: a missed copy is restored by
 // the P2P-Log's read repair or the next put.
 func (s *Service) replicateToSucc(items []msg.StateItem) {
-	if len(items) == 0 || !s.succCopiesEnabled() {
+	if len(items) == 0 {
 		return
 	}
 	succ := s.rng.Successor()
@@ -450,7 +433,7 @@ func (s *Service) replicateToSucc(items []msg.StateItem) {
 // asynchronously and best-effort: a survivor copy costs storage until
 // the floor piggybacked on the next Maintain refresh reclaims it.
 func (s *Service) deleteFromSucc(idsToDrop []ids.ID, floor msg.TruncFloor) {
-	if len(idsToDrop) == 0 || !s.succCopiesEnabled() {
+	if len(idsToDrop) == 0 {
 		return
 	}
 	succ := s.rng.Successor()
@@ -471,9 +454,6 @@ func (s *Service) deleteFromSucc(idsToDrop []ids.ID, floor msg.TruncFloor) {
 func (s *Service) Maintain(ctx context.Context) {
 	s.deriveFloors(ctx)
 	s.rehomeStranded(ctx)
-	if !s.succCopiesEnabled() {
-		return
-	}
 	// Promote owned replica entries to primary (crash takeover without
 	// waiting for a read). The truncation low-water mark gates promotion:
 	// a copy of a reclaimed log slot that survived the async replica

@@ -98,22 +98,3 @@ func TestCrashPromotesSuccessorCopy(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestSuccessorReplicationToggle: with the mechanism off, no copies are
-// pushed (the A1 ablation's lever).
-func TestSuccessorReplicationToggle(t *testing.T) {
-	c := newCluster(t, 4)
-	for _, p := range c.Peers {
-		p.DHT.SetSuccessorReplication(false)
-	}
-	ctx := context.Background()
-	if err := c.Peers[0].Client.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	for _, p := range c.Peers {
-		if p.DHT.ReplicaStore().Len() != 0 {
-			t.Fatalf("copies pushed despite toggle off")
-		}
-	}
-}

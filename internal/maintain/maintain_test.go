@@ -258,6 +258,19 @@ func TestTruncationRateLimited(t *testing.T) {
 	if snap := counters(c); snap["truncations"] != 2 {
 		t.Fatalf("truncations = %d after the window, want 2", snap["truncations"])
 	}
+
+	// A cold joiner on the reclaimed document catches up from the
+	// checkpoint and extends the total order where it left off.
+	joiner := core.NewReplica(c.Peers[3], key, "joiner")
+	if err := joiner.Pull(context.Background()); err != nil {
+		t.Fatalf("cold join after auto-truncation: %v", err)
+	}
+	if joiner.Text() != w.Text() {
+		t.Fatalf("joiner diverged:\n%q\nvs\n%q", joiner.Text(), w.Text())
+	}
+	if ts := commit(t, joiner, 1); ts != 2*interval+1 {
+		t.Fatalf("commit after auto-truncation got ts %d, want %d", ts, 2*interval+1)
+	}
 }
 
 // TestNoopWhenAuthorCheckpointed: when the boundary author did its job,

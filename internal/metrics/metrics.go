@@ -1,8 +1,6 @@
-// Package metrics provides the measurement primitives of the experiment
-// harness and the per-peer instrumentation spine: latency histograms
-// (exact-sample or fixed-bucket), counters, counter families, a registry
-// that aggregates them into one exportable view, and plain-text table
-// rendering for the paper's result series.
+// Package metrics provides the per-peer instrumentation spine: latency
+// histograms (exact-sample or fixed-bucket), counters, counter families
+// and a registry that aggregates them into one exportable view.
 package metrics
 
 import (
@@ -19,8 +17,8 @@ import (
 // Histogram records samples and reports order statistics. It is safe for
 // concurrent use and has two modes:
 //
-//   - Exact mode (NewHistogram): keeps every sample. Right for experiment
-//     harnesses that record thousands of points and want exact quantiles.
+//   - Exact mode (NewHistogram): keeps every sample. Right for bounded
+//     runs that record thousands of points and want exact quantiles.
 //   - Fixed-bucket mode (NewBucketedHistogram / NewValueHistogram):
 //     constant memory per histogram — bucket counts plus sum/min/max —
 //     for always-on per-peer instrumentation at 1k–10k peers, where
@@ -345,71 +343,4 @@ func (f *Family) String() string {
 		parts[i] = fmt.Sprintf("%s=%d", name, snap[name])
 	}
 	return strings.Join(parts, " ")
-}
-
-// ---------------------------------------------------------------------------
-// Table rendering.
-
-// Table accumulates rows and renders an aligned plain-text table, the
-// output format of every harness experiment.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
-
-// AddRow appends a row; values are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case time.Duration:
-			row[i] = round(v).String()
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(widths) {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return b.String()
 }

@@ -114,31 +114,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	tbl := NewTable("name", "value", "latency")
-	tbl.AddRow("short", 42, 1500*time.Microsecond)
-	tbl.AddRow("a-much-longer-name", 3.14159, 2*time.Second)
-	out := tbl.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table lines: %d\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "name") || !strings.Contains(lines[1], "---") {
-		t.Fatalf("header/separator:\n%s", out)
-	}
-	if !strings.Contains(out, "3.14") {
-		t.Fatalf("float formatting:\n%s", out)
-	}
-	if !strings.Contains(out, "1.5ms") {
-		t.Fatalf("duration formatting:\n%s", out)
-	}
-	// Columns align: the header and first row start each column at the
-	// same offset.
-	if len(lines[0]) == 0 || len(lines[2]) == 0 {
-		t.Fatalf("empty lines")
-	}
-}
-
 func TestSummaryFormat(t *testing.T) {
 	h := NewHistogram()
 	for i := 0; i < 10; i++ {

@@ -58,7 +58,7 @@ func (n NodeRef) String() string {
 // Chord maintenance RPCs.
 
 // FindSuccessorReq asks a node to locate successor(Key). Hops counts the
-// routing steps accumulated so far (used by experiment E5).
+// routing steps accumulated so far (the chord.hops_per_lookup probe reads it).
 type FindSuccessorReq struct {
 	Key  ids.ID
 	Hops int

@@ -48,29 +48,24 @@ type Record struct {
 
 // Log reads and writes the P2P-Log through a DHT client.
 type Log struct {
-	c          *dht.Client
-	replicas   int
-	readRepair bool
-	clock      vclock.Clock
+	c        *dht.Client
+	replicas int
+	clock    vclock.Clock
 }
 
 // New returns a log view with the given replication factor n = |Hr|
-// (DefaultReplicas if n <= 0). Read repair is enabled by default: a fetch
-// that finds the record at some replica re-publishes it to replicas that
-// are missing it, restoring the replication degree after Log-Peer crashes
-// and re-homing slots onto the peers that currently own their positions.
-// The windowed-retrieval worker goroutines run on clk, so virtual-time
+// (DefaultReplicas if n <= 0). Every read repairs: a fetch that finds the
+// record at some replica re-publishes it to replicas that are missing it,
+// restoring the replication degree after Log-Peer crashes and re-homing
+// slots onto the peers that currently own their positions. The
+// windowed-retrieval worker goroutines run on clk, so virtual-time
 // simulations can account for them.
 func New(c *dht.Client, replicas int, clk vclock.Clock) *Log {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Log{c: c, replicas: replicas, readRepair: true, clock: clk}
+	return &Log{c: c, replicas: replicas, clock: clk}
 }
-
-// SetReadRepair toggles fetch-time re-replication (used by the E6
-// availability ablation to measure the bare replication factor).
-func (l *Log) SetReadRepair(on bool) { l.readRepair = on }
 
 // Replicas returns the replication factor n.
 func (l *Log) Replicas() int { return l.replicas }
@@ -143,10 +138,9 @@ func (l *Log) Publish(ctx context.Context, rec Record) (PublishResult, error) {
 	return res, nil
 }
 
-// Fetch retrieves the committed patch at (key, ts). Without read repair
-// it returns at the first replica found (minimum cost); with read repair
-// it probes every replica slot and restores the ones observed missing
-// from the found copy, so the replication degree heals on the read path.
+// Fetch retrieves the committed patch at (key, ts). It probes every
+// replica slot and restores the ones observed missing from the found
+// copy, so the replication degree heals on the read path.
 func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) {
 	var (
 		lastErr error
@@ -157,10 +151,7 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 	)
 	for i := 0; i < l.replicas; i++ {
 		slot := ids.ReplicaHash(i, key, ts)
-		if have && !l.readRepair {
-			break
-		}
-		if have && l.readRepair {
+		if have {
 			// Only probing for holes to repair from here on.
 			if _, found, err := l.c.GetID(ctx, slot); err == nil && !found {
 				missing = append(missing, i)
@@ -182,9 +173,6 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 			continue
 		}
 		rec, enc, have = r, v, true
-		if !l.readRepair {
-			break
-		}
 	}
 	if !have {
 		if lastErr != nil {
@@ -192,7 +180,7 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 		}
 		return Record{}, fmt.Errorf("%w (key=%s ts=%d)", ErrMissing, key, ts)
 	}
-	if l.readRepair && len(missing) > 0 {
+	if len(missing) > 0 {
 		l.repair(ctx, rec, enc, missing)
 	}
 	return rec, nil

@@ -298,34 +298,6 @@ func TestReadRepairRestoresMissingReplicas(t *testing.T) {
 	}
 }
 
-// TestReadRepairDisabled: with repair off, missing slots stay missing.
-func TestReadRepairDisabled(t *testing.T) {
-	c := newCluster(t, 5, 3)
-	ctx := context.Background()
-	log := c.Peers[0].Log
-	log.SetReadRepair(false)
-	rec := p2plog.Record{Key: "norepair-doc", TS: 1, PatchID: "u#1", Patch: []byte("x")}
-	if _, err := log.Publish(ctx, rec); err != nil {
-		t.Fatal(err)
-	}
-	pos := ids.ReplicaHash(1, "norepair-doc", 1)
-	for _, p := range c.Peers {
-		p.DHT.Store().Delete(pos)
-		p.DHT.ReplicaStore().Delete(pos)
-	}
-	reader := c.Peers[2].Log
-	reader.SetReadRepair(false)
-	if _, err := reader.Fetch(ctx, "norepair-doc", 1); err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	for _, p := range c.Peers {
-		if _, ok := p.DHT.Store().Get(pos); ok {
-			t.Fatalf("slot repaired despite repair disabled")
-		}
-	}
-}
-
 // TestFetchRangePrefetchWindows: ranges shorter than, equal to and
 // straddling the 8-record prefetch window all come back whole and in
 // total order, and a hole on either side of a window edge stops the
@@ -409,14 +381,13 @@ func TestFetchRangeParallelHoleStopsPrefix(t *testing.T) {
 }
 
 // TestFetchFallsBackWhenFirstReplicaMissing: retrieval must survive the
-// FIRST Hr replica being gone (not just a middle one) with repair off —
-// this is the path a partially applied Truncate leaves behind, and the
-// one checkpoint-gated truncation must never break for the live tail.
+// FIRST Hr replica being gone (not just a middle one) — this is the path
+// a partially applied Truncate leaves behind, and the one
+// checkpoint-gated truncation must never break for the live tail.
 func TestFetchFallsBackWhenFirstReplicaMissing(t *testing.T) {
 	c := newCluster(t, 6, 3)
 	ctx := context.Background()
 	log := c.Peers[0].Log
-	log.SetReadRepair(false)
 	rec := p2plog.Record{Key: "fb-doc", TS: 1, PatchID: "u#1", Patch: []byte("x")}
 	if _, err := log.Publish(ctx, rec); err != nil {
 		t.Fatal(err)
@@ -426,9 +397,7 @@ func TestFetchFallsBackWhenFirstReplicaMissing(t *testing.T) {
 		p.DHT.Store().Delete(pos)
 		p.DHT.ReplicaStore().Delete(pos)
 	}
-	reader := c.Peers[4].Log
-	reader.SetReadRepair(false)
-	got, err := reader.Fetch(ctx, "fb-doc", 1)
+	got, err := c.Peers[4].Log.Fetch(ctx, "fb-doc", 1)
 	if err != nil {
 		t.Fatalf("fetch with first replica down: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Package ringtest provides helpers for building simulated P2P-LTR rings
-// in tests, examples and the experiment harness.
+// in tests, benchmarks and examples.
 package ringtest
 
 import (

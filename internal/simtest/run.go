@@ -139,9 +139,9 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 		res.TraceSpans++
 		r.mu.Unlock()
 	})
-	// Paper-like timers, as in E11: virtual time makes aggressive
-	// periods pointless, and at 512+ peers their event rate would
-	// dominate the wall-time budget.
+	// Paper-like timers, as in chord's scale tests: virtual time makes
+	// aggressive periods pointless, and at 512+ peers their event rate
+	// would dominate the wall-time budget.
 	r.opts = core.Options{
 		Chord: chord.Config{
 			SuccListLen:     8,

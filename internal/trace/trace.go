@@ -177,8 +177,9 @@ func (t *Tracer) SetOrigin(origin string) {
 }
 
 // SetSink installs a callback invoked synchronously (outside the tracer
-// lock, on the ending goroutine) with every finished span. The harness
-// uses it to collect full span sets that outlive the recent ring.
+// lock, on the ending goroutine) with every finished span. The plan
+// runner and the benchmark use it to collect full span sets that outlive
+// the recent ring.
 func (t *Tracer) SetSink(fn func(SpanData)) {
 	if t == nil {
 		return

@@ -20,34 +20,6 @@ type ConstantLatency time.Duration
 // Delay implements LatencyModel.
 func (c ConstantLatency) Delay(from, to Addr) time.Duration { return time.Duration(c) }
 
-// UniformLatency draws delays uniformly from [Min, Max].
-type UniformLatency struct {
-	Min, Max time.Duration
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewUniformLatency returns a uniform model seeded deterministically so
-// experiments are reproducible.
-func NewUniformLatency(min, max time.Duration, seed int64) *UniformLatency {
-	if max < min {
-		min, max = max, min
-	}
-	return &UniformLatency{Min: min, Max: max, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Delay implements LatencyModel.
-func (u *UniformLatency) Delay(from, to Addr) time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	span := int64(u.Max - u.Min)
-	if span <= 0 {
-		return u.Min
-	}
-	return u.Min + time.Duration(u.rng.Int63n(span+1))
-}
-
 // LogNormalLatency models heavy-tailed WAN delays: most messages arrive
 // around Median, a few take much longer. Sigma controls the tail weight
 // (0.5 is a reasonable internet-like value).

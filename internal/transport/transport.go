@@ -4,9 +4,9 @@
 //
 //   - Simnet: an in-process simulated network with configurable latency
 //     models, message loss, partitions, and peer crashes. It replaces the
-//     Java-RMI LAN of the paper's prototype and is what the experiment
-//     harness uses ("we may specify the number of peers or network
-//     latencies, or may provoke failures").
+//     Java-RMI LAN of the paper's prototype and is what tests, plans and
+//     the benchmark run on ("we may specify the number of peers or
+//     network latencies, or may provoke failures").
 //   - TCP: a real framed-gob RPC transport over net.Conn with persistent,
 //     multiplexed connections, for running peers as separate processes.
 //

@@ -351,18 +351,6 @@ func TestTCPAllMessageTypesRoundTrip(t *testing.T) {
 }
 
 func TestLatencyModels(t *testing.T) {
-	u := NewUniformLatency(time.Millisecond, 3*time.Millisecond, 7)
-	for i := 0; i < 100; i++ {
-		d := u.Delay("a", "b")
-		if d < time.Millisecond || d > 3*time.Millisecond {
-			t.Fatalf("uniform delay %v out of range", d)
-		}
-	}
-	// Swapped bounds are corrected.
-	u2 := NewUniformLatency(3*time.Millisecond, time.Millisecond, 7)
-	if u2.Min > u2.Max {
-		t.Fatalf("bounds not normalized")
-	}
 	ln := NewLogNormalLatency(2*time.Millisecond, 0.5, 7)
 	var over int
 	for i := 0; i < 1000; i++ {

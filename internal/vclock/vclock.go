@@ -7,9 +7,9 @@
 //
 // Virtual time is what unlocks the paper's evaluation regime: a
 // simulated second costs microseconds instead of a second per goroutine,
-// so thousand-peer churn experiments (harness E11) finish in seconds of
-// real time and — because the scheduler wakes exactly one goroutine per
-// event — replay identically under a fixed seed.
+// so thousand-peer churn runs (internal/chord's scale tests) finish in
+// seconds of real time and — because the scheduler wakes exactly one
+// goroutine per event — replay identically under a fixed seed.
 package vclock
 
 import (

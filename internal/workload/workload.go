@@ -1,12 +1,11 @@
-// Package workload generates the editing workloads, key popularity
-// distributions and churn schedules used by the experiment harness and
-// the declarative plan runner (internal/simtest).
+// Package workload generates the editing workloads and key popularity
+// distributions used by the declarative plan runner (internal/simtest).
 //
 // The paper's prototype lets the operator "specify the number of peers or
 // network latencies, or provoke failures"; this package is the scripted
-// equivalent: deterministic (seeded) generators for concurrent editors,
-// think-time streams, Zipf-distributed document popularity, and Poisson
-// join/leave churn.
+// equivalent for the editing side: deterministic (seeded) generators for
+// concurrent editors, think-time streams and Zipf-distributed document
+// popularity.
 //
 // Every duration this package produces feeds a scheduler — virtual or
 // real — through the vclock seam, so nothing here may read the wall
@@ -129,74 +128,6 @@ func (z *ZipfKeys) Next() string { return z.keys[z.z.Uint64()] }
 
 // Keys returns all keys (index 0 = hottest).
 func (z *ZipfKeys) Keys() []string { return append([]string(nil), z.keys...) }
-
-// ---------------------------------------------------------------------------
-// Churn.
-
-// ChurnEventKind enumerates membership events.
-type ChurnEventKind uint8
-
-const (
-	// ChurnJoin adds a fresh peer.
-	ChurnJoin ChurnEventKind = iota
-	// ChurnLeave makes a random peer depart gracefully.
-	ChurnLeave
-	// ChurnCrash fail-stops a random peer.
-	ChurnCrash
-)
-
-func (k ChurnEventKind) String() string {
-	switch k {
-	case ChurnJoin:
-		return "join"
-	case ChurnLeave:
-		return "leave"
-	case ChurnCrash:
-		return "crash"
-	default:
-		return fmt.Sprintf("churn(%d)", uint8(k))
-	}
-}
-
-// ChurnEvent is one scheduled membership change.
-type ChurnEvent struct {
-	At   time.Duration // offset from experiment start
-	Kind ChurnEventKind
-}
-
-// ChurnSchedule generates a Poisson-arrival churn plan: events arrive
-// with mean inter-arrival meanGap over the given horizon, with the
-// specified mix of joins/leaves/crashes (weights need not sum to 1).
-func ChurnSchedule(horizon, meanGap time.Duration, joinW, leaveW, crashW float64, seed int64) []ChurnEvent {
-	rng := rand.New(rand.NewSource(seed))
-	total := joinW + leaveW + crashW
-	if total <= 0 {
-		return nil
-	}
-	var events []ChurnEvent
-	t := time.Duration(0)
-	for {
-		// Exponential inter-arrival, clamped so the draw stays additive-
-		// safe (an unlucky ExpFloat64 times a huge meanGap overflows the
-		// Duration conversion and would schedule the event in the past).
-		gap := clampGap(rng.ExpFloat64() * float64(meanGap))
-		t += gap
-		if t >= horizon {
-			return events
-		}
-		u := rng.Float64() * total
-		var kind ChurnEventKind
-		switch {
-		case u < joinW:
-			kind = ChurnJoin
-		case u < joinW+leaveW:
-			kind = ChurnLeave
-		default:
-			kind = ChurnCrash
-		}
-		events = append(events, ChurnEvent{At: t, Kind: kind})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Document corpus.

@@ -84,51 +84,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestChurnSchedule(t *testing.T) {
-	events := ChurnSchedule(10*time.Second, time.Second, 1, 1, 1, 5)
-	if len(events) < 3 {
-		t.Fatalf("only %d events in 10s at ~1/s", len(events))
-	}
-	last := time.Duration(0)
-	kinds := map[ChurnEventKind]int{}
-	for _, ev := range events {
-		if ev.At < last {
-			t.Fatalf("events out of order")
-		}
-		if ev.At >= 10*time.Second {
-			t.Fatalf("event beyond horizon")
-		}
-		last = ev.At
-		kinds[ev.Kind]++
-	}
-	if len(kinds) < 2 {
-		t.Fatalf("kind mix too narrow: %v", kinds)
-	}
-	// Zero weights -> no events.
-	if ev := ChurnSchedule(time.Second, time.Millisecond, 0, 0, 0, 1); ev != nil {
-		t.Fatalf("zero-weight schedule produced events")
-	}
-	// Deterministic.
-	a := ChurnSchedule(5*time.Second, time.Second, 1, 2, 3, 9)
-	b := ChurnSchedule(5*time.Second, time.Second, 1, 2, 3, 9)
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different schedules")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedule diverged at %d", i)
-		}
-	}
-}
-
-func TestChurnKindString(t *testing.T) {
-	for _, k := range []ChurnEventKind{ChurnJoin, ChurnLeave, ChurnCrash, ChurnEventKind(9)} {
-		if k.String() == "" {
-			t.Fatalf("empty string for kind %d", k)
-		}
-	}
-}
-
 func TestCorpus(t *testing.T) {
 	if Corpus(0) != "" {
 		t.Fatalf("empty corpus")
