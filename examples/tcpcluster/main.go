@@ -1,5 +1,5 @@
 // Tcpcluster: the same protocol over real TCP sockets — five peers on
-// localhost, no simulation. Demonstrates that the gob-RPC transport and
+// localhost, no simulation. Demonstrates that the framed TCP RPC transport and
 // the simulated one are interchangeable behind the core API.
 package main
 

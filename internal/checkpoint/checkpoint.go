@@ -27,7 +27,6 @@ package checkpoint
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strconv"
@@ -35,6 +34,7 @@ import (
 
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
+	"p2pltr/internal/msg"
 	"p2pltr/internal/p2plog"
 )
 
@@ -77,17 +77,31 @@ func ShouldCheckpoint(interval, ts uint64) bool {
 	return interval > 0 && ts > 0 && ts%interval == 0
 }
 
-func encode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// The leading bytes of a stored checkpoint and pointer (see msg.Marshal).
+const (
+	checkpointFormat = 0xC1
+	pointerFormat    = 0xC2
+)
+
+func (cp *Checkpoint) wire(c *msg.Coder) {
+	c.String(&cp.Key)
+	c.Uint64(&cp.TS)
+	msg.Slice(c, &cp.Lines, 1, msg.StringElem)
+}
+
+func (p *Pointer) wire(c *msg.Coder) { c.String(&p.Key); c.Uint64(&p.TS) }
+
+func encode(format byte, wire func(*msg.Coder)) ([]byte, error) {
+	b, err := msg.Marshal(format, wire)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 func decodeCheckpoint(b []byte) (Checkpoint, error) {
 	var cp Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cp); err != nil {
+	if err := msg.Unmarshal(b, checkpointFormat, cp.wire); err != nil {
 		return Checkpoint{}, fmt.Errorf("checkpoint: decode: %w", err)
 	}
 	return cp, nil
@@ -95,7 +109,7 @@ func decodeCheckpoint(b []byte) (Checkpoint, error) {
 
 func decodePointer(b []byte) (Pointer, error) {
 	var p Pointer
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
+	if err := msg.Unmarshal(b, pointerFormat, p.wire); err != nil {
 		return Pointer{}, fmt.Errorf("checkpoint: decode pointer: %w", err)
 	}
 	return p, nil
@@ -124,7 +138,7 @@ func (s *Store) Replicas() int { return s.replicas }
 // least one replica must accept; a slot occupied by a different snapshot
 // aborts with ErrConflict.
 func (s *Store) Publish(ctx context.Context, cp Checkpoint) (stored int, err error) {
-	enc, err := encode(cp)
+	enc, err := encode(checkpointFormat, cp.wire)
 	if err != nil {
 		return 0, err
 	}
@@ -230,7 +244,8 @@ func (s *Store) FullyReplicated(ctx context.Context, key string, ts uint64) (boo
 // the caller (the KTS master serializes per-key updates, so pointers are
 // only ever overwritten in increasing timestamp order).
 func (s *Store) WritePointer(ctx context.Context, key string, ts uint64) error {
-	enc, err := encode(Pointer{Key: key, TS: ts})
+	ptr := Pointer{Key: key, TS: ts}
+	enc, err := encode(pointerFormat, ptr.wire)
 	if err != nil {
 		return err
 	}

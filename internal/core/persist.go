@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"p2pltr/internal/msg"
 	"p2pltr/internal/patch"
 	"p2pltr/internal/wal"
 )
@@ -53,17 +52,32 @@ func (r *Replica) restoreLocked(st replicaState) error {
 	return nil
 }
 
+// stateFormat is the leading byte of a journaled snapshot (see
+// msg.Marshal). A journal written before the codec replaced gob starts
+// with a gob length byte instead and is rejected with msg.ErrFormat.
+const stateFormat = 0xD1
+
+func (st *replicaState) wire(c *msg.Coder) {
+	c.String(&st.Key)
+	c.String(&st.Site)
+	c.Uint64(&st.Seq)
+	c.Uint64(&st.CommittedTS)
+	msg.Slice(c, &st.Lines, 1, msg.StringElem)
+	patch.WireOps(c, &st.Tentative)
+	c.String(&st.PendingID)
+}
+
 func encodeState(st replicaState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	b, err := msg.Marshal(stateFormat, st.wire)
+	if err != nil {
 		return nil, fmt.Errorf("core: encode snapshot: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 func decodeState(b []byte) (replicaState, error) {
 	var st replicaState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+	if err := msg.Unmarshal(b, stateFormat, st.wire); err != nil {
 		return replicaState{}, fmt.Errorf("core: decode snapshot: %w", err)
 	}
 	return st, nil

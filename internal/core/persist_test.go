@@ -1,12 +1,18 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"p2pltr/internal/core"
+	"p2pltr/internal/msg"
+	"p2pltr/internal/wal"
 )
 
 func TestPersistentReplicaSurvivesRestart(t *testing.T) {
@@ -146,6 +152,37 @@ func TestPersistentReplicaManyCommitsCompact(t *testing.T) {
 	defer r2.CloseJournal()
 	if r2.Text() != want || r2.CommittedTS() != 30 {
 		t.Fatalf("restore after many commits: ts=%d", r2.CommittedTS())
+	}
+}
+
+// TestGobJournalRejected: a journal whose snapshots were gob-encoded, as
+// releases before the wire codec wrote them, fails to open with
+// msg.ErrFormat naming gob instead of restoring anything.
+func TestGobJournalRejected(t *testing.T) {
+	c := newCluster(t, 1)
+	path := filepath.Join(t.TempDir(), "j")
+	j, err := wal.Open(path, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	st := struct {
+		Key, Site        string
+		Seq, CommittedTS uint64
+		Lines            []string
+	}{"doc", "alice", 3, 2, []string{"x"}}
+	if err := gob.NewEncoder(&old).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.OpenReplica(c.Peers[0], "doc", "alice", path)
+	if !errors.Is(err, msg.ErrFormat) || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("gob journal: err %v, want msg.ErrFormat naming gob", err)
 	}
 }
 

@@ -3,15 +3,15 @@
 // Every RPC in the system — Chord maintenance, DHT storage, the KTS
 // timestamp service, and the P2P-Log — is a request/response pair of
 // concrete types from this package. Concrete types (rather than ad-hoc
-// maps) keep the protocol auditable and let the TCP transport encode
-// everything with encoding/gob.
+// maps) keep the protocol auditable. Each type lists its wire fields in a
+// wire method beside it, and the tag table at the end of this file names
+// every type the TCP transport can carry (the codec is in wire.go).
 //
 // Messages must be treated as immutable once sent: the in-process simnet
 // transport passes them by reference.
 package msg
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -30,6 +30,11 @@ type NodeRef struct {
 	Addr string
 }
 
+func (n *NodeRef) wire(c *Coder) { c.ID(&n.ID); c.String(&n.Addr) }
+
+// nodeRefMin is the fewest bytes a NodeRef encodes to.
+const nodeRefMin = 9
+
 // IsZero reports whether the reference is unset.
 func (n NodeRef) IsZero() bool { return n.Addr == "" }
 
@@ -39,13 +44,16 @@ func (n NodeRef) IsZero() bool { return n.Addr == "" }
 // and the RPC hop depth below the root. The zero value means "no active
 // trace" and costs nothing on the wire beyond its fixed fields. It is a
 // plain envelope field, not a Message: transports copy it alongside the
-// request (tcpnet gob-encodes it inside its envelope; simnet carries it
+// request (tcpnet encodes it inside its frame envelope; simnet carries it
 // on the call context), and the trace package interprets it.
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
 	Hops    uint8
 }
+
+// Wire codes the trace context's fields.
+func (t *TraceContext) Wire(c *Coder) { c.Uint64(&t.TraceID); c.Uint64(&t.SpanID); c.Uint8(&t.Hops) }
 
 func (n NodeRef) String() string {
 	if n.IsZero() {
@@ -64,6 +72,8 @@ type FindSuccessorReq struct {
 	Hops int
 }
 
+func (m *FindSuccessorReq) wire(c *Coder) { c.ID(&m.Key); c.Int(&m.Hops) }
+
 // FindSuccessorResp carries either the final responsible node
 // (Final=true) or the next routing hop (Final=false), plus the hop count.
 type FindSuccessorResp struct {
@@ -72,9 +82,13 @@ type FindSuccessorResp struct {
 	Final bool
 }
 
+func (m *FindSuccessorResp) wire(c *Coder) { m.Node.wire(c); c.Int(&m.Hops); c.Bool(&m.Final) }
+
 // NeighborsReq asks a node for its predecessor and successor list; it is
 // the probe used by stabilization.
 type NeighborsReq struct{}
+
+func (*NeighborsReq) wire(*Coder) {}
 
 // NeighborsResp returns the node's current view of the ring around itself.
 type NeighborsResp struct {
@@ -83,16 +97,28 @@ type NeighborsResp struct {
 	Succs []NodeRef
 }
 
+func (m *NeighborsResp) wire(c *Coder) {
+	m.Self.wire(c)
+	m.Pred.wire(c)
+	Slice(c, &m.Succs, nodeRefMin, (*NodeRef).wire)
+}
+
 // NotifyReq tells a node that Candidate might be its predecessor.
 type NotifyReq struct {
 	Candidate NodeRef
 }
 
+func (m *NotifyReq) wire(c *Coder) { m.Candidate.wire(c) }
+
 // PingReq checks liveness.
 type PingReq struct{}
 
+func (*PingReq) wire(*Coder) {}
+
 // Ack is the generic empty success response.
 type Ack struct{}
+
+func (*Ack) wire(*Coder) {}
 
 // HandoverReq is sent by a joining node to its successor: the successor
 // must export all service state in (PredID, NewNode.ID] to the new node.
@@ -100,10 +126,14 @@ type HandoverReq struct {
 	NewNode NodeRef
 }
 
+func (m *HandoverReq) wire(c *Coder) { m.NewNode.wire(c) }
+
 // HandoverResp carries the exported state items, grouped by service.
 type HandoverResp struct {
 	Items []StateItem
 }
+
+func (m *HandoverResp) wire(c *Coder) { Slice(c, &m.Items, stateItemMin, (*StateItem).wire) }
 
 // AbsorbReq is sent by a node leaving voluntarily: it pushes all of its
 // service state to its successor before departing.
@@ -112,12 +142,22 @@ type AbsorbReq struct {
 	Items   []StateItem
 }
 
+func (m *AbsorbReq) wire(c *Coder) {
+	m.Leaving.wire(c)
+	Slice(c, &m.Items, stateItemMin, (*StateItem).wire)
+}
+
 // StateTransferReq migrates service state between live nodes when key
 // responsibility moves during stabilization (a node discovered a new
 // predecessor that now owns part of its range).
 type StateTransferReq struct {
 	From  NodeRef
 	Items []StateItem
+}
+
+func (m *StateTransferReq) wire(c *Coder) {
+	m.From.wire(c)
+	Slice(c, &m.Items, stateItemMin, (*StateItem).wire)
 }
 
 // StateItem is one unit of transferable service state. Service names the
@@ -129,6 +169,16 @@ type StateItem struct {
 	ID      ids.ID
 	Value   []byte
 }
+
+func (s *StateItem) wire(c *Coder) {
+	c.String(&s.Service)
+	c.String(&s.Key)
+	c.ID(&s.ID)
+	c.Bytes(&s.Value)
+}
+
+// stateItemMin is the fewest bytes a StateItem encodes to.
+const stateItemMin = 11
 
 // ---------------------------------------------------------------------------
 // DHT storage service RPCs.
@@ -145,6 +195,13 @@ type DHTPutReq struct {
 	IfAbsent bool
 }
 
+func (m *DHTPutReq) wire(c *Coder) {
+	c.ID(&m.ID)
+	c.String(&m.Key)
+	c.Bytes(&m.Value)
+	c.Bool(&m.IfAbsent)
+}
+
 // DHTPutResp reports whether the value was stored. When IfAbsent was set
 // and the slot was already occupied by different content, Stored is false
 // and Existing carries the occupant.
@@ -152,6 +209,8 @@ type DHTPutResp struct {
 	Stored   bool
 	Existing []byte
 }
+
+func (m *DHTPutResp) wire(c *Coder) { c.Bool(&m.Stored); c.Bytes(&m.Existing) }
 
 // DHTReplicaPutReq is pushed by the peer responsible for a slot to its
 // successor, which stores the copy in its replica set. This implements
@@ -166,6 +225,11 @@ type DHTReplicaPutReq struct {
 	Floors []TruncFloor
 }
 
+func (m *DHTReplicaPutReq) wire(c *Coder) {
+	Slice(c, &m.Items, stateItemMin, (*StateItem).wire)
+	Slice(c, &m.Floors, truncFloorMin, (*TruncFloor).wire)
+}
+
 // DHTRehomeReq batch-migrates stranded primaries to their routed
 // owner: the DHT maintenance pass's bulk equivalent of per-slot
 // DHTPutReq{IfAbsent: true} puts. Ownership over a contiguous ring
@@ -178,12 +242,16 @@ type DHTRehomeReq struct {
 	Items []StateItem
 }
 
+func (m *DHTRehomeReq) wire(c *Coder) { Slice(c, &m.Items, stateItemMin, (*StateItem).wire) }
+
 // DHTRehomeResp acknowledges a batch re-home. Stored counts the items
 // actually written (the rest already had an occupant, which wins); the
 // sender drops its stale copies either way.
 type DHTRehomeResp struct {
 	Stored int
 }
+
+func (m *DHTRehomeResp) wire(c *Coder) { c.Int(&m.Stored) }
 
 // TruncFloor is one document key's truncation low-water mark: every log
 // slot of Key with timestamp <= TS has been reclaimed under a
@@ -193,6 +261,11 @@ type TruncFloor struct {
 	Key string
 	TS  uint64
 }
+
+func (f *TruncFloor) wire(c *Coder) { c.String(&f.Key); c.Uint64(&f.TS) }
+
+// truncFloorMin is the fewest bytes a TruncFloor encodes to.
+const truncFloorMin = 2
 
 // DHTGetReq fetches the value at ring position ID.
 type DHTGetReq struct {
@@ -204,11 +277,15 @@ type DHTGetReq struct {
 	Wait time.Duration
 }
 
+func (m *DHTGetReq) wire(c *Coder) { c.ID(&m.ID); c.Duration(&m.Wait) }
+
 // DHTGetResp returns the value if present.
 type DHTGetResp struct {
 	Found bool
 	Value []byte
 }
+
+func (m *DHTGetResp) wire(c *Coder) { c.Bool(&m.Found); c.Bytes(&m.Value) }
 
 // DHTDeleteReq removes the slot at ring position ID from the responsible
 // peer (and, via a replica delete, from its successor's copy set). The
@@ -225,6 +302,8 @@ type DHTDeleteReq struct {
 	Floor TruncFloor
 }
 
+func (m *DHTDeleteReq) wire(c *Coder) { c.ID(&m.ID); m.Floor.wire(c) }
+
 // DHTDeleteResp reports whether a slot existed and was removed. Swept
 // counts additional primary slots the delete's truncation floor
 // reclaimed on the same peer (see DHTDeleteReq.Floor) — the caller adds
@@ -235,6 +314,8 @@ type DHTDeleteResp struct {
 	Swept   int
 }
 
+func (m *DHTDeleteResp) wire(c *Coder) { c.Bool(&m.Deleted); c.Int(&m.Swept) }
+
 // DHTReplicaDeleteReq is pushed by a slot's owner to its successor after
 // a delete, so stale successor copies cannot resurrect truncated slots.
 type DHTReplicaDeleteReq struct {
@@ -243,6 +324,11 @@ type DHTReplicaDeleteReq struct {
 	// triggered this push (zero Key when the delete was not part of a
 	// truncation sweep).
 	Floor TruncFloor
+}
+
+func (m *DHTReplicaDeleteReq) wire(c *Coder) {
+	Slice(c, &m.IDs, 8, func(id *ids.ID, c *Coder) { c.ID(id) })
+	m.Floor.wire(c)
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +382,13 @@ type ValidateReq struct {
 	PatchID string
 }
 
+func (m *ValidateReq) wire(c *Coder) {
+	c.String(&m.Key)
+	c.Uint64(&m.TS)
+	c.Bytes(&m.Patch)
+	c.String(&m.PatchID)
+}
+
 // ValidateResp is the master's decision.
 type ValidateResp struct {
 	Status      ValidateStatus
@@ -311,10 +404,20 @@ type ValidateResp struct {
 	RetryAfterMS uint64
 }
 
+func (m *ValidateResp) wire(c *Coder) {
+	c.Uint8((*uint8)(&m.Status))
+	c.Uint64(&m.ValidatedTS)
+	c.Uint64(&m.LastTS)
+	c.Uint64(&m.CkptTS)
+	c.Uint64(&m.RetryAfterMS)
+}
+
 // LastTSReq implements last_ts(key).
 type LastTSReq struct {
 	Key string
 }
+
+func (m *LastTSReq) wire(c *Coder) { c.String(&m.Key) }
 
 // LastTSResp returns the last timestamp generated for the key. Known is
 // false when the callee has no entry (ts 0 = no patches yet).
@@ -334,6 +437,14 @@ type LastTSResp struct {
 	HadEntry bool
 }
 
+func (m *LastTSResp) wire(c *Coder) {
+	c.Uint64(&m.LastTS)
+	c.Bool(&m.Known)
+	c.Bool(&m.NotMaster)
+	c.Uint64(&m.CkptTS)
+	c.Bool(&m.HadEntry)
+}
+
 // ReplicateTSReq is sent by the Master-key to its Master-Succ after each
 // grant so that the successor can take over with a correct last-ts.
 type ReplicateTSReq struct {
@@ -342,6 +453,13 @@ type ReplicateTSReq struct {
 	LastTS uint64
 	// CkptTS rides along so a takeover also knows the latest checkpoint.
 	CkptTS uint64
+}
+
+func (m *ReplicateTSReq) wire(c *Coder) {
+	c.String(&m.Key)
+	c.ID(&m.TSID)
+	c.Uint64(&m.LastTS)
+	c.Uint64(&m.CkptTS)
 }
 
 // CheckpointAnnounceReq registers a freshly published checkpoint with the
@@ -353,6 +471,8 @@ type CheckpointAnnounceReq struct {
 	TS  uint64
 }
 
+func (m *CheckpointAnnounceReq) wire(c *Coder) { c.String(&m.Key); c.Uint64(&m.TS) }
+
 // CheckpointAnnounceResp is the master's decision on an announcement.
 // CkptTS is the pointer after the call (>= TS when accepted).
 type CheckpointAnnounceResp struct {
@@ -361,12 +481,18 @@ type CheckpointAnnounceResp struct {
 	NotMaster bool
 }
 
+func (m *CheckpointAnnounceResp) wire(c *Coder) {
+	c.Bool(&m.Accepted)
+	c.Uint64(&m.CkptTS)
+	c.Bool(&m.NotMaster)
+}
+
 // The P2P-Log needs no dedicated RPCs: its write-once replica slots are
 // DHTPutReq{IfAbsent: true} / DHTGetReq at the positions given by the Hr
 // hash family (see internal/p2plog).
 
 // ---------------------------------------------------------------------------
-// Kind implementations and gob registration.
+// Kind implementations and the tag table.
 
 func (FindSuccessorReq) Kind() string  { return "chord.find_successor.req" }
 func (FindSuccessorResp) Kind() string { return "chord.find_successor.resp" }
@@ -398,27 +524,94 @@ func (ReplicateTSReq) Kind() string         { return "kts.replicate.req" }
 func (CheckpointAnnounceReq) Kind() string  { return "kts.ckpt_announce.req" }
 func (CheckpointAnnounceResp) Kind() string { return "kts.ckpt_announce.resp" }
 
-// Register registers every message type with encoding/gob. The TCP
-// transport calls it once; calling it multiple times is harmless.
-func Register() {
-	for _, m := range All() {
-		gob.Register(m)
-	}
+// wireMessage is a Message the codec carries: a type in wireTags.
+type wireMessage interface {
+	Message
+	wire(*Coder)
 }
 
-// All returns one zero value of every message type; used by Register and
-// by protocol round-trip tests.
-func All() []Message {
-	return []Message{
-		&FindSuccessorReq{}, &FindSuccessorResp{},
-		&NeighborsReq{}, &NeighborsResp{},
-		&NotifyReq{}, &PingReq{}, &Ack{},
-		&HandoverReq{}, &HandoverResp{}, &AbsorbReq{}, &StateTransferReq{},
-		&DHTPutReq{}, &DHTPutResp{}, &DHTReplicaPutReq{}, &DHTGetReq{}, &DHTGetResp{},
-		&DHTDeleteReq{}, &DHTDeleteResp{}, &DHTReplicaDeleteReq{},
-		&DHTRehomeReq{}, &DHTRehomeResp{},
-		&ValidateReq{}, &ValidateResp{},
-		&LastTSReq{}, &LastTSResp{}, &ReplicateTSReq{},
-		&CheckpointAnnounceReq{}, &CheckpointAnnounceResp{},
+// wireTags is the message tag table: a message's tag on the wire is its
+// index here, and tag 0 is "no message". Tags are on the wire, so a new
+// type is appended; an index is never reordered or reused.
+var wireTags = [...]func() wireMessage{
+	nil,
+	func() wireMessage { return new(FindSuccessorReq) },
+	func() wireMessage { return new(FindSuccessorResp) },
+	func() wireMessage { return new(NeighborsReq) },
+	func() wireMessage { return new(NeighborsResp) },
+	func() wireMessage { return new(NotifyReq) },
+	func() wireMessage { return new(PingReq) },
+	func() wireMessage { return new(Ack) },
+	func() wireMessage { return new(HandoverReq) },
+	func() wireMessage { return new(HandoverResp) },
+	func() wireMessage { return new(AbsorbReq) },
+	func() wireMessage { return new(StateTransferReq) },
+	func() wireMessage { return new(DHTPutReq) },
+	func() wireMessage { return new(DHTPutResp) },
+	func() wireMessage { return new(DHTReplicaPutReq) },
+	func() wireMessage { return new(DHTGetReq) },
+	func() wireMessage { return new(DHTGetResp) },
+	func() wireMessage { return new(DHTDeleteReq) },
+	func() wireMessage { return new(DHTDeleteResp) },
+	func() wireMessage { return new(DHTReplicaDeleteReq) },
+	func() wireMessage { return new(DHTRehomeReq) },
+	func() wireMessage { return new(DHTRehomeResp) },
+	func() wireMessage { return new(ValidateReq) },
+	func() wireMessage { return new(ValidateResp) },
+	func() wireMessage { return new(LastTSReq) },
+	func() wireMessage { return new(LastTSResp) },
+	func() wireMessage { return new(ReplicateTSReq) },
+	func() wireMessage { return new(CheckpointAnnounceReq) },
+	func() wireMessage { return new(CheckpointAnnounceResp) },
+}
+
+// tagOf maps a message kind to its tag in wireTags.
+var tagOf = func() map[string]uint64 {
+	m := make(map[string]uint64, len(wireTags))
+	for tag, f := range wireTags[1:] {
+		m[f().Kind()] = uint64(tag + 1)
 	}
+	return m
+}()
+
+// Message codes a tagged message: its tag, then its fields. Encoding a
+// message whose type is not in the tag table fails.
+func (c *Coder) Message(m *Message) {
+	if c.dec {
+		tag := c.uvarint()
+		switch {
+		case c.err != nil:
+		case tag == 0:
+			*m = nil
+		case tag >= uint64(len(wireTags)):
+			c.fail("unknown message tag %d", tag)
+		default:
+			wm := wireTags[tag]()
+			wm.wire(c)
+			*m = wm
+		}
+		return
+	}
+	if *m == nil {
+		c.buf = append(c.buf, 0)
+		return
+	}
+	wm, ok := (*m).(wireMessage)
+	tag := tagOf[(*m).Kind()]
+	if !ok || tag == 0 {
+		c.fail("%T has no wire tag", *m)
+		return
+	}
+	c.Uint64(&tag)
+	wm.wire(c)
+}
+
+// All returns one zero value of every message type, in tag order; the
+// protocol round-trip tests range over it.
+func All() []Message {
+	out := make([]Message, 0, len(wireTags)-1)
+	for _, f := range wireTags[1:] {
+		out = append(out, f())
+	}
+	return out
 }

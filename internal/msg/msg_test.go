@@ -1,8 +1,9 @@
 package msg
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,40 +39,41 @@ func TestKindsAreUnique(t *testing.T) {
 	}
 }
 
+// roundTripFrame sends m through one TCP frame, as the transport does,
+// and returns what the reading side decodes.
+func roundTripFrame(t *testing.T, m Message) Message {
+	t.Helper()
+	frame, err := EncodeFrame(0x81, func(c *Coder) { c.Message(&m) })
+	if err != nil {
+		t.Fatalf("encode %T: %v", m, err)
+	}
+	var out Message
+	if err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), 0x81, func(c *Coder) { c.Message(&out) }); err != nil {
+		t.Fatalf("decode %T: %v", m, err)
+	}
+	return out
+}
+
+// TestGobRoundTripAllTypes keeps the name it had when messages crossed
+// TCP as gob; it checks the same property through the wire codec: every
+// message type, sent as its zero value through the Message interface,
+// comes back as the same type.
 func TestGobRoundTripAllTypes(t *testing.T) {
-	Register()
 	for _, m := range All() {
-		var buf bytes.Buffer
-		// Encode through the Message interface, as the TCP transport does.
-		env := struct{ Body Message }{Body: m}
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		var out struct{ Body Message }
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		if out.Body.Kind() != m.Kind() {
-			t.Fatalf("round trip changed kind: %s -> %s", m.Kind(), out.Body.Kind())
+		out := roundTripFrame(t, m)
+		if reflect.TypeOf(out) != reflect.TypeOf(m) || out.Kind() != m.Kind() {
+			t.Fatalf("round trip changed type: %T (%s) -> %T (%s)", m, m.Kind(), out, out.Kind())
 		}
 	}
 }
 
+// TestGobPreservesFields keeps its gob-era name; it checks that a
+// ValidateReq's fields survive one frame of the wire codec.
 func TestGobPreservesFields(t *testing.T) {
-	Register()
 	in := &ValidateReq{Key: "doc", TS: 42, Patch: []byte{1, 2, 3}, PatchID: "a#7"}
-	var buf bytes.Buffer
-	env := struct{ Body Message }{Body: in}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
-	var out struct{ Body Message }
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := out.Body.(*ValidateReq)
+	got, ok := roundTripFrame(t, in).(*ValidateReq)
 	if !ok {
-		t.Fatalf("type lost: %T", out.Body)
+		t.Fatalf("type lost")
 	}
 	if got.Key != in.Key || got.TS != in.TS || got.PatchID != in.PatchID || !bytes.Equal(got.Patch, in.Patch) {
 		t.Fatalf("fields lost: %+v", got)
@@ -90,9 +92,4 @@ func TestValidateStatusString(t *testing.T) {
 			t.Fatalf("%d -> %q, want %q", s, s.String(), want)
 		}
 	}
-}
-
-func TestRegisterIdempotent(t *testing.T) {
-	Register()
-	Register() // must not panic
 }

@@ -13,9 +13,7 @@
 package p2plog
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -23,6 +21,7 @@ import (
 
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
+	"p2pltr/internal/msg"
 	"p2pltr/internal/vclock"
 )
 
@@ -44,6 +43,16 @@ type Record struct {
 	TS      uint64
 	PatchID string
 	Patch   []byte
+}
+
+// recordFormat is the leading byte of a stored record (see msg.Marshal).
+const recordFormat = 0xB1
+
+func (r *Record) wire(c *msg.Coder) {
+	c.String(&r.Key)
+	c.Uint64(&r.TS)
+	c.String(&r.PatchID)
+	c.Bytes(&r.Patch)
 }
 
 // Log reads and writes the P2P-Log through a DHT client.
@@ -70,20 +79,20 @@ func New(c *dht.Client, replicas int, clk vclock.Clock) *Log {
 // Replicas returns the replication factor n.
 func (l *Log) Replicas() int { return l.replicas }
 
-// encodeRecord produces the canonical slot content. Gob encoding of the
-// same record is deterministic, which makes idempotent republish compare
-// equal byte-wise.
+// encodeRecord produces the canonical slot content. The codec encodes
+// one record to exactly one byte string, which makes idempotent republish
+// compare equal byte-wise.
 func encodeRecord(r Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+	b, err := msg.Marshal(recordFormat, r.wire)
+	if err != nil {
 		return nil, fmt.Errorf("p2plog: encode record: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	if err := msg.Unmarshal(b, recordFormat, r.wire); err != nil {
 		return Record{}, fmt.Errorf("p2plog: decode record: %w", err)
 	}
 	return r, nil

@@ -8,10 +8,10 @@
 package patch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
+
+	"p2pltr/internal/msg"
 )
 
 // OpKind enumerates the update actions.
@@ -49,6 +49,16 @@ type Op struct {
 	Line string
 }
 
+func (o *Op) wire(c *msg.Coder) {
+	c.Uint8((*uint8)(&o.Kind))
+	c.Int(&o.Pos)
+	c.String(&o.Line)
+}
+
+// WireOps codes a list of ops; core's journal encodes its tentative ops
+// with it too. 3 is the fewest bytes an Op encodes to.
+func WireOps(c *msg.Coder, ops *[]Op) { msg.Slice(c, ops, 3, (*Op).wire) }
+
 func (o Op) String() string {
 	if o.Kind == OpNop {
 		return "nop"
@@ -71,6 +81,16 @@ type Patch struct {
 	BaseTS uint64
 	// Ops are the update actions, to be applied in order.
 	Ops []Op
+}
+
+// format is the leading byte of an encoded patch (see msg.Marshal).
+const format = 0xA1
+
+func (p *Patch) wire(c *msg.Coder) {
+	c.String(&p.ID)
+	c.String(&p.Author)
+	c.Uint64(&p.BaseTS)
+	WireOps(c, &p.Ops)
 }
 
 // NewPatchID formats the canonical patch identifier.
@@ -97,17 +117,17 @@ func (p Patch) IsNoop() bool {
 
 // Encode serializes the patch for the wire and the P2P-Log.
 func (p Patch) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	b, err := msg.Marshal(format, p.wire)
+	if err != nil {
 		return nil, fmt.Errorf("patch: encode %s: %w", p.ID, err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // Decode deserializes a patch produced by Encode.
 func Decode(b []byte) (Patch, error) {
 	var p Patch
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
+	if err := msg.Unmarshal(b, format, p.wire); err != nil {
 		return Patch{}, fmt.Errorf("patch: decode: %w", err)
 	}
 	return p, nil

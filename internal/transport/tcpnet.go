@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,10 +14,12 @@ import (
 	"p2pltr/internal/trace"
 )
 
-func init() { msg.Register() }
+// frameVersion is the version byte after every frame's length prefix
+// (see msg.EncodeFrame).
+const frameVersion = 0x81
 
-// envelope is the on-wire frame of the TCP transport. Payload is an
-// interface encoded by gob, which is why msg.Register exists. Trace is
+// envelope is what one frame of the TCP transport carries: the call
+// header, then Body as a tagged message (msg.Coder.Message). Trace is
 // the compact trace context of the calling span (zero when the caller
 // is untraced); it is what lets one trace ID span peers over real
 // sockets, mirroring what simnet carries on the call context.
@@ -29,6 +31,24 @@ type envelope struct {
 	HasErr bool
 	Trace  msg.TraceContext
 	Body   msg.Message
+}
+
+func (env *envelope) wire(c *msg.Coder) {
+	c.Uint64(&env.Seq)
+	c.Bool(&env.IsResp)
+	c.String(&env.From)
+	c.String(&env.ErrMsg)
+	c.Bool(&env.HasErr)
+	env.Trace.Wire(c)
+	c.Message(&env.Body)
+}
+
+// readEnvelope reads the next frame. A malformed or oversized frame is an
+// error, and the caller drops the connection.
+func readEnvelope(r *bufio.Reader) (envelope, error) {
+	var env envelope
+	err := msg.ReadFrame(r, frameVersion, env.wire)
+	return env, err
 }
 
 // TCPEndpoint is a real-network Endpoint. Each endpoint listens on its own
@@ -117,12 +137,11 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		e.mu.Unlock()
 		c.Close()
 	}()
-	dec := gob.NewDecoder(c)
-	enc := gob.NewEncoder(c)
+	r := bufio.NewReader(c)
 	var wmu sync.Mutex
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		env, err := readEnvelope(r)
+		if err != nil {
 			return // peer hung up or stream corrupt
 		}
 		// lint:allow-rawgo — real-socket transport: handler dispatch
@@ -148,21 +167,36 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 					resp.Body = m
 				}
 			}
+			frame, err := msg.EncodeFrame(frameVersion, resp.wire)
+			if err != nil {
+				// The answer cannot be encoded (its type has no wire
+				// tag): send the error, so the caller need not wait
+				// out its deadline. A bodiless envelope always encodes.
+				resp.Body, resp.HasErr, resp.ErrMsg = nil, true, err.Error()
+				frame, _ = msg.EncodeFrame(frameVersion, resp.wire)
+			}
 			wmu.Lock()
 			defer wmu.Unlock()
-			_ = enc.Encode(&resp)
+			// A failed write means the connection is gone; the read
+			// loop above sees that and returns.
+			_, _ = c.Write(frame)
 		}(env)
 	}
 }
 
 // tcpConn is a pooled outbound connection with in-flight call matching.
 type tcpConn struct {
-	c   net.Conn
-	enc *gob.Encoder
+	c net.Conn
 
-	mu      sync.Mutex // guards enc and pending
+	mu      sync.Mutex // guards writes to c, pending and dead
 	pending map[uint64]chan envelope
 	dead    bool
+}
+
+func (tc *tcpConn) live() bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return !tc.dead
 }
 
 func (tc *tcpConn) fail() {
@@ -183,10 +217,10 @@ func (tc *tcpConn) fail() {
 
 // readLoop demultiplexes responses to their waiting callers.
 func (tc *tcpConn) readLoop() {
-	dec := gob.NewDecoder(tc.c)
+	r := bufio.NewReader(tc.c)
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		env, err := readEnvelope(r)
+		if err != nil {
 			tc.fail()
 			return
 		}
@@ -209,25 +243,27 @@ func (e *TCPEndpoint) getConn(ctx context.Context, to Addr) (*tcpConn, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	if tc != nil {
-		tc.mu.Lock()
-		dead := tc.dead
-		tc.mu.Unlock()
-		if !dead {
-			return tc, nil
-		}
+	if tc != nil && tc.live() {
+		return tc, nil
 	}
 	d := net.Dialer{}
 	c, err := d.DialContext(ctx, "tcp", string(to))
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, to, err)
 	}
-	tc = &tcpConn{c: c, enc: gob.NewEncoder(c), pending: make(map[uint64]chan envelope)}
+	tc = &tcpConn{c: c, pending: make(map[uint64]chan envelope)}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		c.Close()
 		return nil, ErrClosed
+	}
+	if cur := e.conns[to]; cur != nil && cur.live() {
+		// A concurrent first call dialed too and won: share its
+		// connection, so every caller multiplexes one socket.
+		e.mu.Unlock()
+		c.Close()
+		return cur, nil
 	}
 	e.conns[to] = tc
 	e.mu.Unlock()
@@ -244,14 +280,6 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req msg.Message) (msg.M
 		return nil, err
 	}
 	seq := e.nextSeq.Add(1)
-	ch := make(chan envelope, 1)
-
-	tc.mu.Lock()
-	if tc.dead {
-		tc.mu.Unlock()
-		return nil, ErrUnreachable
-	}
-	tc.pending[seq] = ch
 	out := envelope{Seq: seq, From: string(e.addr), Body: req}
 	if sp := trace.FromContext(ctx); sp != nil {
 		if sc := sp.Context(); sc.TraceID != 0 {
@@ -262,7 +290,19 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req msg.Message) (msg.M
 		// the inbound context, so multi-hop routes keep one trace ID.
 		out.Trace = msg.TraceContext{TraceID: sc.TraceID, SpanID: sc.SpanID, Hops: sc.Hops}
 	}
-	err = tc.enc.Encode(&out)
+	frame, err := msg.EncodeFrame(frameVersion, out.wire)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encode request: %w", err)
+	}
+
+	ch := make(chan envelope, 1)
+	tc.mu.Lock()
+	if tc.dead {
+		tc.mu.Unlock()
+		return nil, ErrUnreachable
+	}
+	tc.pending[seq] = ch
+	_, err = tc.c.Write(frame)
 	tc.mu.Unlock()
 	if err != nil {
 		tc.fail()

@@ -7,8 +7,10 @@
 //     Java-RMI LAN of the paper's prototype and is what tests, plans and
 //     the benchmark run on ("we may specify the number of peers or
 //     network latencies, or may provoke failures").
-//   - TCP: a real framed-gob RPC transport over net.Conn with persistent,
+//   - TCP: a real RPC transport over net.Conn with persistent,
 //     multiplexed connections, for running peers as separate processes.
+//     Each call and answer is one length-prefixed frame of the msg wire
+//     codec.
 //
 // The network model is semi-synchronous, as in the paper: calls carry
 // deadlines and a timed-out peer is suspected of failure.

@@ -274,6 +274,49 @@ func TestTCPConcurrentCallsShareConnection(t *testing.T) {
 	if nconns != 1 {
 		t.Fatalf("expected 1 pooled connection, have %d", nconns)
 	}
+	// Every first call dialed; the losers closed theirs, so the server
+	// is left with one inbound connection once it has seen them go.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		srv.mu.RLock()
+		inbound := len(srv.inbound)
+		srv.mu.RUnlock()
+		if inbound == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server holds %d inbound connections, want 1", inbound)
+		}
+	}
+}
+
+type unwired struct{}
+
+func (unwired) Kind() string { return "test.unwired" }
+
+// TestTCPUnencodableResponseIsRemoteError: a handler answer the codec
+// cannot carry comes back as an error at once, not as a timeout.
+func TestTCPUnencodableResponseIsRemoteError(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetHandler(func(ctx context.Context, from Addr, req msg.Message) (msg.Message, error) {
+		return unwired{}, nil
+	})
+	cl, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, err = cl.Call(ctx, srv.Addr(), &msg.PingReq{})
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("want a RemoteError within 100 ms, got %v", err)
+	}
 }
 
 func TestTCPUnreachable(t *testing.T) {
