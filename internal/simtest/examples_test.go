@@ -49,6 +49,9 @@ func TestPlanE12Shape(t *testing.T) {
 		plan = plan.ApplyShort()
 	}
 	res := Run(plan, plan.Seed)
+	if !testing.Short() {
+		checkPinned(t, "e12.json", res)
+	}
 	if !res.Pass() {
 		t.Fatalf("e12 plan violates its invariants: %+v", res.Violations())
 	}
@@ -70,5 +73,46 @@ func TestPlanE12Shape(t *testing.T) {
 		if boundary := d.FinalTS - d.FinalTS%interval; d.CkptPtr < boundary {
 			t.Errorf("%s pointer %d below last boundary %d of final ts %d", d.Doc, d.CkptPtr, boundary, d.FinalTS)
 		}
+	}
+}
+
+// pinnedRuns is what each committed plan does at its own seed and full
+// size: the run digest, and whether every invariant holds. A change that
+// moves behaviour on purpose updates the digest here and says so in
+// CHANGES.md; one that must not (a scheduler or codec rewrite) leaves
+// this table alone.
+var pinnedRuns = map[string]struct {
+	digest uint64
+	pass   bool
+}{
+	"e12.json":     {0x1429e178604b2623, true},
+	"e13-hot.json": {0x64e09fceec44fc9a, true},
+	failingExample: {0x39f6eb00f04200bf, false},
+}
+
+func checkPinned(t *testing.T, name string, res *Result) {
+	t.Helper()
+	want, ok := pinnedRuns[name]
+	if !ok {
+		t.Fatalf("committed plan %s has no pinned digest", name)
+	}
+	if res.Digest != want.digest || res.Pass() != want.pass {
+		t.Fatalf("%s: digest %016x, pass %v; pinned %016x, pass %v (violations %+v)",
+			name, res.Digest, res.Pass(), want.digest, want.pass, res.Violations())
+	}
+}
+
+// TestPlanDigests runs every committed plan at its own seed and full size
+// and checks it against pinnedRuns. E12's full-size run is
+// TestPlanE12Shape's, which checks it there.
+func TestPlanDigests(t *testing.T) {
+	for _, name := range examplePlans(t) {
+		t.Run(name, func(t *testing.T) {
+			if name == "e12.json" {
+				t.Skip("checked by TestPlanE12Shape's full-size run")
+			}
+			plan := loadExample(t, name)
+			checkPinned(t, name, Run(plan, plan.Seed))
+		})
 	}
 }

@@ -115,3 +115,26 @@ func TestSimnetShardedEndpoints(t *testing.T) {
 		t.Fatalf("call to closed = %v, want ErrUnreachable", err)
 	}
 }
+
+var benchSink msg.Message
+
+// BenchmarkSimnetRoundTrip is one simnet round trip on a virtual clock,
+// 1 ms each way, between two endpoints: what a simulated message costs
+// the host. It is the benchmark's transport.simnet_call_ns probe.
+func BenchmarkSimnetRoundTrip(b *testing.B) {
+	clk := vclock.NewVirtual()
+	net := NewSimnet(WithClock(clk), WithLatency(ConstantLatency(time.Millisecond)))
+	src, dst := net.NewEndpoint("probe-a"), net.NewEndpoint("probe-b")
+	dst.SetHandler(func(context.Context, Addr, msg.Message) (msg.Message, error) { return &msg.Ack{}, nil })
+	clk.Register()
+	defer clk.Unregister()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if benchSink, err = src.Call(ctx, dst.Addr(), &msg.PingReq{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -273,4 +274,208 @@ func TestVirtualGoStartsInSpawnOrder(t *testing.T) {
 	if got := v.Since(time.Unix(0, 0).UTC()); got != 0 {
 		t.Fatalf("start events consumed %v of virtual time, want none", got)
 	}
+}
+
+// TestMutexHandsOverFIFO: three goroutines queue on a held Mutex in
+// spawn order; each Unlock hands the lock to the oldest waiter, which
+// resumes already owning it.
+func TestMutexHandsOverFIFO(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	ctx := context.Background()
+	m := NewMutex(v)
+	m.Lock()
+	var (
+		order []int
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		v.Go(func() {
+			defer wg.Done()
+			m.Lock()
+			order = append(order, i) // guarded by m
+			_ = v.Sleep(ctx, time.Millisecond)
+			m.Unlock()
+		})
+	}
+	// Every waiter is queued once the driver parks past their start
+	// events; only then does the driver let go.
+	_ = v.Sleep(ctx, time.Millisecond)
+	if len(order) != 0 {
+		t.Fatalf("waiters %v got a held lock", order)
+	}
+	m.Unlock()
+	v.Block(wg.Wait)
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("lock handed over in order %v, want %v", order, want)
+	}
+	if got := v.Since(time.Unix(0, 0).UTC()); got != 4*time.Millisecond {
+		t.Fatalf("virtual time at %v, want 4ms (1ms queueing + 3 holds of 1ms)", got)
+	}
+}
+
+// TestGatherAdmitsInOrderAndJoins: Gather's workers start in slice order
+// even when the first sleeps longest, and the caller resumes only after
+// the last one has finished.
+func TestGatherAdmitsInOrderAndJoins(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	ctx := context.Background()
+	var (
+		mu      sync.Mutex
+		started []int
+		done    int
+	)
+	fs := make([]func(), 4)
+	for i := range fs {
+		fs[i] = func() {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			_ = v.Sleep(ctx, time.Duration(len(fs)-i)*time.Millisecond)
+			mu.Lock()
+			done++
+			mu.Unlock()
+		}
+	}
+	v.Gather(fs...)
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(started, want) {
+		t.Fatalf("workers started in order %v, want %v", started, want)
+	}
+	if done != len(fs) {
+		t.Fatalf("caller resumed with %d of %d workers finished", done, len(fs))
+	}
+	if got := v.Since(time.Unix(0, 0).UTC()); got != 4*time.Millisecond {
+		t.Fatalf("caller resumed at %v, want 4ms (the slowest worker)", got)
+	}
+}
+
+// TestWithTimeoutCancelWakesExactContext: cancelling a WithTimeout
+// context wakes the goroutine parked on exactly that context, not one
+// parked on another WithTimeout context, nor one parked on a
+// context.WithValue wrapper of it (that one sleeps out its time).
+func TestWithTimeoutCancelWakesExactContext(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	bg := context.Background()
+	a, cancelA := v.WithTimeout(bg, 10*time.Second)
+	b, cancelB := v.WithTimeout(bg, 10*time.Second)
+	defer cancelB()
+	type wake struct {
+		at  time.Duration
+		err error
+	}
+	var (
+		mu    sync.Mutex
+		wakes = map[string]wake{}
+		wg    sync.WaitGroup
+	)
+	for name, ctx := range map[string]context.Context{
+		"a":       a,
+		"b":       b,
+		"value-a": context.WithValue(a, struct{}{}, 1),
+	} {
+		wg.Add(1)
+		v.Go(func() {
+			defer wg.Done()
+			err := v.Sleep(ctx, 5*time.Second)
+			mu.Lock()
+			wakes[name] = wake{v.Since(time.Unix(0, 0).UTC()), err}
+			mu.Unlock()
+		})
+	}
+	_ = v.Sleep(bg, time.Millisecond)
+	cancelA()
+	v.Block(wg.Wait)
+	want := map[string]wake{
+		"a":       {time.Millisecond, context.Canceled},
+		"b":       {5 * time.Second, nil},
+		"value-a": {5 * time.Second, nil},
+	}
+	if !reflect.DeepEqual(wakes, want) {
+		t.Fatalf("wakes %v, want %v", wakes, want)
+	}
+}
+
+// TestTickerLatchStaysOnGrid: a tick that came due while the owner slept
+// is delivered without parking, and the tick after it stays on the
+// period grid.
+func TestTickerLatchStaysOnGrid(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	ctx := context.Background()
+	tick := v.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	_ = v.Sleep(ctx, 15*time.Millisecond) // the 10ms tick latches
+	epoch := time.Unix(0, 0).UTC()
+	for _, want := range []time.Duration{15 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
+		if err := tick.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Since(epoch); got != want {
+			t.Fatalf("tick delivered at %v, want %v", got, want)
+		}
+	}
+}
+
+// TestSleepUnderFarWallClockDeadline: a foreign wall-clock deadline in
+// year 9999 lies beyond the virtual timeline's int64 range; it must read
+// as no deadline, not wrap into the virtual past.
+func TestSleepUnderFarWallClockDeadline(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC))
+	defer cancel()
+	start := v.Now()
+	if err := v.Sleep(ctx, 3*time.Second); err != nil {
+		t.Fatalf("Sleep = %v, want nil", err)
+	}
+	if got := v.Since(start); got != 3*time.Second {
+		t.Fatalf("slept %v of virtual time, want exactly 3s", got)
+	}
+}
+
+// TestSleepMaxDurationHitsDeadline: the longest possible sleep under a
+// 1 s virtual timeout ends at the deadline, with DeadlineExceeded. The
+// clock is past the epoch first, so now+d lies beyond the int64 range.
+func TestSleepMaxDurationHitsDeadline(t *testing.T) {
+	v := NewVirtual()
+	driver(t, v)
+	_ = v.Sleep(context.Background(), time.Millisecond)
+	ctx, cancel := v.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	start := v.Now()
+	if err := v.Sleep(ctx, math.MaxInt64); err != context.DeadlineExceeded {
+		t.Fatalf("Sleep = %v, want DeadlineExceeded", err)
+	}
+	if got := v.Since(start); got != time.Second {
+		t.Fatalf("woke after %v, want 1s", got)
+	}
+}
+
+// BenchmarkVirtualSleep is the benchmark's vclock.ns_per_event probe as
+// a Go benchmark: 256 goroutines sleeping 1–10 ms at a time on one
+// virtual clock; one op is one wake.
+func BenchmarkVirtualSleep(b *testing.B) {
+	const sleepers = 256
+	v := NewVirtual()
+	v.Register()
+	defer v.Unregister()
+	ctx := context.Background()
+	fs := make([]func(), sleepers)
+	for g := range fs {
+		n := b.N / sleepers
+		if g < b.N%sleepers {
+			n++
+		}
+		fs[g] = func() {
+			for i := 0; i < n; i++ {
+				_ = v.Sleep(ctx, time.Duration(1+(g*7+i*13)%10)*time.Millisecond)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	v.Gather(fs...)
 }

@@ -1,9 +1,9 @@
 package vclock
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,52 +31,54 @@ import (
 //     from this clock's WithCancel/WithTimeout, whose cancel functions
 //     wake the affected waiters.
 //
-// Virtual time starts at the Unix epoch. Real wall-clock deadlines
-// (year >> 1970) attached to foreign contexts are effectively infinite
-// and are ignored, so mixing a stray context.WithTimeout into a
-// simulation degrades to "no deadline" rather than a time warp.
+// Events fire in (deadline, seq) order, seq being the order in which
+// they were armed; that order is the only thing determinism depends on.
+//
+// Virtual time starts at the Unix epoch and is kept as int64 nanoseconds
+// since it; sums saturate at the end of that range. Real wall-clock
+// deadlines (year >> 1970) attached to foreign contexts are clamped into
+// it, so they are effectively infinite and mixing a stray
+// context.WithTimeout into a simulation degrades to "no deadline" rather
+// than a time warp.
 type Virtual struct {
 	mu         sync.Mutex
-	now        time.Time
-	nowNano    atomic.Int64
+	now        atomic.Int64 // nanoseconds since the epoch; stored under mu, loaded anywhere
 	seq        uint64
 	active     int // registered goroutines currently runnable
 	registered int // registered goroutines, runnable or parked
 	blocked    int // goroutines detached inside Block
-	timers     entryHeap
-	awaited    map[*entry]struct{}     // entries a goroutine is parked on
-	ctxWaiters map[context.Context]int // parked entries per exact context
+	timers     timerHeap
+	awaited    []*entry // entries a goroutine is parked on, each at its awaitIdx
+	free       []*entry // consumed entries armLocked hands out again
 }
 
 // entry is one scheduled wake-up on the virtual timeline. Entries are
 // ordered by (deadline, seq): seq is assigned at arm time, so events due
 // at the same instant fire in creation order.
+//
+// The entries Sleep, Go, Gather's workers and virtualTicker.Wait arm are
+// owned by the one goroutine that consumes them; once it has taken the
+// token of a fired entry it returns the entry to the free list
+// (releaseLocked). Mutex waiters and Gather barriers are never returned.
 type entry struct {
-	deadline time.Time
+	deadline int64 // nanoseconds since the epoch
 	seq      uint64
 	index    int             // position in the timer heap; -1 once popped
+	awaitIdx int             // position in Virtual.awaited while awaited
 	ctx      context.Context // non-nil while a goroutine is parked on it
 	awaited  bool
 	fired    bool
 	removed  bool
-	err      error // non-nil when woken by cancellation or deadline
-	wake     chan struct{}
+	err      error         // non-nil when woken by cancellation or deadline
+	wake     chan struct{} // 1-buffered; firing sends the one token
 }
 
 // NewVirtual returns a virtual clock at the Unix epoch with no
 // registered goroutines.
-func NewVirtual() *Virtual {
-	v := &Virtual{
-		now:        time.Unix(0, 0).UTC(),
-		awaited:    make(map[*entry]struct{}),
-		ctxWaiters: make(map[context.Context]int),
-	}
-	v.nowNano.Store(0)
-	return v
-}
+func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now implements Clock.
-func (v *Virtual) Now() time.Time { return time.Unix(0, v.nowNano.Load()).UTC() }
+func (v *Virtual) Now() time.Time { return time.Unix(0, v.now.Load()).UTC() }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -114,20 +116,29 @@ func (v *Virtual) Go(f func()) {
 	v.mu.Lock()
 	v.registered++
 	v.active++
-	start := v.armLocked(v.now)
+	start := v.armLocked(v.now.Load())
 	v.mu.Unlock()
 	go func() {
 		defer v.Unregister()
 		v.mu.Lock()
-		// The start event cannot have fired yet — this goroutine is
-		// counted active, which holds the scheduler off — but check
-		// anyway so a latched event cannot corrupt the accounting.
-		if !start.fired {
-			_ = v.parkLocked(start, nil)
-		}
+		v.startLocked(start)
 		v.mu.Unlock()
 		f()
 	}()
+}
+
+// startLocked holds a new goroutine until the scheduler fires its start
+// event, then recycles the event. Caller holds v.mu.
+func (v *Virtual) startLocked(start *entry) {
+	// The start event cannot have fired yet — this goroutine is counted
+	// active, which holds the scheduler off — but check anyway so a
+	// latched event cannot corrupt the accounting.
+	if start.fired {
+		<-start.wake
+	} else {
+		_ = v.parkLocked(start, nil)
+	}
+	v.releaseLocked(start)
 }
 
 // Gather implements Clock: fork-join with a scheduler-mediated handoff.
@@ -146,23 +157,21 @@ func (v *Virtual) Gather(fs ...func()) {
 	// The barrier entry is parkable but must never fire from the timer
 	// heap: mark it removed so popLocked discards it, leaving the
 	// explicit fire below as its only wake-up.
-	barrier := v.armLocked(v.now)
+	barrier := v.armLocked(v.now.Load())
 	barrier.removed = true
 	remaining := len(fs)
 	starts := make([]*entry, len(fs))
 	for i := range fs {
 		v.registered++
 		v.active++
-		starts[i] = v.armLocked(v.now)
+		starts[i] = v.armLocked(v.now.Load())
 	}
 	v.mu.Unlock()
 	for i, f := range fs {
 		start, fn := starts[i], f
 		go func() {
 			v.mu.Lock()
-			if !start.fired {
-				_ = v.parkLocked(start, nil)
-			}
+			v.startLocked(start)
 			v.mu.Unlock()
 			fn()
 			v.mu.Lock()
@@ -170,7 +179,7 @@ func (v *Virtual) Gather(fs ...func()) {
 			if remaining == 0 && barrier.awaited && !barrier.fired {
 				barrier.fired = true
 				v.active++ // the caller wakes...
-				close(barrier.wake)
+				barrier.wake <- struct{}{}
 			}
 			v.registered-- // ...as this worker bows out, atomically
 			v.active--
@@ -211,13 +220,14 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 		return err
 	}
 	v.mu.Lock()
-	wake := v.now.Add(d)
+	now := v.now.Load()
+	wake := addSat(now, d)
 	deadlined := false
-	if dl, ok := ctx.Deadline(); ok && dl.Before(wake) {
+	if dl, ok := deadlineNano(ctx); ok && dl < wake {
 		wake = dl
 		deadlined = true
 	}
-	if !wake.After(v.now) {
+	if wake <= now {
 		v.mu.Unlock()
 		if deadlined {
 			return context.DeadlineExceeded
@@ -226,6 +236,7 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	}
 	e := v.armLocked(wake)
 	err := v.parkLocked(e, ctx)
+	v.releaseLocked(e)
 	v.mu.Unlock()
 	if err != nil {
 		return err
@@ -245,7 +256,7 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	}
 	v.mu.Lock()
 	t := &virtualTicker{v: v, period: d}
-	t.e = v.armLocked(v.now.Add(d))
+	t.e = v.armLocked(addSat(v.now.Load(), d))
 	v.mu.Unlock()
 	return t
 }
@@ -255,11 +266,11 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 // by Sleep, not by closing Done (see the Clock docs).
 func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	inner, cancel := context.WithCancel(parent)
-	dl := v.Now().Add(d)
-	if pdl, ok := parent.Deadline(); ok && pdl.Before(dl) {
-		dl = pdl
+	now := v.now.Load()
+	ctx := &vctx{Context: inner, v: v, deadline: time.Unix(0, now).UTC().Add(d), deadlineNano: addSat(now, d)}
+	if pdl, ok := parent.Deadline(); ok && pdl.Before(ctx.deadline) {
+		ctx.deadline, ctx.deadlineNano = pdl, toNano(pdl)
 	}
-	ctx := &vctx{Context: inner, v: v, deadline: dl}
 	return ctx, func() {
 		cancel()
 		v.wakeExact(ctx)
@@ -281,8 +292,10 @@ func (v *Virtual) WithCancel(parent context.Context) (context.Context, context.C
 // vctx carries a virtual-time deadline on top of a cancellable context.
 type vctx struct {
 	context.Context
-	v        *Virtual
-	deadline time.Time
+	v            *Virtual
+	deadline     time.Time // what Deadline reports
+	deadlineNano int64     // the same instant on the virtual timeline, clamped
+	parked       int       // goroutines parked on exactly this context; guarded by v.mu
 }
 
 func (c *vctx) Deadline() (time.Time, bool) { return c.deadline, true }
@@ -291,18 +304,80 @@ func (c *vctx) Err() error {
 	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	if !c.v.Now().Before(c.deadline) {
+	if c.v.now.Load() >= c.deadlineNano {
 		return context.DeadlineExceeded
 	}
 	return nil
 }
 
-// armLocked schedules a wake-up at deadline. Caller holds v.mu.
-func (v *Virtual) armLocked(deadline time.Time) *entry {
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// deadlineNano returns ctx's deadline on the virtual timeline. A deadline
+// outside the int64 range (a wall-clock year-9999 one, say) is clamped
+// to its end, so it can never wrap into the virtual past.
+func deadlineNano(ctx context.Context) (int64, bool) {
+	if c, ok := ctx.(*vctx); ok {
+		return c.deadlineNano, true
+	}
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0, false
+	}
+	return toNano(dl), true
+}
+
+// toNano is t in nanoseconds since the epoch, clamped to the int64 range.
+func toNano(t time.Time) int64 {
+	switch {
+	case t.Before(minTime):
+		return math.MinInt64
+	case t.After(maxTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// addSat is t+d for an instant t >= 0 on the timeline, saturating at
+// the end of the int64 range instead of wrapping.
+func addSat(t int64, d time.Duration) int64 {
+	if s := t + int64(d); d < 0 || s >= t {
+		return s
+	}
+	return math.MaxInt64
+}
+
+// armLocked schedules a wake-up at deadline, reusing a released entry
+// when one is free. Caller holds v.mu.
+func (v *Virtual) armLocked(deadline int64) *entry {
+	var e *entry
+	if n := len(v.free); n > 0 {
+		e = v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+		if e.index >= 0 {
+			panic("vclock: a released entry is still scheduled")
+		}
+		*e = entry{wake: e.wake}
+	} else {
+		e = &entry{wake: make(chan struct{}, 1)}
+	}
 	v.seq++
-	e := &entry{deadline: deadline, seq: v.seq, wake: make(chan struct{})}
-	heap.Push(&v.timers, e)
+	e.deadline, e.seq = deadline, v.seq
+	v.timers.push(e)
 	return e
+}
+
+// releaseLocked returns e to the free list once it has fired and left
+// the heap; its owner must already have taken the wake token. An entry
+// abandoned before it fired (its context was done at park time) stays a
+// heap tombstone and is left to the garbage collector. Caller holds v.mu.
+func (v *Virtual) releaseLocked(e *entry) {
+	if e.fired && e.index < 0 {
+		v.free = append(v.free, e)
+	}
 }
 
 // parkLocked blocks the calling goroutine on e until the scheduler (or a
@@ -323,20 +398,27 @@ func (v *Virtual) parkLocked(e *entry, ctx context.Context) error {
 	}
 	e.awaited = true
 	e.ctx = ctx
-	v.awaited[e] = struct{}{}
-	if ctx != nil {
-		v.ctxWaiters[ctx]++
+	e.awaitIdx = len(v.awaited)
+	v.awaited = append(v.awaited, e)
+	// wakeExact finds waiters by this count; only this clock's contexts
+	// are counted, as only this clock's cancel functions look.
+	vc, _ := ctx.(*vctx)
+	if vc != nil && vc.v == v {
+		vc.parked++
 	}
 	v.active--
 	v.advanceLocked()
 	v.mu.Unlock()
 	<-e.wake
 	v.mu.Lock()
-	delete(v.awaited, e)
-	if ctx != nil {
-		if v.ctxWaiters[ctx]--; v.ctxWaiters[ctx] <= 0 {
-			delete(v.ctxWaiters, ctx)
-		}
+	last := len(v.awaited) - 1
+	moved := v.awaited[last]
+	v.awaited[e.awaitIdx] = moved
+	moved.awaitIdx = e.awaitIdx
+	v.awaited[last] = nil
+	v.awaited = v.awaited[:last]
+	if vc != nil && vc.v == v {
+		vc.parked--
 	}
 	e.ctx = nil
 	return e.err
@@ -359,14 +441,13 @@ func (v *Virtual) advanceLocked() {
 			}
 			panic(fmt.Sprintf(
 				"vclock: deadlock at %s: %d goroutine(s) parked with no pending timers",
-				v.now.Format("15:04:05.000"), v.registered))
+				v.Now().Format("15:04:05.000"), v.registered))
 		}
-		if e.deadline.After(v.now) {
-			v.now = e.deadline
-			v.nowNano.Store(e.deadline.UnixNano())
+		if e.deadline > v.now.Load() {
+			v.now.Store(e.deadline)
 		}
 		e.fired = true
-		close(e.wake)
+		e.wake <- struct{}{}
 		if e.awaited {
 			v.active++
 			return
@@ -377,8 +458,8 @@ func (v *Virtual) advanceLocked() {
 // popLocked returns the earliest live entry, discarding fired and
 // removed ones. Caller holds v.mu.
 func (v *Virtual) popLocked() *entry {
-	for v.timers.Len() > 0 {
-		e := heap.Pop(&v.timers).(*entry)
+	for len(v.timers) > 0 {
+		e := v.timers.pop()
 		if e.fired || e.removed {
 			continue
 		}
@@ -391,14 +472,14 @@ func (v *Virtual) popLocked() *entry {
 // cancel path for WithTimeout contexts: per-call timeouts are cancelled
 // after every RPC, almost always with nobody parked, so this must be
 // O(1) in that case.
-func (v *Virtual) wakeExact(ctx context.Context) {
+func (v *Virtual) wakeExact(ctx *vctx) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.ctxWaiters[ctx] == 0 {
+	if ctx.parked == 0 {
 		return
 	}
-	for e := range v.awaited {
-		if e.fired || e.ctx != ctx {
+	for _, e := range v.awaited {
+		if e.fired || e.ctx != context.Context(ctx) {
 			continue
 		}
 		v.expediteLocked(e)
@@ -412,7 +493,7 @@ func (v *Virtual) wakeExact(ctx context.Context) {
 func (v *Virtual) wakeCancelled() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for e := range v.awaited {
+	for _, e := range v.awaited {
 		if e.fired || e.ctx == nil || e.ctx.Err() == nil {
 			continue
 		}
@@ -438,10 +519,10 @@ func (v *Virtual) expediteLocked(e *entry) {
 			e.err = context.Canceled
 		}
 	}
-	if e.deadline.After(v.now) {
-		e.deadline = v.now
+	if now := v.now.Load(); e.deadline > now {
+		e.deadline = now
 		if e.index >= 0 {
-			heap.Fix(&v.timers, e.index)
+			v.timers.up(e.index)
 		}
 	}
 }
@@ -495,7 +576,7 @@ func (m *Mutex) Lock() {
 	// over, and the scheduler then admits the waiter at the next
 	// quiescent instant, preserving the one-runnable-goroutine
 	// invariant.
-	e := v.armLocked(v.now)
+	e := v.armLocked(v.now.Load())
 	e.removed = true
 	m.waiters = append(m.waiters, e)
 	_ = v.parkLocked(e, nil)
@@ -526,7 +607,7 @@ func (m *Mutex) Unlock() {
 	// index bookkeeping requires.
 	e.removed = false
 	if e.index < 0 {
-		heap.Push(&v.timers, e)
+		v.timers.push(e)
 	}
 	v.mu.Unlock()
 }
@@ -556,14 +637,17 @@ func (t *virtualTicker) Wait(ctx context.Context) error {
 	e := t.e
 	var err error
 	if e.fired {
-		err = e.err // latched tick: consume without parking
+		<-e.wake // latched tick: take its token without parking
+		err = e.err
 	} else {
 		err = v.parkLocked(e, ctx)
 	}
-	next := e.deadline.Add(t.period)
-	if !next.After(v.now) {
-		next = v.now.Add(t.period)
+	now := v.now.Load()
+	next := addSat(e.deadline, t.period)
+	if next <= now {
+		next = addSat(now, t.period)
 	}
+	v.releaseLocked(e)
 	t.e = v.armLocked(next)
 	v.mu.Unlock()
 	return err
@@ -579,36 +663,63 @@ func (t *virtualTicker) Stop() {
 	t.v.mu.Unlock()
 }
 
-// entryHeap is a min-heap over (deadline, seq).
-type entryHeap []*entry
+// timerHeap is a binary min-heap of entries ordered by (deadline, seq);
+// every entry in it knows its slot (index).
+type timerHeap []*entry
 
-func (h entryHeap) Len() int { return len(h) }
-
-func (h entryHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
-	}
-	return h[i].seq < h[j].seq
+func (e *entry) before(o *entry) bool {
+	return e.deadline < o.deadline || e.deadline == o.deadline && e.seq < o.seq
 }
 
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *entryHeap) Push(x any) {
-	e := x.(*entry)
+func (h *timerHeap) push(e *entry) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
 
-func (h *entryHeap) Pop() any {
+// up moves the entry at slot i towards the root; a pushed entry and an
+// expedited one (whose deadline only ever moves earlier) need nothing
+// else.
+func (h timerHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// pop removes and returns the earliest entry. The hole it leaves at the
+// root sinks to a leaf along the earlier children, and the last leaf
+// fills it and rises: a last leaf nearly always belongs near the bottom,
+// so this costs one comparison per level instead of two.
+func (h *timerHeap) pop() *entry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top, last := old[0], old[n]
+	old[n] = nil
+	old = old[:n]
+	*h = old
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && old[c+1].before(old[c]) {
+			c++
+		}
+		old[i] = old[c]
+		old[i].index = i
+		i = c
+	}
+	old[i] = last
+	old.up(i)
+	return top
 }
