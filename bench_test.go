@@ -21,20 +21,17 @@ import (
 	"p2pltr/internal/transport"
 )
 
-func mustCluster(b *testing.B, n int, opts core.Options) *ringtest.Cluster {
+func mustCluster(b *testing.B, n int, netOpts ...transport.SimnetOption) *ringtest.Cluster {
 	b.Helper()
-	c, err := ringtest.NewCluster(n, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Stop)
+	c := ringtest.NewVirtualCluster(n, core.Options{}, netOpts...)
+	b.Cleanup(c.Close)
 	return c
 }
 
 // BenchmarkE1TimestampGeneration measures gen_ts validation for fresh
 // documents across the ring (Figure 4 / scenario 1).
 func BenchmarkE1TimestampGeneration(b *testing.B) {
-	c := mustCluster(b, 8, ringtest.FastOptions())
+	c := mustCluster(b, 8)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +55,7 @@ func BenchmarkE1TimestampGeneration(b *testing.B) {
 func BenchmarkE2ConcurrentPublish(b *testing.B) {
 	for _, writers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			c := mustCluster(b, 8, ringtest.FastOptions())
+			c := mustCluster(b, 8)
 			ctx := context.Background()
 			key := "bench-contested"
 			replicas := make([]*core.Replica, writers)
@@ -66,29 +63,25 @@ func BenchmarkE2ConcurrentPublish(b *testing.B) {
 				replicas[i] = core.NewReplica(c.Peers[i%len(c.Peers)], key, fmt.Sprintf("w%d", i))
 			}
 			b.ResetTimer()
-			done := make(chan error, writers)
+			errs := make([]error, writers)
 			per := b.N/writers + 1
-			for _, r := range replicas {
-				go func(r *core.Replica) {
-					for k := 0; k < per; k++ {
-						if err := r.Insert(0, "line"); err != nil {
-							done <- err
-							return
-						}
-						if _, err := r.Commit(ctx); err != nil {
-							done <- err
-							return
+			var sessions []func()
+			for w, r := range replicas {
+				sessions = append(sessions, func() {
+					for k := 0; k < per && errs[w] == nil; k++ {
+						if errs[w] = r.Insert(0, "line"); errs[w] == nil {
+							_, errs[w] = r.Commit(ctx)
 						}
 					}
-					done <- nil
-				}(r)
+				})
 			}
-			for i := 0; i < writers; i++ {
-				if err := <-done; err != nil {
+			c.Clk.Gather(sessions...)
+			b.StopTimer()
+			for _, err := range errs {
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
 			var behind int64
 			for _, r := range replicas {
 				bh, _ := r.Stats()
@@ -99,17 +92,14 @@ func BenchmarkE2ConcurrentPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkE3MasterFailover measures the takeover gap after crashing the
-// Master-key (scenario 3).
+// BenchmarkE3MasterFailover measures the takeover gap, in virtual time,
+// after crashing the Master-key (scenario 3).
 func BenchmarkE3MasterFailover(b *testing.B) {
 	ctx := context.Background()
 	var total time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := ringtest.NewCluster(8, ringtest.FastOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := ringtest.NewVirtualCluster(8, core.Options{})
 		key := fmt.Sprintf("failover-%d", i)
 		master := c.MasterOf(uint64(ids.HashTS(key)))
 		var host *core.Peer
@@ -127,7 +117,7 @@ func BenchmarkE3MasterFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		start := time.Now()
+		start := c.Clk.Now()
 		c.Crash(master)
 		if err := r.Insert(0, "post"); err != nil {
 			b.Fatal(err)
@@ -136,12 +126,12 @@ func BenchmarkE3MasterFailover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		total += time.Since(start)
+		total += c.Clk.Since(start)
 		b.StopTimer()
 		if ts != 2 {
 			b.Fatalf("continuity broken across failover: ts=%d", ts)
 		}
-		c.Stop()
+		c.Close()
 	}
 	if b.N > 0 {
 		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "takeover-ms/op")
@@ -151,7 +141,7 @@ func BenchmarkE3MasterFailover(b *testing.B) {
 // BenchmarkE4MasterJoin measures commit continuity cost while peers join
 // (scenario 4).
 func BenchmarkE4MasterJoin(b *testing.B) {
-	c := mustCluster(b, 4, ringtest.FastOptions())
+	c := mustCluster(b, 4)
 	ctx := context.Background()
 	r := core.NewReplica(c.Peers[0], "join-doc", "bench")
 	expected := uint64(0)
@@ -186,7 +176,7 @@ func BenchmarkE4MasterJoin(b *testing.B) {
 // BenchmarkE8PullUnderReplication measures Pull cost when behind by k
 // committed patches (the churn recovery path).
 func BenchmarkE8PullUnderReplication(b *testing.B) {
-	c := mustCluster(b, 8, ringtest.FastOptions())
+	c := mustCluster(b, 8)
 	ctx := context.Background()
 	writer := core.NewReplica(c.Peers[0], "bench-doc", "writer")
 	const backlog = 8
@@ -217,12 +207,7 @@ func BenchmarkE8PullUnderReplication(b *testing.B) {
 // round-trip count visible.
 func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 	const depth = 64
-	c, err := ringtest.NewCluster(8, ringtest.FastOptions(),
-		transport.WithLatency(transport.ConstantLatency(200*time.Microsecond)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Stop)
+	c := mustCluster(b, 8, transport.WithLatency(transport.ConstantLatency(200*time.Microsecond)))
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	b.ResetTimer()

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 	"time"
 
 	"p2pltr/internal/core"
@@ -18,12 +17,11 @@ import (
 )
 
 func main() {
-	cluster, err := ringtest.NewCluster(10, ringtest.FastOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	// The ring runs in virtual time: every run prints the same schedule.
+	cluster := ringtest.NewVirtualCluster(10, core.Options{})
+	defer cluster.Close()
+	clk := cluster.Clk
+	ctx, cancel := clk.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	const editors = 3
@@ -35,12 +33,10 @@ func main() {
 
 	fmt.Printf("initial master of %q: %s\n", doc, cluster.MasterOf(uint64(ids.HashTS(doc))).Addr())
 
-	var wg sync.WaitGroup
+	var work []func()
 	// Editors: 5 paced commits each.
 	for _, r := range replicas {
-		wg.Add(1)
-		go func(r *core.Replica) {
-			defer wg.Done()
+		work = append(work, func() {
 			for k := 0; k < 5; k++ {
 				if err := r.Insert(0, fmt.Sprintf("%s commit %d", r.Site(), k+1)); err != nil {
 					log.Printf("%s insert: %v", r.Site(), err)
@@ -52,19 +48,17 @@ func main() {
 					return
 				}
 				fmt.Printf("  %s committed at ts=%d\n", r.Site(), ts)
-				time.Sleep(150 * time.Millisecond)
+				_ = clk.Sleep(ctx, 150*time.Millisecond)
 			}
-		}(r)
+		})
 	}
 
 	// Churn: joins, a graceful leave and a crash, concurrent with editing.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	work = append(work, func() {
 		rng := rand.New(rand.NewSource(7))
 		events := []string{"join", "crash", "join", "leave", "crash"}
 		for _, ev := range events {
-			time.Sleep(250 * time.Millisecond)
+			_ = clk.Sleep(ctx, 250*time.Millisecond)
 			switch ev {
 			case "join":
 				if p, err := cluster.AddPeer(cluster.Peers[0]); err == nil {
@@ -86,8 +80,8 @@ func main() {
 				}
 			}
 		}
-	}()
-	wg.Wait()
+	})
+	clk.Gather(work...)
 
 	if err := cluster.WaitStable(time.Minute); err != nil {
 		log.Fatal(err)

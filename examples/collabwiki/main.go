@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"p2pltr/internal/core"
@@ -25,12 +24,9 @@ func main() {
 		rounds  = 4
 		zipfExp = 1.5
 	)
-	cluster, err := ringtest.NewCluster(peers, ringtest.FastOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	cluster := ringtest.NewVirtualCluster(peers, core.Options{})
+	defer cluster.Close()
+	ctx, cancel := cluster.Clk.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	pageKeys := make([]string, pages)
@@ -58,11 +54,9 @@ func main() {
 	}
 
 	fmt.Printf("%d users editing %d pages over a %d-peer ring...\n", users, pages, peers)
-	var wg sync.WaitGroup
+	var sessions []func()
 	for _, u := range team {
-		wg.Add(1)
-		go func(u *user) {
-			defer wg.Done()
+		sessions = append(sessions, func() {
 			for round := 0; round < rounds; round++ {
 				// Pick a page with Zipf skew: Wiki.PageA is the hot one,
 				// so most rounds contend on it.
@@ -78,14 +72,14 @@ func main() {
 					return
 				}
 			}
-		}(u)
+		})
 	}
-	wg.Wait()
+	cluster.Clk.Gather(sessions...)
 
 	// Everyone syncs all pages; verify convergence per page.
 	for _, u := range team {
-		for _, r := range u.replicas {
-			if err := r.Pull(ctx); err != nil {
+		for _, k := range pageKeys {
+			if err := u.replicas[k].Pull(ctx); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -13,13 +13,11 @@ import (
 )
 
 func main() {
-	// A 5-peer DHT ring on a simulated network (use transport.ListenTCP
-	// and core.NewPeer directly for a real-network deployment).
-	cluster, err := ringtest.NewCluster(5, ringtest.FastOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Stop()
+	// A 5-peer DHT ring on a simulated network in virtual time (use
+	// transport.ListenTCP and core.NewPeer directly for a real-network
+	// deployment).
+	cluster := ringtest.NewVirtualCluster(5, core.Options{})
+	defer cluster.Close()
 	ctx := context.Background()
 
 	// Two users open the same wiki page on different peers.

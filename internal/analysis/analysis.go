@@ -92,7 +92,6 @@ const ModulePath = "p2pltr"
 //   - internal/vclock IS the clock seam: its Real implementation wraps
 //     time.*, Virtual implements the scheduler with raw goroutines and
 //     channels, and vclock.Mutex is the one lock that may legally park.
-//   - internal/ringtest drives real-time cluster variants.
 //
 // cmd/ binaries run on the system clock by definition and are outside
 // the instrumented set — EXCEPT cmd/p2pltr-sim, which drives
@@ -100,7 +99,6 @@ const ModulePath = "p2pltr"
 // vclock seam (simtest measures throughput via vclock.System).
 var excludedPackages = []string{
 	ModulePath + "/internal/vclock",
-	ModulePath + "/internal/ringtest",
 }
 
 // Instrumented reports whether the package at path is subject to the

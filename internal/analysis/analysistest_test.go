@@ -13,7 +13,7 @@ package analysis
 //     line (several backquoted regexps may follow one want);
 //   - every diagnostic must be matched by a want and every want must
 //     match a diagnostic, or the test fails with a position-sorted diff;
-//   - fixture packages under excluded paths (p2pltr/internal/ringtest/...)
+//   - fixture packages under excluded paths (p2pltr/internal/vclock/...)
 //     carry no wants and assert the exclusion produces zero diagnostics.
 
 import (
@@ -238,7 +238,7 @@ func TestWallclockFixtures(t *testing.T) {
 // same constructs that fire in wcfix produce nothing under an excluded
 // path (the fixture file carries no wants).
 func TestWallclockExcludedPackage(t *testing.T) {
-	runFixture(t, WallclockAnalyzer, "p2pltr/internal/ringtest/wcexempt")
+	runFixture(t, WallclockAnalyzer, "p2pltr/internal/vclock/wcexempt")
 }
 
 func TestLockparkFixtures(t *testing.T) {
@@ -273,8 +273,8 @@ func TestInstrumented(t *testing.T) {
 		{ModulePath + "/cmd/p2pltr-sim", true},
 		{ModulePath + "/cmd/p2pltr-node", false},
 		{ModulePath + "/internal/vclock", false},
-		{ModulePath + "/internal/ringtest", false},
-		{ModulePath + "/internal/ringtest/sub", false},
+		{ModulePath + "/internal/ringtest", true},
+		{ModulePath + "/internal/ringtest/sub", true},
 		{"other/module", false},
 	}
 	for _, c := range cases {

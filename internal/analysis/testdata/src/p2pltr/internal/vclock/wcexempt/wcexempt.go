@@ -1,4 +1,4 @@
-// Package wcexempt sits under internal/ringtest, an excluded path: the
+// Package wcexempt sits under internal/vclock, an excluded path: the
 // same call that fires in wcfix must produce nothing here, so this file
 // deliberately carries no want comments.
 package wcexempt

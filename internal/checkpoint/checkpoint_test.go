@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"p2pltr/internal/checkpoint"
+	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
@@ -14,11 +15,8 @@ import (
 
 func newCluster(t *testing.T, n int) *ringtest.Cluster {
 	t.Helper()
-	c, err := ringtest.NewCluster(n, ringtest.FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := ringtest.NewVirtualCluster(n, core.Options{})
+	t.Cleanup(c.Close)
 	return c
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
@@ -25,46 +24,28 @@ import (
 // trace.
 func TestPeerBornWired(t *testing.T) {
 	clk := vclock.NewVirtual()
-	clk.Register()
-	defer clk.Unregister()
-	net := transport.NewSimnet(transport.WithClock(clk),
-		transport.WithLatency(transport.ConstantLatency(time.Millisecond)))
 	tr := trace.New(clk, 8192)
 	const interval = 4
-	opts := core.Options{
-		Chord:              chord.FastConfig(),
+	c := newClusterWith(t, 6, core.Options{
 		Clock:              clk,
 		Tracer:             tr,
 		FlightRecorder:     64,
 		CheckpointInterval: interval,
 		Maintain:           &maintain.Config{TruncateEvery: 50 * time.Millisecond},
-	}
-	var peers []*core.Peer
-	var nodes []*chord.Node
-	for i := 0; i < 6; i++ {
-		p := core.NewPeer(net.NewEndpoint(fmt.Sprintf("bw-%d", i)), opts)
-		peers = append(peers, p)
-		nodes = append(nodes, p.Node)
-	}
-	chord.SeedRing(nodes)
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
+	}, transport.WithLatency(transport.ConstantLatency(time.Millisecond)))
 	ctx := context.Background()
 
 	// A seventh peer joins under a span: the join at the joiner and the
 	// handover at its successor are both chord events of that one trace.
 	joinSp := tr.Start("join", "")
 	joinTrace := joinSp.Context().TraceID
-	joiner := core.NewPeer(net.NewEndpoint("bw-joiner"), opts)
-	peers = append(peers, joiner)
-	err := joiner.Join(trace.NewContext(ctx, joinSp), peers[0].Addr())
+	joiner := c.NewPeer()
+	err := joiner.Join(trace.NewContext(ctx, joinSp), c.Peers[0].Addr())
 	joinSp.EndErr(err)
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
+	peers := c.Peers
 
 	// Commit across a checkpoint boundary, each commit under its own span.
 	key := "born-wired"

@@ -14,14 +14,7 @@ import (
 
 func newCheckpointingCluster(t *testing.T, n int, interval uint64) *ringtest.Cluster {
 	t.Helper()
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = interval
-	c, err := ringtest.NewCluster(n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	return c
+	return newClusterWith(t, n, core.Options{CheckpointInterval: interval})
 }
 
 // TestColdJoinBootstrapsFromCheckpoint is the subsystem's headline
@@ -31,7 +24,7 @@ func newCheckpointingCluster(t *testing.T, n int, interval uint64) *ringtest.Clu
 func TestColdJoinBootstrapsFromCheckpoint(t *testing.T) {
 	const interval = 4
 	c := newCheckpointingCluster(t, 5, interval)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	alice := core.NewReplica(c.Peers[0], "doc", "alice")
 	const patches = 10
 	for i := 0; i < patches; i++ {
@@ -72,7 +65,7 @@ func TestColdJoinBootstrapsFromCheckpoint(t *testing.T) {
 func TestColdJoinAfterTruncation(t *testing.T) {
 	const interval = 4
 	c := newCheckpointingCluster(t, 5, interval)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	alice := core.NewReplica(c.Peers[0], "doc", "alice")
 	for i := 0; i < 10; i++ {
 		if err := alice.Insert(0, fmt.Sprintf("v%d", i)); err != nil {
@@ -115,7 +108,7 @@ func TestColdJoinAfterTruncation(t *testing.T) {
 func TestDirtyReplicaDoesNotJumpCheckpoints(t *testing.T) {
 	const interval = 4
 	c := newCheckpointingCluster(t, 5, interval)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	alice := core.NewReplica(c.Peers[0], "doc", "alice")
 	bob := core.NewReplica(c.Peers[1], "doc", "bob")
 	if err := bob.Insert(0, "bob's draft"); err != nil {
@@ -153,7 +146,7 @@ func TestDirtyReplicaDoesNotJumpCheckpoints(t *testing.T) {
 func TestJournalCompactsOnCheckpoint(t *testing.T) {
 	const interval = 2
 	c := newCheckpointingCluster(t, 4, interval)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	path := filepath.Join(t.TempDir(), "alice.journal")
 	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
 	if err != nil {

@@ -5,35 +5,38 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/ringtest"
+	"p2pltr/internal/transport"
 )
 
-func newCluster(t *testing.T, n int) *ringtest.Cluster {
+func newCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) *ringtest.Cluster {
 	t.Helper()
-	c, err := ringtest.NewCluster(n, ringtest.FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	return newClusterWith(t, n, core.Options{}, netOpts...)
+}
+
+func newClusterWith(t *testing.T, n int, opts core.Options, netOpts ...transport.SimnetOption) *ringtest.Cluster {
+	t.Helper()
+	c := ringtest.NewVirtualCluster(n, opts, netOpts...)
+	t.Cleanup(c.Close)
 	return c
 }
 
-func ctxT(t *testing.T, d time.Duration) context.Context {
+// ctxT is a context that expires after d of the cluster's virtual time.
+func ctxT(t *testing.T, c *ringtest.Cluster, d time.Duration) context.Context {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), d)
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), d)
 	t.Cleanup(cancel)
 	return ctx
 }
 
 func TestSingleUserEditCommit(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 20*time.Second)
+	ctx := ctxT(t, c, 20*time.Second)
 	r := core.NewReplica(c.Peers[0], "Main.WebHome", "alice")
 
 	if err := r.Insert(0, "Hello"); err != nil {
@@ -62,7 +65,7 @@ func TestSingleUserEditCommit(t *testing.T) {
 
 func TestSecondReplicaPullsCommits(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 20*time.Second)
+	ctx := ctxT(t, c, 20*time.Second)
 	key := "doc"
 	a := core.NewReplica(c.Peers[0], key, "alice")
 	b := core.NewReplica(c.Peers[1], key, "bob")
@@ -84,7 +87,7 @@ func TestSecondReplicaPullsCommits(t *testing.T) {
 
 func TestConcurrentCommitsConverge(t *testing.T) {
 	c := newCluster(t, 5)
-	ctx := ctxT(t, 30*time.Second)
+	ctx := ctxT(t, c, 30*time.Second)
 	key := "shared"
 	a := core.NewReplica(c.Peers[0], key, "alice")
 	b := core.NewReplica(c.Peers[1], key, "bob")
@@ -93,17 +96,15 @@ func TestConcurrentCommitsConverge(t *testing.T) {
 	a.SetText("from-alice")
 	b.SetText("from-bob")
 
-	var wg sync.WaitGroup
+	var commits []func()
 	for _, r := range []*core.Replica{a, b} {
-		wg.Add(1)
-		go func(r *core.Replica) {
-			defer wg.Done()
+		commits = append(commits, func() {
 			if _, err := r.Commit(ctx); err != nil {
 				t.Errorf("%s commit: %v", r.Site(), err)
 			}
-		}(r)
+		})
 	}
-	wg.Wait()
+	c.Clk.Gather(commits...)
 	// Bring both fully up to date.
 	if err := a.Pull(ctx); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestConcurrentCommitsConverge(t *testing.T) {
 // replicas must be byte-identical and the timestamps continuous.
 func TestManyWritersEventualConsistency(t *testing.T) {
 	c := newCluster(t, 6)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	key := "contested"
 	const writers = 6
 	const commitsEach = 4
@@ -133,11 +134,9 @@ func TestManyWritersEventualConsistency(t *testing.T) {
 	for i := range replicas {
 		replicas[i] = core.NewReplica(c.Peers[i%len(c.Peers)], key, fmt.Sprintf("site%d", i))
 	}
-	var wg sync.WaitGroup
-	for i, r := range replicas {
-		wg.Add(1)
-		go func(i int, r *core.Replica) {
-			defer wg.Done()
+	var writes []func()
+	for _, r := range replicas {
+		writes = append(writes, func() {
 			for k := 0; k < commitsEach; k++ {
 				if err := r.Insert(0, fmt.Sprintf("%s-edit-%d", r.Site(), k)); err != nil {
 					t.Errorf("insert: %v", err)
@@ -148,9 +147,9 @@ func TestManyWritersEventualConsistency(t *testing.T) {
 					return
 				}
 			}
-		}(i, r)
+		})
 	}
-	wg.Wait()
+	c.Clk.Gather(writes...)
 	if t.Failed() {
 		return
 	}
@@ -187,7 +186,7 @@ func TestManyWritersEventualConsistency(t *testing.T) {
 
 func TestCommitEmptyIsPull(t *testing.T) {
 	c := newCluster(t, 3)
-	ctx := ctxT(t, 20*time.Second)
+	ctx := ctxT(t, c, 20*time.Second)
 	key := "doc"
 	a := core.NewReplica(c.Peers[0], key, "alice")
 	b := core.NewReplica(c.Peers[1], key, "bob")
@@ -226,7 +225,7 @@ func TestEditOpsValidation(t *testing.T) {
 
 func TestInterleavedEditPullCommit(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 30*time.Second)
+	ctx := ctxT(t, c, 30*time.Second)
 	key := "doc"
 	a := core.NewReplica(c.Peers[0], key, "alice")
 	b := core.NewReplica(c.Peers[1], key, "bob")
@@ -264,7 +263,7 @@ func TestInterleavedEditPullCommit(t *testing.T) {
 // continuity holds after the Master-Succ takes over.
 func TestMasterCrashDuringEditing(t *testing.T) {
 	c := newCluster(t, 7)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	key := "crash-doc"
 
 	// Pick replicas on peers that are NOT the master (so they survive).
@@ -311,7 +310,7 @@ func TestMasterCrashDuringEditing(t *testing.T) {
 // TestMasterLeaveDuringEditing is the graceful-departure variant.
 func TestMasterLeaveDuringEditing(t *testing.T) {
 	c := newCluster(t, 7)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	key := "leave-doc"
 	master := c.MasterOf(uint64(ids.HashTS(key)))
 	var host *core.Peer
@@ -343,7 +342,7 @@ func TestMasterLeaveDuringEditing(t *testing.T) {
 // consistency and continuity must hold.
 func TestJoinDuringEditing(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	key := "join-doc"
 	r := core.NewReplica(c.Peers[0], key, "alice")
 	for i := 0; i < 3; i++ {
@@ -352,7 +351,12 @@ func TestJoinDuringEditing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Grow(4); err != nil {
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddPeer(c.Peers[0]); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if err := c.WaitStable(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for i := 3; i < 6; i++ {
@@ -386,7 +390,7 @@ func TestRandomizedConvergenceSoak(t *testing.T) {
 		t.Skip("soak")
 	}
 	c := newCluster(t, 5)
-	ctx := ctxT(t, 120*time.Second)
+	ctx := ctxT(t, c, 120*time.Second)
 	key := "soak"
 	const sites = 4
 	rng := rand.New(rand.NewSource(11))
@@ -394,15 +398,13 @@ func TestRandomizedConvergenceSoak(t *testing.T) {
 	for i := range replicas {
 		replicas[i] = core.NewReplica(c.Peers[i%len(c.Peers)], key, fmt.Sprintf("s%d", i))
 	}
-	var wg sync.WaitGroup
 	seeds := make([]int64, sites)
 	for i := range seeds {
 		seeds[i] = rng.Int63()
 	}
+	var sessions []func()
 	for i, r := range replicas {
-		wg.Add(1)
-		go func(i int, r *core.Replica) {
-			defer wg.Done()
+		sessions = append(sessions, func() {
 			lr := rand.New(rand.NewSource(seeds[i]))
 			for round := 0; round < 10; round++ {
 				// Random small edit on the working view.
@@ -420,9 +422,9 @@ func TestRandomizedConvergenceSoak(t *testing.T) {
 					return
 				}
 			}
-		}(i, r)
+		})
 	}
-	wg.Wait()
+	c.Clk.Gather(sessions...)
 	if t.Failed() {
 		return
 	}
@@ -461,7 +463,7 @@ func splitLines(s string) []string {
 // users repeatedly rewrite overlapping regions and still converge.
 func TestSetTextDiffCollaboration(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	a := core.NewReplica(c.Peers[0], "wiki", "alice")
 	b := core.NewReplica(c.Peers[1], "wiki", "bob")
 
@@ -504,7 +506,7 @@ func TestSetTextDiffCollaboration(t *testing.T) {
 // TestReplicaStatsAndAccessors covers the introspection surface.
 func TestReplicaStatsAndAccessors(t *testing.T) {
 	c := newCluster(t, 3)
-	ctx := ctxT(t, 30*time.Second)
+	ctx := ctxT(t, c, 30*time.Second)
 	r := core.NewReplica(c.Peers[0], "meta-doc", "alice")
 	if r.Key() != "meta-doc" || r.Site() != "alice" {
 		t.Fatalf("accessors: %q %q", r.Key(), r.Site())

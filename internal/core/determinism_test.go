@@ -44,19 +44,18 @@ func runClientSchedule(t *testing.T, seed int64) clientTrace {
 		sessions = 4
 		edits    = 6
 	)
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = 8
+	opts := core.Options{CheckpointInterval: 8}
 	// KeepIntervals holds one interval of log back from truncation so a
 	// briefly-lagging session can still integrate; sessions additionally
 	// opt into the checkpoint rebase policy below — without both, an
 	// unlucky laggard hits ErrTruncated forever and the workload never
 	// finishes (by design: that is the application's decision to make).
 	opts.Maintain = &maintain.Config{TruncateEvery: 200 * time.Millisecond, KeepIntervals: 1}
-	c, clk := ringtest.NewVirtualCluster(peers, opts,
+	c := ringtest.NewVirtualCluster(peers, opts,
 		transport.WithLatency(transport.NewLogNormalLatency(2*time.Millisecond, 0.5, seed)),
 		transport.WithDropProb(0.02, seed+1))
-	defer clk.Unregister() // NewVirtualCluster registered this goroutine
-	defer c.Stop()
+	defer c.Close()
+	clk := c.Clk
 
 	ctx := context.Background()
 	key := "sched-doc"

@@ -17,7 +17,7 @@ import (
 
 func TestPersistentReplicaSurvivesRestart(t *testing.T) {
 	c := newCluster(t, 4)
-	ctx := ctxT(t, 30*time.Second)
+	ctx := ctxT(t, c, 30*time.Second)
 	path := filepath.Join(t.TempDir(), "alice.journal")
 
 	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
@@ -68,7 +68,7 @@ func TestPersistentReplicaPatchIDContinuity(t *testing.T) {
 	// The author sequence number must survive restarts: re-using a
 	// PatchID would break the crash-recovery protocol's idempotence.
 	c := newCluster(t, 3)
-	ctx := ctxT(t, 30*time.Second)
+	ctx := ctxT(t, c, 30*time.Second)
 	path := filepath.Join(t.TempDir(), "j")
 
 	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
@@ -106,7 +106,7 @@ func TestPersistentReplicaPatchIDContinuity(t *testing.T) {
 
 func TestPersistentReplicaWrongIdentityRejected(t *testing.T) {
 	c := newCluster(t, 2)
-	ctx := ctxT(t, 20*time.Second)
+	ctx := ctxT(t, c, 20*time.Second)
 	path := filepath.Join(t.TempDir(), "j")
 	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestPersistentReplicaWrongIdentityRejected(t *testing.T) {
 
 func TestPersistentReplicaManyCommitsCompact(t *testing.T) {
 	c := newCluster(t, 3)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	path := filepath.Join(t.TempDir(), "j")
 	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
 	if err != nil {

@@ -66,11 +66,10 @@ func retryWorld(t *testing.T) (c *ringtest.Cluster, ep *ackLoser, front *flakyFr
 	t.Helper()
 	c = newCluster(t, 5)
 	ep = &ackLoser{Endpoint: c.Net.NewEndpoint("flaky-host")}
-	host = core.NewPeer(ep, c.Opts)
-	if err := host.Join(ctxT(t, 10*time.Second), c.Peers[0].Addr()); err != nil {
+	host = c.NewPeerOn(ep)
+	if err := host.Join(ctxT(t, c, 10*time.Second), c.Peers[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	c.Peers = append(c.Peers, host)
 	if err := c.WaitStable(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestRetriedCommitKeepsPatchID(t *testing.T) {
 	for _, reopen := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
 			c, ep, front, host, key := retryWorld(t)
-			ctx := ctxT(t, 60*time.Second)
+			ctx := ctxT(t, c, 60*time.Second)
 			path := filepath.Join(t.TempDir(), "bob.journal")
 			bob, err := core.OpenReplica(host, key, "bob", path)
 			if err != nil {
@@ -149,7 +148,7 @@ func TestRetriedCommitKeepsPatchID(t *testing.T) {
 // a Pull and hands back alice's timestamp.
 func TestCommitKeepsOwnTimestampWhenRangeFailsLater(t *testing.T) {
 	c, ep, front, host, key := retryWorld(t)
-	ctx := ctxT(t, 60*time.Second)
+	ctx := ctxT(t, c, 60*time.Second)
 	alice := core.NewReplica(c.Peers[1], key, "alice")
 	ep.onLose = func() {
 		alice.SetText("alice's line")

@@ -6,21 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
-	"p2pltr/internal/ringtest"
 	"p2pltr/internal/trace"
-	"p2pltr/internal/transport"
+	"p2pltr/internal/vclock"
 )
 
 // commitSpansPeers commits `commits` patches from a replica on peers[1]
 // with an open commit span each, then returns the best (maximum) number
 // of distinct serving peers reached by a single commit's trace ID —
 // i.e. how far one trace context actually propagated across RPC hops.
-func commitSpansPeers(t *testing.T, tr *trace.Tracer, peers []*core.Peer, commits int) int {
+func commitSpansPeers(t *testing.T, ctx context.Context, tr *trace.Tracer, peers []*core.Peer, commits int) int {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	rep := core.NewReplica(peers[1], "traced-doc", "alice")
 	traces := make([]uint64, 0, commits)
 	for i := 0; i < commits; i++ {
@@ -60,66 +56,11 @@ func commitSpansPeers(t *testing.T, tr *trace.Tracer, peers []*core.Peer, commit
 // DHT/log writes) must share one trace ID, observed on >= 3 distinct
 // serving peers.
 func TestTracePropagationSimnet(t *testing.T) {
-	tr := trace.New(nil, 4096)
+	clk := vclock.NewVirtual()
+	tr := trace.New(clk, 4096)
 	tr.SetOrigin("sim-origin")
-	opts := ringtest.FastOptions()
-	opts.Tracer = tr
-	c, err := ringtest.NewCluster(8, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	if got := commitSpansPeers(t, tr, c.Peers, 4); got < 3 {
+	c := newClusterWith(t, 8, core.Options{Clock: clk, Tracer: tr})
+	if got := commitSpansPeers(t, ctxT(t, c, 60*time.Second), tr, c.Peers, 4); got < 3 {
 		t.Fatalf("best commit trace reached %d distinct serving peers, want >= 3", got)
-	}
-}
-
-// TestTracePropagationTCP asserts the same property over real sockets:
-// the trace context survives wire encoding and the tcpnet server-side
-// extraction, so one trace ID still spans >= 3 peers.
-func TestTracePropagationTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real network")
-	}
-	tr := trace.New(nil, 4096)
-	tr.SetOrigin("tcp-origin")
-	opts := core.Options{
-		Tracer: tr,
-		Chord: chord.Config{
-			SuccListLen:     6,
-			StabilizeEvery:  20 * time.Millisecond,
-			FixFingersEvery: 10 * time.Millisecond,
-			CheckPredEvery:  40 * time.Millisecond,
-			CallTimeout:     2 * time.Second,
-		},
-	}
-	const n = 6
-	peers := make([]*core.Peer, 0, n)
-	for i := 0; i < n; i++ {
-		ep, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := core.NewPeer(ep, opts)
-		if i == 0 {
-			p.Create()
-		} else {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := p.Join(ctx, peers[0].Addr())
-			cancel()
-			if err != nil {
-				t.Fatalf("join: %v", err)
-			}
-		}
-		peers = append(peers, p)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-	time.Sleep(300 * time.Millisecond) // stabilize over TCP
-	if got := commitSpansPeers(t, tr, peers, 4); got < 3 {
-		t.Fatalf("best commit trace reached %d distinct serving peers over TCP, want >= 3", got)
 	}
 }

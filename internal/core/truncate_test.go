@@ -15,13 +15,7 @@ import (
 // prefix — the state a long-offline replica wakes up to.
 func truncatedCluster(t *testing.T, interval uint64, patches int) (*ringtest.Cluster, *core.Replica, string) {
 	t.Helper()
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = interval
-	c, err := ringtest.NewCluster(6, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := newClusterWith(t, 6, core.Options{CheckpointInterval: interval})
 	ctx := context.Background()
 	key := "truncated-doc"
 	w := core.NewReplica(c.Peers[0], key, "writer")
@@ -158,13 +152,7 @@ func TestPullToStopsAtTarget(t *testing.T) {
 // snapshot), Commit must not publish a phantom empty patch — it returns
 // ErrTentativeDropped with the replica consistent and current.
 func TestRebaseDroppingAllOpsSurfacesSentinel(t *testing.T) {
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = 4
-	c, err := ringtest.NewCluster(6, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := newClusterWith(t, 6, core.Options{CheckpointInterval: 4})
 	ctx := context.Background()
 	key := "drop-doc"
 	// The boundary state is EMPTY: insert/delete pairs so the author's

@@ -3,23 +3,30 @@ package dht_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"p2pltr/internal/core"
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/ringtest"
+	"p2pltr/internal/transport"
 )
 
-func newCluster(t *testing.T, n int) *ringtest.Cluster {
+func newCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) *ringtest.Cluster {
 	t.Helper()
-	c, err := ringtest.NewCluster(n, ringtest.FastOptions())
-	if err != nil {
+	c := ringtest.NewVirtualCluster(n, core.Options{}, netOpts...)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// waitFor advances virtual time until cond holds, failing the test after
+// the (virtual) budget.
+func waitFor(t *testing.T, c *ringtest.Cluster, budget time.Duration, what string, cond func() bool) {
+	t.Helper()
+	if _, err := c.WaitUntil(budget, what, cond); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
-	return c
 }
 
 func TestPutGetAcrossRing(t *testing.T) {
@@ -94,7 +101,12 @@ func TestDataSurvivesJoin(t *testing.T) {
 		}
 	}
 	// Join three more peers: ranges split, data must transfer.
-	if err := c.Grow(3); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := c.AddPeer(c.Peers[0]); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	if err := c.WaitStable(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
@@ -136,12 +148,10 @@ func TestDataSurvivesLeave(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	c := newCluster(t, 4)
 	ctx := context.Background()
-	var wg sync.WaitGroup
+	var clients []func()
 	errCh := make(chan error, 16)
 	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+		clients = append(clients, func() {
 			cl := c.Peers[g%len(c.Peers)].Client
 			for i := 0; i < 25; i++ {
 				k := fmt.Sprintf("g%d-k%d", g, i)
@@ -155,9 +165,9 @@ func TestConcurrentClients(t *testing.T) {
 					return
 				}
 			}
-		}(g)
+		})
 	}
-	wg.Wait()
+	c.Clk.Gather(clients...)
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
@@ -184,7 +194,7 @@ func TestClientRetriesThroughCrash(t *testing.T) {
 		cl = p.Client
 		break
 	}
-	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	cctx, cancel := c.Clk.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := cl.Put(cctx, key, []byte("v2")); err != nil {
 		t.Fatalf("put after crash: %v", err)

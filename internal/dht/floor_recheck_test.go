@@ -6,13 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
-	"p2pltr/internal/maintain"
-	"p2pltr/internal/transport"
-	"p2pltr/internal/vclock"
 )
 
 // TestFloorRecheckTracksAdvancingPointer closes the once-per-process
@@ -29,39 +25,8 @@ func TestFloorRecheckTracksAdvancingPointer(t *testing.T) {
 		firstTS  = 8  // pointer 8 -> derived floor 4
 		finalTS  = 16 // pointer 16 -> re-derived floor 12
 	)
-	clk := vclock.NewVirtual()
-	net := transport.NewSimnet(
-		transport.WithClock(clk),
-		transport.WithLatency(transport.ConstantLatency(time.Millisecond)),
-	)
-	cfg := chord.Config{
-		SuccListLen:     8,
-		StabilizeEvery:  2 * time.Second,
-		FixFingersEvery: 2 * time.Second,
-		CheckPredEvery:  4 * time.Second,
-		CallTimeout:     400 * time.Millisecond,
-		Clock:           clk,
-	}
-	opts := core.Options{
-		Chord:              cfg,
-		Clock:              clk,
-		CheckpointInterval: interval,
-		Maintain:           &maintain.Config{TruncateEvery: time.Hour, KeepIntervals: 1},
-	}
-	clk.Register()
-	peers := make([]*core.Peer, 8)
-	nodes := make([]*chord.Node, len(peers))
-	for i := range peers {
-		peers[i] = core.NewPeer(net.NewEndpoint(fmt.Sprintf("fc-%02d", i)), opts)
-		nodes[i] = peers[i].Node
-	}
-	chord.SeedRing(nodes)
-	t.Cleanup(func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-		clk.Unregister()
-	})
+	c := newSlowMaintCluster(t, interval)
+	peers := c.Peers
 	ctx := context.Background()
 
 	key := "recheck-floor"
@@ -105,7 +70,7 @@ func TestFloorRecheckTracksAdvancingPointer(t *testing.T) {
 
 	// First boundary pair: the initial derivation installs ptr-margin.
 	commitTo(firstTS)
-	waitVirtual(t, clk, 60*time.Second, "first floor derived on every slot holder",
+	waitFor(t, c, 60*time.Second, "first floor derived on every slot holder",
 		floorsAt(firstTS-interval))
 
 	// Advance the pointer AFTER that first consult. Under once-per-process
@@ -113,11 +78,11 @@ func TestFloorRecheckTracksAdvancingPointer(t *testing.T) {
 	// stay at 4 forever; the periodic recheck must raise it to 12 once
 	// the virtual clock has run past one recheck period.
 	commitTo(finalTS)
-	waitVirtual(t, clk, 60*time.Second, "checkpoint pointer at the new boundary", func() bool {
+	waitFor(t, c, 60*time.Second, "checkpoint pointer at the new boundary", func() bool {
 		ptr, err := peers[1].Ckpt.LatestPointer(ctx, key)
 		return err == nil && ptr == finalTS
 	})
-	waitVirtual(t, clk, dht.DefaultFloorRecheck+60*time.Second, "floor re-derived after pointer advance",
+	waitFor(t, c, dht.DefaultFloorRecheck+60*time.Second, "floor re-derived after pointer advance",
 		floorsAt(finalTS-interval))
 
 	// Below the raised floor, history is dead; inside the margin the log

@@ -10,9 +10,33 @@ import (
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/maintain"
+	"p2pltr/internal/ringtest"
 	"p2pltr/internal/transport"
-	"p2pltr/internal/vclock"
 )
+
+// newSlowMaintCluster seeds an 8-peer ring with checkpoints every
+// interval commits, a KeepIntervals margin of one interval, 1 ms links
+// and slow chord maintenance: a workload of a few hundred virtual ms
+// lands before the FIRST dht maintenance tick, so every floor-derivation
+// probe sees the final pointer and the once-per-process hint is not
+// burned early on a mid-workload pointer.
+func newSlowMaintCluster(t *testing.T, interval uint64) *ringtest.Cluster {
+	t.Helper()
+	opts := core.Options{
+		Chord: chord.Config{
+			SuccListLen:     8,
+			StabilizeEvery:  2 * time.Second,
+			FixFingersEvery: 2 * time.Second,
+			CheckPredEvery:  4 * time.Second,
+			CallTimeout:     400 * time.Millisecond,
+		},
+		CheckpointInterval: interval,
+		Maintain:           &maintain.Config{TruncateEvery: time.Hour, KeepIntervals: 1},
+	}
+	c := ringtest.NewVirtualCluster(8, opts, transport.WithLatency(transport.ConstantLatency(time.Millisecond)))
+	t.Cleanup(c.Close)
+	return c
+}
 
 // TestFloorRederivedFromCheckpointPointer exercises the restart
 // durability of truncation low-water marks. Floors are in-memory: after
@@ -27,43 +51,8 @@ func TestFloorRederivedFromCheckpointPointer(t *testing.T) {
 		interval = 4
 		commits  = 8 // two boundaries: pointer 8, margin-adjusted floor 4
 	)
-	clk := vclock.NewVirtual()
-	net := transport.NewSimnet(
-		transport.WithClock(clk),
-		transport.WithLatency(transport.ConstantLatency(time.Millisecond)),
-	)
-	// Slow maintenance: the whole workload (a few hundred virtual ms)
-	// lands before the FIRST dht maintenance tick, so every derivation
-	// probe sees the final pointer — the once-per-process hint must not
-	// be burned early on a mid-workload pointer.
-	cfg := chord.Config{
-		SuccListLen:     8,
-		StabilizeEvery:  2 * time.Second,
-		FixFingersEvery: 2 * time.Second,
-		CheckPredEvery:  4 * time.Second,
-		CallTimeout:     400 * time.Millisecond,
-		Clock:           clk,
-	}
-	opts := core.Options{
-		Chord:              cfg,
-		Clock:              clk,
-		CheckpointInterval: interval,
-		Maintain:           &maintain.Config{TruncateEvery: time.Hour, KeepIntervals: 1},
-	}
-	clk.Register()
-	peers := make([]*core.Peer, 8)
-	nodes := make([]*chord.Node, len(peers))
-	for i := range peers {
-		peers[i] = core.NewPeer(net.NewEndpoint(fmt.Sprintf("fr-%02d", i)), opts)
-		nodes[i] = peers[i].Node
-	}
-	chord.SeedRing(nodes)
-	t.Cleanup(func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-		clk.Unregister()
-	})
+	c := newSlowMaintCluster(t, interval)
+	peers := c.Peers
 	ctx := context.Background()
 
 	key := "restart-floor"
@@ -76,7 +65,7 @@ func TestFloorRederivedFromCheckpointPointer(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	waitVirtual(t, clk, 20*time.Second, "checkpoint pointer at the last boundary", func() bool {
+	waitFor(t, c, 20*time.Second, "checkpoint pointer at the last boundary", func() bool {
 		ptr, err := peers[1].Ckpt.LatestPointer(ctx, key)
 		return err == nil && ptr == commits
 	})
@@ -99,7 +88,7 @@ func TestFloorRederivedFromCheckpointPointer(t *testing.T) {
 		}
 		return out
 	}
-	waitVirtual(t, clk, 60*time.Second, "floors re-derived on every slot holder", func() bool {
+	waitFor(t, c, 60*time.Second, "floors re-derived on every slot holder", func() bool {
 		hs := holders()
 		if len(hs) == 0 {
 			return false

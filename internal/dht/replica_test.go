@@ -2,6 +2,7 @@ package dht_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -34,25 +35,16 @@ func TestSuccessorCopyExists(t *testing.T) {
 		t.Fatalf("no primary holder")
 	}
 	// Wait for async replication / maintenance.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, c, 5*time.Second, fmt.Sprintf("the successor to receive a copy of %v", id), func() bool {
 		succAddr := owner.Node.Successor().Addr
-		var succ *core.Peer
 		for _, p := range c.Peers {
 			if string(p.Addr()) == succAddr {
-				succ = p
+				_, ok := p.DHT.ReplicaStore().Get(id)
+				return ok
 			}
 		}
-		if succ != nil {
-			if _, ok := succ.DHT.ReplicaStore().Get(id); ok {
-				return // copy in place
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("successor never received a copy of %v", id)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return false
+	})
 }
 
 // TestCrashPromotesSuccessorCopy: crash the owner; the value must remain
@@ -70,7 +62,7 @@ func TestCrashPromotesSuccessorCopy(t *testing.T) {
 		t.Fatalf("no holder")
 	}
 	// Give maintenance a beat to place the successor copy.
-	time.Sleep(100 * time.Millisecond)
+	_ = c.Clk.Sleep(ctx, 100*time.Millisecond)
 	c.Crash(owner)
 	if err := c.WaitStable(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -80,21 +72,12 @@ func TestCrashPromotesSuccessorCopy(t *testing.T) {
 		reader = p
 		break
 	}
-	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	cctx, cancel := c.Clk.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	v, found, err := reader.Client.Get(cctx, key)
 	if err != nil || !found || string(v) != "precious" {
 		t.Fatalf("after owner crash: %q found=%v err=%v", v, found, err)
 	}
 	// The new owner eventually holds it as primary (promotion).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if h := findHolder(c, id); h != nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("copy never promoted to primary")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 5*time.Second, "the copy to be promoted to primary", func() bool { return findHolder(c, id) != nil })
 }

@@ -6,43 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/transport"
-	"p2pltr/internal/vclock"
 )
-
-// virtualRing seeds a consistent ring of core peers on a virtual-time
-// simnet; the test goroutine is registered as the simulation driver.
-func virtualRing(t *testing.T, n int) (*vclock.Virtual, *transport.Simnet, []*core.Peer) {
-	t.Helper()
-	clk := vclock.NewVirtual()
-	net := transport.NewSimnet(
-		transport.WithClock(clk),
-		transport.WithLatency(transport.ConstantLatency(time.Millisecond)),
-	)
-	cfg := chord.FastConfig()
-	cfg.Clock = clk
-	// Register the test goroutine as the driver BEFORE spawning any node
-	// goroutine: otherwise the scheduler can observe quiescence mid-setup
-	// and fire the first ticks while later nodes are still starting.
-	clk.Register()
-	peers := make([]*core.Peer, n)
-	nodes := make([]*chord.Node, n)
-	for i := range peers {
-		peers[i] = core.NewPeer(net.NewEndpoint(fmt.Sprintf("vr-%02d", i)), core.Options{Chord: cfg, Clock: clk})
-		nodes[i] = peers[i].Node
-	}
-	chord.SeedRing(nodes)
-	t.Cleanup(func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-		clk.Unregister()
-	})
-	return clk, net, peers
-}
 
 // holderAndSucc locates the peer whose primary store holds ring
 // position id and that peer's current successor.
@@ -105,20 +72,6 @@ func slotCount(peers []*core.Peer, id ids.ID) int {
 	return n
 }
 
-// waitVirtual advances virtual time until cond holds, failing after the
-// (virtual) budget.
-func waitVirtual(t *testing.T, clk *vclock.Virtual, budget time.Duration, what string, cond func() bool) {
-	t.Helper()
-	ctx := context.Background()
-	t0 := clk.Now()
-	for !cond() {
-		if clk.Since(t0) > budget {
-			t.Fatalf("%s did not happen within %v of virtual time", what, budget)
-		}
-		_ = clk.Sleep(ctx, 5*time.Millisecond)
-	}
-}
-
 // TestTruncationFloorStopsResurrection forces the ROADMAP's
 // truncated-slot resurrection race under virtual time, in both flavors.
 //
@@ -135,7 +88,8 @@ func waitVirtual(t *testing.T, clk *vclock.Virtual, budget time.Duration, what s
 // falls to the floor carried by the next truncation sweep, which the
 // successor now serves as the slot's new owner.
 func TestTruncationFloorStopsResurrection(t *testing.T) {
-	clk, net, peers := virtualRing(t, 8)
+	c := newCluster(t, 8, transport.WithLatency(transport.ConstantLatency(time.Millisecond)))
+	clk, net, peers := c.Clk, c.Net, c.Peers
 	ctx := context.Background()
 
 	publish := func(key string, ts uint64) ids.ID {
@@ -151,7 +105,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	key1 := "res-doc-1"
 	slot1 := publish(key1, 1)
 	owner1, succ1 := holderAndSucc(t, peers, slot1)
-	waitVirtual(t, clk, 10*time.Second, "successor copy of slot1", func() bool {
+	waitFor(t, c, 10*time.Second, "successor copy of slot1", func() bool {
 		_, ok := succ1.DHT.ReplicaStore().Get(slot1)
 		return ok
 	})
@@ -171,7 +125,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 
 	// The owner's next maintenance refresh carries the floor; the
 	// successor must sweep the stale copy on learning it.
-	waitVirtual(t, clk, 10*time.Second, "floor-driven replica sweep", func() bool {
+	waitFor(t, c, 10*time.Second, "floor-driven replica sweep", func() bool {
 		_, ok := succ1.DHT.ReplicaStore().Get(slot1)
 		return !ok
 	})
@@ -196,7 +150,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 			break
 		}
 	}
-	waitVirtual(t, clk, 10*time.Second, "successor copy of slot2", func() bool {
+	waitFor(t, c, 10*time.Second, "successor copy of slot2", func() bool {
 		_, ok := succ2.DHT.ReplicaStore().Get(slot2)
 		return ok
 	})
@@ -212,7 +166,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 
 	// The successor — now the owner — promotes the stale copy: the leak
 	// the low-water mark exists to stop is real.
-	waitVirtual(t, clk, 30*time.Second, "stale-copy resurrection", func() bool {
+	waitFor(t, c, 30*time.Second, "stale-copy resurrection", func() bool {
 		_, ok := succ2.DHT.Store().Get(slot2)
 		return ok
 	})
@@ -223,7 +177,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	if _, err := caller.Log.TruncateTo(ctx, key2, 0, 1); err != nil {
 		t.Fatalf("re-sweep: %v", err)
 	}
-	waitVirtual(t, clk, 10*time.Second, "floor sweep of the resurrected slot", func() bool {
+	waitFor(t, c, 10*time.Second, "floor sweep of the resurrected slot", func() bool {
 		return slotCount(peers, slot2) == 0
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/gateway"
 	"p2pltr/internal/ids"
@@ -24,27 +23,20 @@ import (
 // The calling test goroutine becomes the simulation driver.
 func newCluster(t *testing.T, n int, opts core.Options, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual) {
 	t.Helper()
-	c, clk := ringtest.NewVirtualCluster(n, opts, netOpts...)
-	t.Cleanup(func() {
-		c.Stop()
-		clk.Unregister()
-	})
-	return c, clk
+	c := ringtest.NewVirtualCluster(n, opts, netOpts...)
+	t.Cleanup(c.Close)
+	return c, c.Clk
 }
 
 // waitUntil advances virtual time until cond holds, failing the test
 // after budget. It returns how much virtual time elapsed.
-func waitUntil(t *testing.T, clk *vclock.Virtual, budget time.Duration, what string, cond func() bool) time.Duration {
+func waitUntil(t *testing.T, c *ringtest.Cluster, budget time.Duration, what string, cond func() bool) time.Duration {
 	t.Helper()
-	ctx := context.Background()
-	start := clk.Now()
-	for !cond() {
-		if clk.Since(start) > budget {
-			t.Fatalf("timed out after %v of virtual time waiting for %s", budget, what)
-		}
-		_ = clk.Sleep(ctx, 50*time.Millisecond)
+	waited, err := c.WaitUntil(budget, what, cond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return clk.Since(start)
+	return waited
 }
 
 func gwConfig() gateway.Config {
@@ -56,8 +48,7 @@ func gwConfig() gateway.Config {
 // per line) while a follower on gateway B must track the committed
 // state within a bounded delay of the last commit.
 func TestBatchingAndFollowerFreshness(t *testing.T) {
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = 4
+	opts := core.Options{CheckpointInterval: 4}
 	c, clk := newCluster(t, 8, opts)
 	ctx := context.Background()
 
@@ -76,7 +67,7 @@ func TestBatchingAndFollowerFreshness(t *testing.T) {
 		}
 		_ = clk.Sleep(ctx, 150*time.Millisecond)
 	}
-	waitUntil(t, clk, 60*time.Second, "all enqueued lines to commit", func() bool {
+	waitUntil(t, c, 60*time.Second, "all enqueued lines to commit", func() bool {
 		return gwA.Counters().Counter("batched-ops").Value() == bursts*perBurst && !ed.Replica().Dirty()
 	})
 	if err := ed.Err(); err != nil {
@@ -93,7 +84,7 @@ func TestBatchingAndFollowerFreshness(t *testing.T) {
 	// Staleness bound: the follower must reach the final committed state
 	// within the feed's probe ceiling plus delivery slack.
 	finalTS := ed.Replica().CommittedTS()
-	lag := waitUntil(t, clk, 3*time.Second, "follower to reach final ts", func() bool {
+	lag := waitUntil(t, c, 3*time.Second, "follower to reach final ts", func() bool {
 		return viewer.TS() == finalTS
 	})
 	t.Logf("follower converged to ts %d with %v staleness, %d commits for %d lines", finalTS, lag, commits, bursts*perBurst)
@@ -112,8 +103,7 @@ func TestBatchingAndFollowerFreshness(t *testing.T) {
 // reads without a single KTS call — grants and last_ts counts across
 // the whole ring stay flat.
 func TestFollowerReadsBypassKTS(t *testing.T) {
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = 4
+	opts := core.Options{CheckpointInterval: 4}
 	c, clk := newCluster(t, 8, opts)
 	ctx := context.Background()
 
@@ -125,7 +115,7 @@ func TestFollowerReadsBypassKTS(t *testing.T) {
 		ed.Enqueue(fmt.Sprintf("line-%02d", i))
 		_ = clk.Sleep(ctx, 150*time.Millisecond)
 	}
-	waitUntil(t, clk, 60*time.Second, "editor workload to drain", func() bool {
+	waitUntil(t, c, 60*time.Second, "editor workload to drain", func() bool {
 		return gwA.Counters().Counter("batched-ops").Value() == edits && !ed.Replica().Dirty()
 	})
 	finalTS := ed.Replica().CommittedTS()
@@ -145,7 +135,7 @@ func TestFollowerReadsBypassKTS(t *testing.T) {
 	gwB := gateway.New(c.Peers[3], gwConfig())
 	t.Cleanup(gwB.Close)
 	viewer := gwB.Session("r").Follower("doc")
-	waitUntil(t, clk, 10*time.Second, "cold follower to converge", func() bool {
+	waitUntil(t, c, 10*time.Second, "cold follower to converge", func() bool {
 		return viewer.TS() == finalTS
 	})
 	for i := 0; i < 100; i++ {
@@ -175,8 +165,7 @@ func TestFollowerReadsBypassKTS(t *testing.T) {
 // request is retried as-is by Commit's busy back-off, never dropped and
 // never doubled.
 func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
-	opts := ringtest.FastOptions()
-	opts.AdmissionLimit = 1
+	opts := core.Options{AdmissionLimit: 1}
 	// Real network latency so validations on the hot key overlap — with
 	// instant RPCs they would serialize and the single slot never fills.
 	c, clk := newCluster(t, 8, opts,
@@ -200,7 +189,7 @@ func TestAdmissionShedsCommitEveryLineOnce(t *testing.T) {
 		}
 		_ = clk.Sleep(ctx, 10*time.Millisecond)
 	}
-	waitUntil(t, clk, 120*time.Second, "convoy workload to drain", func() bool {
+	waitUntil(t, c, 120*time.Second, "convoy workload to drain", func() bool {
 		var acked int64
 		for _, gw := range gws {
 			acked += gw.Counters().Counter("batched-ops").Value()
@@ -291,25 +280,11 @@ func newTappedCluster(t *testing.T, n int, netOpts ...transport.SimnetOption) (*
 // wrap(i, endpoint).
 func newWrappedCluster(t *testing.T, n int, wrap func(i int, ep transport.Endpoint) transport.Endpoint, netOpts ...transport.SimnetOption) (*ringtest.Cluster, *vclock.Virtual) {
 	t.Helper()
-	clk := vclock.NewVirtual()
-	clk.Register()
-	opts := ringtest.FastOptions()
-	opts.Chord.Clock, opts.Clock = clk, clk
-	c := &ringtest.Cluster{
-		Net:  transport.NewSimnet(append([]transport.SimnetOption{transport.WithClock(clk)}, netOpts...)...),
-		Opts: opts,
-	}
-	var nodes []*chord.Node
+	c, clk := newCluster(t, 0, core.Options{}, netOpts...)
 	for i := 0; i < n; i++ {
-		p := core.NewPeer(wrap(i, c.Net.NewEndpoint(fmt.Sprintf("peer-%d", i))), opts)
-		c.Peers = append(c.Peers, p)
-		nodes = append(nodes, p.Node)
+		c.NewPeerOn(wrap(i, c.Net.NewEndpoint(fmt.Sprintf("sim-%05d", i))))
 	}
-	chord.SeedRing(nodes)
-	t.Cleanup(func() {
-		c.Stop()
-		clk.Unregister()
-	})
+	c.Seed()
 	return c, clk
 }
 
@@ -347,7 +322,7 @@ func (e *ackLoser) Call(ctx context.Context, to transport.Addr, req msg.Message)
 func TestRetriedBatchKeepsItsPatchID(t *testing.T) {
 	twice(t, func(t *testing.T) string {
 		var host *ackLoser
-		c, clk := newWrappedCluster(t, 8, func(i int, ep transport.Endpoint) transport.Endpoint {
+		c, _ := newWrappedCluster(t, 8, func(i int, ep transport.Endpoint) transport.Endpoint {
 			if i == 0 {
 				host = &ackLoser{Endpoint: ep}
 				return host
@@ -384,9 +359,9 @@ func TestRetriedBatchKeepsItsPatchID(t *testing.T) {
 		host.armed.Store(true)
 		ed.Enqueue("early-1")
 		ed.Enqueue("early-2")
-		waitUntil(t, clk, 30*time.Second, "the commit to give up", func() bool { return ed.Err() != nil })
+		waitUntil(t, c, 30*time.Second, "the commit to give up", func() bool { return ed.Err() != nil })
 		host.down.Store(false)
-		waitUntil(t, clk, 60*time.Second, "every line to commit", func() bool {
+		waitUntil(t, c, 60*time.Second, "every line to commit", func() bool {
 			return gwCount(gw, "batched-ops") == 4
 		})
 
@@ -458,7 +433,7 @@ func TestOneWriterPerDocument(t *testing.T) {
 				_ = clk.Sleep(ctx, 20*time.Millisecond)
 			}
 		}
-		waitUntil(t, clk, 60*time.Second, "every line to commit", func() bool {
+		waitUntil(t, c, 60*time.Second, "every line to commit", func() bool {
 			return gwCount(gw, "batched-ops") == editors*rounds
 		})
 
@@ -544,10 +519,10 @@ func TestFeedParksAtTheLogPeer(t *testing.T) {
 
 		for i := 0; i < commits; i++ {
 			ed.Enqueue(fmt.Sprintf("line-%d", i))
-			waitUntil(t, clk, 30*time.Second, "the commit", func() bool { return ed.Commits() == int64(i+1) })
+			waitUntil(t, c, 30*time.Second, "the commit", func() bool { return ed.Commits() == int64(i+1) })
 			_ = clk.Sleep(ctx, 700*time.Millisecond)
 		}
-		waitUntil(t, clk, 10*time.Second, "the follower to reach the last commit", func() bool {
+		waitUntil(t, c, 10*time.Second, "the follower to reach the last commit", func() bool {
 			return viewer.TS() == commits
 		})
 		mu.Lock()
@@ -576,8 +551,7 @@ func TestFeedParksAtTheLogPeer(t *testing.T) {
 // the editor must re-route to the takeover master, and the follower
 // must converge on the post-crash commits.
 func TestRouteCacheInvalidationOnEviction(t *testing.T) {
-	opts := ringtest.FastOptions()
-	c, clk := newCluster(t, 8, opts)
+	c, _ := newCluster(t, 8, core.Options{})
 
 	// Host the gateway on the master's ring predecessor: its
 	// stabilization probes the master directly, so the crash is
@@ -601,7 +575,7 @@ func TestRouteCacheInvalidationOnEviction(t *testing.T) {
 	viewer := sess.Follower("doc")
 
 	ed.Enqueue("before-crash")
-	waitUntil(t, clk, 30*time.Second, "first commit", func() bool {
+	waitUntil(t, c, 30*time.Second, "first commit", func() bool {
 		return ed.Replica().CommittedTS() >= 1
 	})
 	if gw.Counters().Counter("route-misses").Value() == 0 {
@@ -609,15 +583,15 @@ func TestRouteCacheInvalidationOnEviction(t *testing.T) {
 	}
 
 	c.Crash(master)
-	waitUntil(t, clk, 30*time.Second, "eviction to invalidate the cached route", func() bool {
+	waitUntil(t, c, 30*time.Second, "eviction to invalidate the cached route", func() bool {
 		return gw.Counters().Counter("route-invalidations").Value() >= 1
 	})
 
 	ed.Enqueue("after-crash")
-	waitUntil(t, clk, 60*time.Second, "commit through the takeover master", func() bool {
+	waitUntil(t, c, 60*time.Second, "commit through the takeover master", func() bool {
 		return ed.Replica().CommittedTS() >= 2
 	})
-	waitUntil(t, clk, 30*time.Second, "follower to converge past the crash", func() bool {
+	waitUntil(t, c, 30*time.Second, "follower to converge past the crash", func() bool {
 		return viewer.TS() == ed.Replica().CommittedTS()
 	})
 	text, _ := viewer.Read()

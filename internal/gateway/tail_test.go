@@ -14,7 +14,6 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/patch"
-	"p2pltr/internal/ringtest"
 	"p2pltr/internal/transport"
 )
 
@@ -56,7 +55,7 @@ func gwCount(g *gateway.Gateway, name string) int64 { return g.Counters().Counte
 // round trips, where one record per round trip took 20.
 func TestColdFollowerWindowedCatchUp(t *testing.T) {
 	twice(t, func(t *testing.T) string {
-		c, clk := newCluster(t, 8, ringtest.FastOptions(), netDelay)
+		c, clk := newCluster(t, 8, core.Options{}, netDelay)
 		ctx := context.Background()
 		const records = 20
 		commitLines(t, core.NewReplica(c.Peers[1], "doc", "w"), records, "l")
@@ -90,7 +89,7 @@ func TestColdFollowerWindowedCatchUp(t *testing.T) {
 		gw := gateway.New(host, cfg)
 		t.Cleanup(gw.Close)
 		viewer := gw.Session("r").Follower("doc")
-		waitUntil(t, clk, 30*time.Second, "cold follower to reach the end of the log", func() bool {
+		waitUntil(t, c, 30*time.Second, "cold follower to reach the end of the log", func() bool {
 			return viewer.TS() == records
 		})
 
@@ -128,7 +127,7 @@ func TestColdFollowerWindowedCatchUp(t *testing.T) {
 // never once per reader.
 func TestOneFetchPerRecordPerGateway(t *testing.T) {
 	twice(t, func(t *testing.T) string {
-		c, clk := newCluster(t, 8, ringtest.FastOptions(), netDelay)
+		c, clk := newCluster(t, 8, core.Options{}, netDelay)
 		ctx := context.Background()
 		gwA := gateway.New(c.Peers[0], gwConfig())
 		t.Cleanup(gwA.Close)
@@ -152,13 +151,13 @@ func TestOneFetchPerRecordPerGateway(t *testing.T) {
 			_ = clk.Sleep(ctx, 300*time.Millisecond)
 		}
 		const lines = rounds * (editors + 1)
-		waitUntil(t, clk, 120*time.Second, "every line to commit", func() bool {
+		waitUntil(t, c, 120*time.Second, "every line to commit", func() bool {
 			return gwCount(gwA, "batched-ops")+gwCount(gwB, "batched-ops") == lines
 		})
 		writer := eds[0]
 		final := max(remote.Replica().CommittedTS(), writer.Replica().CommittedTS())
 		own := writer.Commits()
-		waitUntil(t, clk, 10*time.Second, "the feed to reach the final ts", func() bool {
+		waitUntil(t, c, 10*time.Second, "the feed to reach the final ts", func() bool {
 			return viewer.TS() == final
 		})
 
@@ -202,7 +201,7 @@ func TestOneFetchPerRecordPerGateway(t *testing.T) {
 // ring of 8 gets the log's own windowed retrieval and converges.
 func TestReaderBehindTheRingFallsBackToLog(t *testing.T) {
 	twice(t, func(t *testing.T) string {
-		c, clk := newCluster(t, 8, ringtest.FastOptions(), netDelay)
+		c, _ := newCluster(t, 8, core.Options{}, netDelay)
 		gw := gateway.New(c.Peers[0], gwConfig())
 		t.Cleanup(gw.Close)
 		sess := gw.Session("s")
@@ -212,13 +211,13 @@ func TestReaderBehindTheRingFallsBackToLog(t *testing.T) {
 		const records = 20
 		writer := core.NewReplica(c.Peers[3], "doc", "w")
 		commitLines(t, writer, records, "l")
-		waitUntil(t, clk, 30*time.Second, "the feed to fill the ring", func() bool {
+		waitUntil(t, c, 30*time.Second, "the feed to fill the ring", func() bool {
 			return viewer.TS() == records
 		})
 		before := gwCount(gw, "tail-misses")
 
 		ed.Enqueue("late-line")
-		waitUntil(t, clk, 30*time.Second, "the late editor to commit", func() bool {
+		waitUntil(t, c, 30*time.Second, "the late editor to commit", func() bool {
 			return ed.Commits() == 1
 		})
 		if err := ed.Err(); err != nil {
@@ -263,7 +262,7 @@ func TestWaiterRereadsAfterMiss(t *testing.T) {
 		// rest of the ring close (1 ms): a read from the host takes
 		// seconds, a publish from elsewhere lands inside one of its hops.
 		lat := &slowHost{slow: 60 * time.Millisecond, fast: time.Millisecond}
-		c, clk := newCluster(t, 8, ringtest.FastOptions(), transport.WithLatency(lat))
+		c, clk := newCluster(t, 8, core.Options{}, transport.WithLatency(lat))
 		ctx := context.Background()
 		// A host that owns none of the record's three slots, so every
 		// slot read crosses the slow link.
@@ -334,7 +333,7 @@ func TestWaiterRereadsAfterMiss(t *testing.T) {
 		if early {
 			t.Fatal("the first read returned before the publish finished; the scenario needs it still in flight")
 		}
-		waitUntil(t, clk, 30*time.Second, "both readers to return", func() bool {
+		waitUntil(t, c, 30*time.Second, "both readers to return", func() bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return first.done && waiter.done
@@ -358,7 +357,7 @@ func TestWaiterRereadsAfterMiss(t *testing.T) {
 // byte for byte what Log.Fetch returns for that timestamp.
 func TestAckHandsOverPublishedBytes(t *testing.T) {
 	twice(t, func(t *testing.T) string {
-		c, clk := newCluster(t, 8, ringtest.FastOptions(), netDelay)
+		c, _ := newCluster(t, 8, core.Options{}, netDelay)
 		ctx := context.Background()
 		gw := gateway.New(c.Peers[0], gwConfig())
 		t.Cleanup(gw.Close)
@@ -368,9 +367,9 @@ func TestAckHandsOverPublishedBytes(t *testing.T) {
 		const commits = 3
 		for i := 0; i < commits; i++ {
 			ed.Enqueue(fmt.Sprintf("line-%d", i))
-			waitUntil(t, clk, 30*time.Second, "the commit", func() bool { return ed.Commits() == int64(i+1) })
+			waitUntil(t, c, 30*time.Second, "the commit", func() bool { return ed.Commits() == int64(i+1) })
 		}
-		waitUntil(t, clk, 10*time.Second, "the feed to publish the commits", func() bool { return viewer.TS() == commits })
+		waitUntil(t, c, 10*time.Second, "the feed to publish the commits", func() bool { return viewer.TS() == commits })
 
 		handed, err := gw.FetchRange(ctx, "doc", 0, commits)
 		if err != nil || len(handed) != commits {
@@ -396,9 +395,7 @@ func TestAckHandsOverPublishedBytes(t *testing.T) {
 // flight-records it.
 func TestConflictingInsertKeepsFirst(t *testing.T) {
 	twice(t, func(t *testing.T) string {
-		opts := ringtest.FastOptions()
-		opts.FlightRecorder = 16
-		c, _ := newCluster(t, 4, opts)
+		c, _ := newCluster(t, 4, core.Options{FlightRecorder: 16})
 		gw := gateway.New(c.Peers[0], gateway.Config{BatchTick: time.Hour})
 		t.Cleanup(gw.Close)
 		gw.Session("s").Follower("doc")

@@ -17,28 +17,12 @@ import (
 // announce sends a CheckpointAnnounceReq to the current master of key.
 func announce(t *testing.T, c *ringtest.Cluster, key string, ts uint64) *msg.CheckpointAnnounceResp {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node := c.Peers[0].Node
-	for attempt := 0; attempt < 20; attempt++ {
-		master, _, err := node.FindSuccessor(ctx, ids.HashTS(key))
-		if err != nil {
-			t.Fatalf("lookup master: %v", err)
-		}
-		resp, err := node.Call(ctx, transport.Addr(master.Addr), &msg.CheckpointAnnounceReq{Key: key, TS: ts})
-		if err != nil {
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		ar := resp.(*msg.CheckpointAnnounceResp)
-		if ar.NotMaster {
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		return ar
+	resp, err := askMaster(c, c.Peers[0].Node, key, &msg.CheckpointAnnounceReq{Key: key, TS: ts},
+		func(m msg.Message) bool { return m.(*msg.CheckpointAnnounceResp).NotMaster })
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("announce never reached a master")
-	return nil
+	return resp.(*msg.CheckpointAnnounceResp)
 }
 
 func TestCheckpointAnnounceMovesPointerForward(t *testing.T) {
@@ -85,7 +69,7 @@ func TestAnnounceWithoutSnapshotRefused(t *testing.T) {
 	// No checkpoint published at ts 1: the master must not move the
 	// pointer onto an unretrievable snapshot. The RPC errors remotely, so
 	// poll until attempts are exhausted rather than reusing announce().
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	node := c.Peers[0].Node
 	master, _, err := node.FindSuccessor(ctx, ids.HashTS(key))

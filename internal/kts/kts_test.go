@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"p2pltr/internal/chord"
+	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/ringtest"
@@ -15,68 +17,60 @@ import (
 
 func newCluster(t *testing.T, n int) *ringtest.Cluster {
 	t.Helper()
-	c, err := ringtest.NewCluster(n, ringtest.FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := ringtest.NewVirtualCluster(n, core.Options{})
+	t.Cleanup(c.Close)
 	return c
 }
 
-// validate sends a ValidateReq from peer index via transport to the
-// current master of key.
-func validate(t *testing.T, c *ringtest.Cluster, from int, key string, ts uint64, patchID string) *msg.ValidateResp {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// askMaster sends req from node to the current master of key, retrying
+// on the cluster clock while the call fails or the answer says the
+// receiver is not the master.
+func askMaster(c *ringtest.Cluster, node *chord.Node, key string, req msg.Message, notMaster func(msg.Message) bool) (msg.Message, error) {
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	node := c.Peers[from].Node
 	for attempt := 0; attempt < 20; attempt++ {
 		master, _, err := node.FindSuccessor(ctx, ids.HashTS(key))
 		if err != nil {
-			t.Fatalf("lookup master: %v", err)
+			return nil, fmt.Errorf("lookup master: %w", err)
 		}
-		resp, err := node.Call(ctx, transport.Addr(master.Addr), &msg.ValidateReq{
-			Key: key, TS: ts, Patch: []byte("patch-" + patchID), PatchID: patchID,
-		})
-		if err != nil {
-			time.Sleep(10 * time.Millisecond)
-			continue
+		resp, err := node.Call(ctx, transport.Addr(master.Addr), req)
+		if err == nil && !notMaster(resp) {
+			return resp, nil
 		}
-		vr := resp.(*msg.ValidateResp)
-		if vr.Status == msg.ValidateNotMaster {
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		return vr
+		_ = c.Clk.Sleep(ctx, 10*time.Millisecond)
 	}
-	t.Fatalf("validate never reached a master")
-	return nil
+	return nil, fmt.Errorf("%T never reached a master", req)
+}
+
+// tryValidate sends a ValidateReq from peer index via transport to the
+// current master of key.
+func tryValidate(c *ringtest.Cluster, from int, key string, ts uint64, patchID string) (*msg.ValidateResp, error) {
+	resp, err := askMaster(c, c.Peers[from].Node, key, &msg.ValidateReq{
+		Key: key, TS: ts, Patch: []byte("patch-" + patchID), PatchID: patchID,
+	}, func(m msg.Message) bool { return m.(*msg.ValidateResp).Status == msg.ValidateNotMaster })
+	if err != nil {
+		return nil, err
+	}
+	return resp.(*msg.ValidateResp), nil
+}
+
+func validate(t *testing.T, c *ringtest.Cluster, from int, key string, ts uint64, patchID string) *msg.ValidateResp {
+	t.Helper()
+	vr, err := tryValidate(c, from, key, ts, patchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vr
 }
 
 func lastTS(t *testing.T, c *ringtest.Cluster, key string) uint64 {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node := c.Live()[0].Node
-	for attempt := 0; attempt < 20; attempt++ {
-		master, _, err := node.FindSuccessor(ctx, ids.HashTS(key))
-		if err != nil {
-			t.Fatalf("lookup master: %v", err)
-		}
-		resp, err := node.Call(ctx, transport.Addr(master.Addr), &msg.LastTSReq{Key: key})
-		if err != nil {
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		lr := resp.(*msg.LastTSResp)
-		if lr.NotMaster {
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		return lr.LastTS
+	resp, err := askMaster(c, c.Live()[0].Node, key, &msg.LastTSReq{Key: key},
+		func(m msg.Message) bool { return m.(*msg.LastTSResp).NotMaster })
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("last_ts never reached a master")
-	return 0
+	return resp.(*msg.LastTSResp).LastTS
 }
 
 func TestContinuousTimestamps(t *testing.T) {
@@ -131,15 +125,17 @@ func TestConcurrentValidationSerializes(t *testing.T) {
 	const writers = 8
 	var mu sync.Mutex
 	granted := map[uint64]string{}
-	var wg sync.WaitGroup
+	var workers []func()
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+		workers = append(workers, func() {
 			site := fmt.Sprintf("w%d", w)
 			ts := uint64(0)
 			for seq := 1; seq <= 5; {
-				r := validate(t, c, w%len(c.Peers), key, ts, fmt.Sprintf("%s#%d", site, seq))
+				r, err := tryValidate(c, w%len(c.Peers), key, ts, fmt.Sprintf("%s#%d", site, seq))
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				switch r.Status {
 				case msg.ValidateOK:
 					mu.Lock()
@@ -157,9 +153,9 @@ func TestConcurrentValidationSerializes(t *testing.T) {
 					return
 				}
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	c.Clk.Gather(workers...)
 	// Exactly writers*5 grants, timestamps 1..writers*5 with no gaps.
 	mu.Lock()
 	defer mu.Unlock()
@@ -243,7 +239,12 @@ func TestJoiningMasterReceivesTimestamps(t *testing.T) {
 	}
 	// Add peers until one of them becomes the master for the key (or
 	// simply verify continuity regardless of who is master now).
-	if err := c.Grow(4); err != nil {
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddPeer(c.Peers[0]); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	if err := c.WaitStable(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	r := validate(t, c, 0, key, 5, "u#6")

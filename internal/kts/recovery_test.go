@@ -48,7 +48,7 @@ func TestRecoverFromLogWhenClientAhead(t *testing.T) {
 func TestClientAheadOfLogRejected(t *testing.T) {
 	c := newCluster(t, 4)
 	key := "bogus-doc"
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	node := c.Peers[0].Node

@@ -19,15 +19,23 @@ import (
 // and the maintenance engine mounted on every peer.
 func newMaintCluster(t *testing.T, n int, interval uint64, cfg maintain.Config) *ringtest.Cluster {
 	t.Helper()
-	opts := ringtest.FastOptions()
-	opts.CheckpointInterval = interval
-	opts.Maintain = &cfg
-	c, err := ringtest.NewCluster(n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := ringtest.NewVirtualCluster(n, core.Options{CheckpointInterval: interval, Maintain: &cfg})
+	t.Cleanup(c.Close)
 	return c
+}
+
+// waitFor advances the cluster's virtual clock until cond holds, failing
+// the test after budget.
+func waitFor(t *testing.T, c *ringtest.Cluster, budget time.Duration, what string, cond func() bool) {
+	t.Helper()
+	if _, err := c.WaitUntil(budget, what, cond); err != nil {
+		t.Fatalf("%v; counters %v", err, counters(c))
+	}
+}
+
+// sleep advances the cluster's virtual clock by d.
+func sleep(c *ringtest.Cluster, d time.Duration) {
+	_ = c.Clk.Sleep(context.Background(), d)
 }
 
 // testClock is an engine clock the test moves by hand, so the engine's
@@ -37,7 +45,7 @@ type testClock struct {
 	now time.Time
 }
 
-func newTestClock() *testClock { return &testClock{now: time.Now()} }
+func newTestClock() *testClock { return &testClock{now: time.Unix(0, 0).UTC()} }
 
 func (c *testClock) Now() time.Time {
 	c.mu.Lock()
@@ -104,14 +112,11 @@ func pointer(t *testing.T, c *ringtest.Cluster, key string) uint64 {
 
 func waitPointer(t *testing.T, c *ringtest.Cluster, key string, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if pointer(t, c, key) >= want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := c.WaitUntil(20*time.Second, fmt.Sprintf("the pointer to reach %d", want), func() bool {
+		return pointer(t, c, key) >= want
+	}); err != nil {
+		t.Fatalf("%v: pointer stuck at %d", err, pointer(t, c, key))
 	}
-	t.Fatalf("pointer stuck at %d, want %d", pointer(t, c, key), want)
 }
 
 func commit(t *testing.T, r *core.Replica, n int) uint64 {
@@ -193,14 +198,13 @@ func TestRepairsLostCheckpointSlots(t *testing.T) {
 	// replica delete is still in flight, which is not a repair. Each poll
 	// moves the engine clock past the repair throttle, so every pass
 	// probes.
-	deadline := time.Now().Add(20 * time.Second)
-	for counters(c)["slots-repaired"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine never repaired the lost checkpoint slot; counters: %v", counters(c))
+	waitFor(t, c, 20*time.Second, "the engine to repair the lost checkpoint slot", func() bool {
+		if counters(c)["slots-repaired"] > 0 {
+			return true
 		}
 		clk.advance(maintain.DefaultRepairEvery)
-		time.Sleep(10 * time.Millisecond)
-	}
+		return false
+	})
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); !found {
 		t.Fatal("repair counter moved but the slot is still unreadable")
 	}
@@ -219,18 +223,12 @@ func TestTruncationRateLimited(t *testing.T) {
 	waitPointer(t, c, key, interval)
 
 	// First truncation is allowed immediately (no prior attempt).
-	deadline := time.Now().Add(20 * time.Second)
-	for logSlots(c, key) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("first auto-truncation never ran; %d slots left, counters %v", logSlots(c, key), counters(c))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 20*time.Second, "the first auto-truncation", func() bool { return logSlots(c, key) == 0 })
 
 	// Second covered prefix appears, but the throttle window is open.
 	commit(t, w, interval)
 	waitPointer(t, c, key, 2*interval)
-	time.Sleep(200 * time.Millisecond) // many passes, all rate-limited
+	sleep(c, 200*time.Millisecond) // many passes, all rate-limited
 	if got := logSlots(c, key); got == 0 {
 		t.Fatal("second truncation ran inside the rate-limit window")
 	}
@@ -245,13 +243,7 @@ func TestTruncationRateLimited(t *testing.T) {
 	clk.advance(2 * time.Hour)
 	// Poll the counter, not the slot count: the engine bumps it only
 	// after the last delete lands.
-	deadline = time.Now().Add(20 * time.Second)
-	for counters(c)["truncations"] < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("truncation never ran after the window passed; counters %v", counters(c))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 20*time.Second, "truncation after the window passed", func() bool { return counters(c)["truncations"] >= 2 })
 	if got := logSlots(c, key); got != 0 {
 		t.Fatalf("%d log slots left after the second truncation", got)
 	}
@@ -288,9 +280,9 @@ func TestNoopWhenAuthorCheckpointed(t *testing.T) {
 	}
 	waitPointer(t, c, key, interval)
 
-	time.Sleep(150 * time.Millisecond) // let several passes observe the healthy state
+	sleep(c, 150*time.Millisecond) // let several passes observe the healthy state
 	before := counters(c)
-	time.Sleep(150 * time.Millisecond)
+	sleep(c, 150*time.Millisecond)
 	after := counters(c)
 	for _, name := range []string{"fallback-checkpoints", "slots-repaired", "errors"} {
 		if after[name] != before[name] {
@@ -322,36 +314,24 @@ func TestRepairIntervalThrottlesSteadyState(t *testing.T) {
 
 	// Let passes accumulate with the clock frozen: repair must have run
 	// at most once (the first verdict) while skipped passes are counted.
-	deadline := time.Now().Add(20 * time.Second)
-	for counters(c)["repairs-skipped"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no pass skipped repair inside the window; counters %v", counters(c))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 20*time.Second, "a pass to skip repair inside the window", func() bool { return counters(c)["repairs-skipped"] > 0 })
 
 	// A slot lost inside the window stays lost — the probe is throttled.
 	slot := ids.CheckpointHash(0, key, interval)
 	if _, err := c.Peers[0].Client.DeleteID(ctx, slot); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond) // many passes, all inside the window
+	sleep(c, 150*time.Millisecond) // many passes, all inside the window
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
 		t.Fatal("slot repaired inside the repair window")
 	}
 
 	// Once the window passes, the next probe repairs it.
 	clk.advance(2 * maintain.DefaultRepairEvery)
-	deadline = time.Now().Add(20 * time.Second)
-	for {
-		if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never repaired after the window passed; counters %v", counters(c))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 20*time.Second, "the slot to be repaired after the window passed", func() bool {
+		_, found, _ := c.Peers[0].Client.GetID(ctx, slot)
+		return found
+	})
 	if snap := counters(c); snap["slots-repaired"] == 0 {
 		t.Fatalf("slot reappeared without the repair counter moving: %v", snap)
 	}
@@ -460,19 +440,15 @@ func TestDiscoveryResurrectsLostEntryChain(t *testing.T) {
 	}
 	// Each poll moves the engine clock past the discovery throttle: the
 	// test wants the discovery latency, not the throttle.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	waitFor(t, c, 30*time.Second, "discovery to resurrect the entry chain", func() bool {
 		if counters(c)["keys-discovered"] >= 1 {
 			if ts, ok := liveLastTS(); ok && ts == last {
-				break
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("entry chain never resurrected by discovery; counters %v", counters(c))
-		}
 		clk.advance(maintain.DefaultDiscoverEvery)
-		time.Sleep(10 * time.Millisecond)
-	}
+		return false
+	})
 
 	// The resurrected entry carries the authoritative last-ts: the next
 	// commit extends the total order instead of restarting it.
@@ -513,13 +489,7 @@ func TestKeepIntervalsMargin(t *testing.T) {
 	// must survive. Poll the counter and inspect primary stores directly:
 	// probing via Log.Exists would read-repair a mid-sweep timestamp and
 	// resurrect the very slots the engine just reclaimed.
-	deadline := time.Now().Add(20 * time.Second)
-	for counters(c)["truncations"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("margin truncation never ran; counters %v", counters(c))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, c, 20*time.Second, "the margin truncation", func() bool { return counters(c)["truncations"] >= 1 })
 	reclaimed := 0
 	for ts := uint64(1); ts <= interval; ts++ {
 		reclaimed += tsSlots(c, key, ts)

@@ -1,6 +1,6 @@
-// Package metrics provides the per-peer instrumentation spine: latency
-// histograms (exact-sample or fixed-bucket), counters, counter families
-// and a registry that aggregates them into one exportable view.
+// Package metrics provides the per-peer instrumentation spine: fixed-bucket
+// latency and value histograms, counters, counter families and a
+// registry that aggregates them into one exportable view.
 package metrics
 
 import (
@@ -14,26 +14,19 @@ import (
 	"p2pltr/internal/vclock"
 )
 
-// Histogram records samples and reports order statistics. It is safe for
-// concurrent use and has two modes:
+// Histogram records samples into fixed buckets and reports order
+// statistics. It is safe for concurrent use and holds constant memory —
+// bucket counts plus sum/min/max — so it can stay on in every peer of a
+// 1k–10k-peer ring. Quantiles are conservative (bucket upper bound,
+// clamped to the observed min/max); the mean is exact.
 //
-//   - Exact mode (NewHistogram): keeps every sample. Right for bounded
-//     runs that record thousands of points and want exact quantiles.
-//   - Fixed-bucket mode (NewBucketedHistogram / NewValueHistogram):
-//     constant memory per histogram — bucket counts plus sum/min/max —
-//     for always-on per-peer instrumentation at 1k–10k peers, where
-//     keeping every sample is unsustainable. Quantiles are conservative
-//     (bucket upper bound, clamped to the observed min/max).
-//
-// Samples are durations by default; NewValueHistogram records plain
-// int64 values (batch sizes, hop counts) instead.
+// Samples are durations (NewBucketedHistogram) or plain int64 values
+// such as batch sizes and hop counts (NewValueHistogram).
 type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
+	mu sync.Mutex
 
-	// Fixed-bucket mode state (bounds != nil). counts[i] tallies samples
-	// v <= bounds[i]; counts[len(bounds)] is the overflow bucket.
+	// counts[i] tallies samples v <= bounds[i]; counts[len(bounds)] is
+	// the overflow bucket.
 	bounds []int64
 	counts []uint64
 	n      int64
@@ -43,9 +36,6 @@ type Histogram struct {
 
 	value bool // samples are plain values, not durations
 }
-
-// NewHistogram returns an empty exact-sample duration histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // NewBucketedHistogram returns a fixed-bucket duration histogram with the
 // given bucket upper bounds (sorted internally; an overflow bucket is
@@ -80,11 +70,6 @@ func (h *Histogram) ObserveValue(v int64) { h.observe(v) }
 func (h *Histogram) observe(v int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.bounds == nil {
-		h.samples = append(h.samples, time.Duration(v))
-		h.sorted = false
-		return
-	}
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -109,43 +94,25 @@ func (h *Histogram) Time(f func()) {
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.bounds != nil {
-		return int(h.n)
-	}
-	return len(h.samples)
+	return int(h.n)
 }
-
-// IsBucketed reports whether the histogram is in fixed-bucket mode.
-func (h *Histogram) IsBucketed() bool { return h.bounds != nil }
 
 // IsValue reports whether samples are plain values rather than durations.
 func (h *Histogram) IsValue() bool { return h.value }
 
 // Buckets returns copies of the bucket upper bounds and per-bucket
-// (non-cumulative) counts, plus the sample sum and count. bounds is nil
-// for exact-mode histograms.
+// (non-cumulative) counts, plus the sample sum and count.
 func (h *Histogram) Buckets() (bounds []int64, counts []uint64, sum, n int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.bounds == nil {
-		return nil, nil, 0, 0
-	}
 	bounds = append([]int64(nil), h.bounds...)
 	counts = append([]uint64(nil), h.counts...)
 	return bounds, counts, h.sum, h.n
 }
 
-// sortLocked must be called with h.mu held.
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the samples, or 0 when
-// empty. In bucket mode the result is the matching bucket's upper bound,
-// clamped to the observed min/max.
+// empty: the matching bucket's upper bound, clamped to the observed
+// min/max.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.quantileInt(q))
 }
@@ -156,23 +123,6 @@ func (h *Histogram) QuantileValue(q float64) int64 { return h.quantileInt(q) }
 func (h *Histogram) quantileInt(q float64) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.bounds == nil {
-		if len(h.samples) == 0 {
-			return 0
-		}
-		h.sortLocked()
-		if q <= 0 {
-			return int64(h.samples[0])
-		}
-		if q >= 1 {
-			return int64(h.samples[len(h.samples)-1])
-		}
-		idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return int64(h.samples[idx])
-	}
 	if h.n == 0 {
 		return 0
 	}
@@ -211,20 +161,10 @@ func (h *Histogram) MeanValue() int64 { return h.meanInt() }
 func (h *Histogram) meanInt() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.bounds != nil {
-		if h.n == 0 {
-			return 0
-		}
-		return h.sum / h.n
-	}
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	var sum int64
-	for _, s := range h.samples {
-		sum += int64(s)
-	}
-	return sum / int64(len(h.samples))
+	return h.sum / h.n
 }
 
 // Max returns the largest sample.

@@ -8,8 +8,19 @@ import (
 	"time"
 )
 
+// msBuckets returns bounds at every millisecond from 1 ms to n ms: a
+// sample on a whole millisecond lands on its own bound, so quantiles
+// read exactly.
+func msBuckets(n int) []time.Duration {
+	b := make([]time.Duration, n)
+	for i := range b {
+		b[i] = time.Duration(i+1) * time.Millisecond
+	}
+	return b
+}
+
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := NewBucketedHistogram(msBuckets(100)...)
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -31,8 +42,8 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	h := NewValueHistogram(1, 10)
+	if h.QuantileValue(0.5) != 0 || h.MeanValue() != 0 || h.Count() != 0 {
 		t.Fatalf("empty histogram not zero")
 	}
 	if !strings.Contains(h.Summary(), "n=0") {
@@ -41,7 +52,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram()
+	h := NewBucketedHistogram(msBuckets(10)...)
 	h.Observe(5 * time.Millisecond)
 	if h.Quantile(-1) != 5*time.Millisecond || h.Quantile(2) != 5*time.Millisecond {
 		t.Fatalf("out-of-range quantiles")
@@ -49,7 +60,7 @@ func TestHistogramQuantileBounds(t *testing.T) {
 }
 
 func TestHistogramTime(t *testing.T) {
-	h := NewHistogram()
+	h := NewBucketedHistogram(time.Millisecond, time.Second)
 	h.Time(func() { time.Sleep(2 * time.Millisecond) })
 	if h.Count() != 1 || h.Max() < 2*time.Millisecond {
 		t.Fatalf("timed sample %v", h.Max())
@@ -57,7 +68,7 @@ func TestHistogramTime(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
+	h := NewBucketedHistogram(10, 50, 100)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -81,7 +92,7 @@ func TestQuantileOrderProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		h := NewHistogram()
+		h := NewBucketedHistogram(100, 1000, 10000, 30000)
 		for _, v := range raw {
 			h.Observe(time.Duration(v))
 		}
@@ -115,7 +126,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestSummaryFormat(t *testing.T) {
-	h := NewHistogram()
+	h := NewBucketedHistogram(time.Millisecond)
 	for i := 0; i < 10; i++ {
 		h.Observe(time.Millisecond)
 	}
@@ -193,8 +204,8 @@ func TestFamilyMergeSnapshotConcurrent(t *testing.T) {
 
 func TestBucketedHistogramQuantiles(t *testing.T) {
 	h := NewBucketedHistogram(10*time.Millisecond, 100*time.Millisecond, time.Second)
-	if !h.IsBucketed() || h.IsValue() {
-		t.Fatal("mode flags wrong")
+	if h.IsValue() {
+		t.Fatal("duration histogram reports value mode")
 	}
 	for i := 1; i <= 90; i++ {
 		h.Observe(5 * time.Millisecond) // <=10ms bucket
@@ -276,7 +287,7 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	bh.Observe(5 * time.Millisecond)
 	bh.Observe(2 * time.Second)
 	r.AddHistogram("p2pltr_commit_seconds", bh)
-	sh := NewHistogram()
+	sh := NewBucketedHistogram(50 * time.Millisecond)
 	sh.Observe(30 * time.Millisecond)
 	r.AddHistogramSet("p2pltr_trace", func() map[string]*Histogram {
 		return map[string]*Histogram{"commit/rpc": sh}
@@ -295,8 +306,9 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 		`p2pltr_commit_seconds_bucket{le="0.01"} 1`,
 		`p2pltr_commit_seconds_bucket{le="+Inf"} 2`,
 		"p2pltr_commit_seconds_count 2",
-		"# TYPE p2pltr_trace_commit_rpc summary",
-		`p2pltr_trace_commit_rpc{quantile="0.5"} 0.03`,
+		"# TYPE p2pltr_trace_commit_rpc histogram",
+		`p2pltr_trace_commit_rpc_bucket{le="0.05"} 1`,
+		"p2pltr_trace_commit_rpc_sum 0.03\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -165,40 +165,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func writePromHistogram(w io.Writer, name string, h *Histogram) error {
-	if h.IsBucketed() {
-		bounds, counts, sum, n := h.Buckets()
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-		var cum uint64
-		for i, b := range bounds {
-			cum += counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promBound(h, b), cum); err != nil {
-				return err
-			}
-		}
-		cum += counts[len(bounds)]
-		_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-			name, cum, name, promSum(h, sum), name, n)
+	bounds, counts, sum, n := h.Buckets()
+	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}
-	// Exact-sample mode exports as a summary.
-	if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-		return err
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if _, err := fmt.Fprintf(w, "%s{quantile=\"%g\"} %s\n", name, q, promBound(h, h.quantileInt(q))); err != nil {
+	var cum uint64
+	for i, b := range bounds {
+		cum += counts[i]
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promBound(h, b), cum); err != nil {
 			return err
 		}
 	}
-	var sum int64
-	h.mu.Lock()
-	for _, s := range h.samples {
-		sum += int64(s)
-	}
-	n := len(h.samples)
-	h.mu.Unlock()
-	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, promSum(h, sum), name, n)
+	cum += counts[len(bounds)]
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+		name, cum, name, promSum(h, sum), name, n)
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pltr/internal/core"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
 	"p2pltr/internal/transport"
@@ -50,10 +51,10 @@ func runWindowTrace(t *testing.T, seed int64) windowTrace {
 	t.Helper()
 	const history = 24
 	rec := &recordingLatency{inner: transport.NewLogNormalLatency(5*time.Millisecond, 0.5, seed)}
-	c, clk := ringtest.NewVirtualCluster(8, ringtest.FastOptions(),
+	c := ringtest.NewVirtualCluster(8, core.Options{},
 		transport.WithLatency(rec), transport.WithDropProb(0.02, seed+1))
-	defer clk.Unregister() // NewVirtualCluster registered this goroutine
-	defer c.Stop()
+	defer c.Close()
+	clk := c.Clk
 
 	ctx := context.Background()
 	log := c.Peers[0].Log

@@ -16,13 +16,8 @@ import (
 
 func newCluster(t *testing.T, n int, replicas int) *ringtest.Cluster {
 	t.Helper()
-	opts := ringtest.FastOptions()
-	opts.LogReplicas = replicas
-	c, err := ringtest.NewCluster(n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	c := ringtest.NewVirtualCluster(n, core.Options{LogReplicas: replicas})
+	t.Cleanup(c.Close)
 	return c
 }
 
@@ -192,7 +187,7 @@ func TestAvailabilityUnderLogPeerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	reader := c.Live()[0].Log
-	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	cctx, cancel := c.Clk.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	for d := 0; d < docs; d++ {
 		key := fmt.Sprintf("doc-%d", d)
@@ -279,21 +274,15 @@ func TestReadRepairRestoresMissingReplicas(t *testing.T) {
 	// The fetch must have restored the missing slots at current owners.
 	for i := 1; i <= 2; i++ {
 		pos := ids.ReplicaHash(i, "repair-doc", 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			found := false
+		if _, err := c.WaitUntil(5*time.Second, fmt.Sprintf("replica %d to be repaired", i), func() bool {
 			for _, p := range c.Peers {
 				if _, ok := p.DHT.Store().Get(pos); ok {
-					found = true
+					return true
 				}
 			}
-			if found {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d never repaired", i)
-			}
-			time.Sleep(5 * time.Millisecond)
+			return false
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

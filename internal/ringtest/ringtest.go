@@ -1,5 +1,13 @@
-// Package ringtest provides helpers for building simulated P2P-LTR rings
-// in tests, benchmarks and examples.
+// Package ringtest is the one builder of simulated P2P-LTR rings for
+// tests, examples and the simulation runner.
+//
+// A ring built here runs on a vclock.Virtual: every peer, the simnet and
+// whatever the caller starts through the cluster's clock share one
+// deterministic timeline. The calling goroutine is registered as the
+// simulation driver, so it advances time by sleeping on Clk (or waiting
+// through WaitStable and WaitUntil) and must start any concurrent work
+// with Clk.Go or Clk.Gather. Close stops every peer and unregisters the
+// driver.
 package ringtest
 
 import (
@@ -14,29 +22,35 @@ import (
 	"p2pltr/internal/vclock"
 )
 
-// Cluster is a simulated ring of peers.
+// joinBudget bounds one join or graceful leave, in virtual time.
+const joinBudget = 10 * time.Second
+
+// Cluster is a simulated ring of peers on one virtual clock.
 type Cluster struct {
+	Clk   *vclock.Virtual
 	Net   *transport.Simnet
 	Peers []*core.Peer
 	Opts  core.Options
 }
 
-// FastOptions returns peer options tuned for simulation.
-func FastOptions() core.Options {
-	return core.Options{Chord: chord.FastConfig()}
-}
-
-// NewVirtualCluster builds a ring of n peers on a virtual-time simnet,
-// seeded directly into the converged state (chord.SeedRing) so no
-// wall-clock polling is involved anywhere. The CALLING goroutine is
-// registered with the clock as the simulation driver BEFORE any node
-// goroutine is spawned — were it not, the scheduler could observe
-// quiescence mid-setup and fire the first maintenance ticks while
-// later nodes are still starting, an OS-timing race that diverges
-// same-seed runs. The caller must clk.Unregister() when done (and must
-// not Register again).
-func NewVirtualCluster(n int, opts core.Options, netOpts ...transport.SimnetOption) (*Cluster, *vclock.Virtual) {
-	clk := vclock.NewVirtual()
+// NewVirtualCluster builds a ring of n peers named sim-00000, sim-00001,
+// ... on a virtual-time simnet, seeded directly into the converged state
+// (chord.SeedRing). opts.Chord defaults to chord.FastConfig when zero.
+// The ring runs on opts.Clock when that is a *vclock.Virtual (a caller
+// whose tracer must share the clock creates it first), otherwise on a
+// fresh one.
+//
+// The calling goroutine is registered with the clock as the simulation
+// driver before any node goroutine is spawned. Were it not, the
+// scheduler could observe quiescence mid-setup and fire the first
+// maintenance ticks while later nodes are still starting, an OS-timing
+// race that diverges same-seed runs. The caller must Close the cluster
+// when done, from the same goroutine.
+func NewVirtualCluster(n int, opts core.Options, netOpts ...transport.SimnetOption) *Cluster {
+	clk, ok := opts.Clock.(*vclock.Virtual)
+	if !ok {
+		clk = vclock.NewVirtual()
+	}
 	clk.Register()
 	if opts.Chord.SuccListLen == 0 {
 		opts.Chord = chord.FastConfig()
@@ -44,60 +58,53 @@ func NewVirtualCluster(n int, opts core.Options, netOpts ...transport.SimnetOpti
 	opts.Chord.Clock = clk
 	opts.Clock = clk
 	c := &Cluster{
+		Clk:  clk,
 		Net:  transport.NewSimnet(append([]transport.SimnetOption{transport.WithClock(clk)}, netOpts...)...),
 		Opts: opts,
 	}
-	nodes := make([]*chord.Node, 0, n)
 	for i := 0; i < n; i++ {
-		p := core.NewPeer(c.Net.NewEndpoint(fmt.Sprintf("peer-%d", i)), opts)
-		c.Peers = append(c.Peers, p)
-		nodes = append(nodes, p.Node)
+		c.NewPeer()
+	}
+	c.Seed()
+	return c
+}
+
+// NewPeer creates a peer on a fresh endpoint, appends it to Peers and
+// returns it without joining it to the ring.
+func (c *Cluster) NewPeer() *core.Peer {
+	return c.NewPeerOn(c.Net.NewEndpoint(fmt.Sprintf("sim-%05d", len(c.Peers))))
+}
+
+// NewPeerOn is NewPeer on a caller-supplied endpoint, typically one of
+// c.Net's wrapped to observe or perturb the peer's calls.
+func (c *Cluster) NewPeerOn(ep transport.Endpoint) *core.Peer {
+	p := core.NewPeer(ep, c.Opts)
+	c.Peers = append(c.Peers, p)
+	return p
+}
+
+// Seed wires every peer in Peers into the converged ring and starts
+// them. NewVirtualCluster calls it; a caller that built an empty
+// cluster and added its own peers with NewPeerOn calls it once, before
+// any peer has joined.
+func (c *Cluster) Seed() {
+	nodes := make([]*chord.Node, len(c.Peers))
+	for i, p := range c.Peers {
+		nodes[i] = p.Node
 	}
 	chord.SeedRing(nodes)
-	return c, clk
-}
-
-// NewCluster builds a ring of n peers on a fresh simnet with the given
-// options and waits for it to stabilize.
-func NewCluster(n int, opts core.Options, netOpts ...transport.SimnetOption) (*Cluster, error) {
-	c := &Cluster{Net: transport.NewSimnet(netOpts...), Opts: opts}
-	if err := c.Grow(n); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Grow adds n peers to the cluster (creating the ring if empty) and waits
-// for stabilization.
-func (c *Cluster) Grow(n int) error {
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("peer-%d", len(c.Peers))
-		p := core.NewPeer(c.Net.NewEndpoint(name), c.Opts)
-		if len(c.Peers) == 0 {
-			p.Create()
-		} else {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := p.Join(ctx, c.Peers[0].Addr())
-			cancel()
-			if err != nil {
-				return fmt.Errorf("ringtest: join %s: %w", name, err)
-			}
-		}
-		c.Peers = append(c.Peers, p)
-	}
-	return c.WaitStable(15 * time.Second)
 }
 
 // AddPeer joins one new peer through the given bootstrap and returns it.
+// A peer that fails to join stays in Peers, stopped.
 func (c *Cluster) AddPeer(bootstrap *core.Peer) (*core.Peer, error) {
-	name := fmt.Sprintf("peer-%d", len(c.Peers))
-	p := core.NewPeer(c.Net.NewEndpoint(name), c.Opts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	p := c.NewPeer()
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), joinBudget)
 	defer cancel()
 	if err := p.Join(ctx, bootstrap.Addr()); err != nil {
+		p.Stop()
 		return nil, err
 	}
-	c.Peers = append(c.Peers, p)
 	return p, nil
 }
 
@@ -109,16 +116,17 @@ func (c *Cluster) Crash(p *core.Peer) {
 
 // Leave makes the peer depart gracefully.
 func (c *Cluster) Leave(p *core.Peer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), joinBudget)
 	defer cancel()
 	return p.Leave(ctx)
 }
 
-// Stop shuts down every peer.
-func (c *Cluster) Stop() {
+// Close stops every peer and unregisters the driver.
+func (c *Cluster) Close() {
 	for _, p := range c.Peers {
 		p.Stop()
 	}
+	c.Clk.Unregister()
 }
 
 // Live returns the running peers.
@@ -132,19 +140,25 @@ func (c *Cluster) Live() []*core.Peer {
 	return out
 }
 
-// WaitStable blocks until the ring of live peers is fully consistent
-// (successor and predecessor pointers form the sorted cycle).
-func (c *Cluster) WaitStable(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if c.consistent() {
-			return nil
+// WaitUntil advances virtual time in 50 ms steps until cond holds and
+// returns how much virtual time that took, or an error naming what once
+// more than budget has passed.
+func (c *Cluster) WaitUntil(budget time.Duration, what string, cond func() bool) (time.Duration, error) {
+	start := c.Clk.Now()
+	for !cond() {
+		if c.Clk.Since(start) > budget {
+			return c.Clk.Since(start), fmt.Errorf("ringtest: timed out after %v of virtual time waiting for %s", budget, what)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ringtest: ring did not stabilize within %v (%d live peers)", timeout, len(c.Live()))
-		}
-		time.Sleep(5 * time.Millisecond)
+		_ = c.Clk.Sleep(context.Background(), 50*time.Millisecond)
 	}
+	return c.Clk.Since(start), nil
+}
+
+// WaitStable advances virtual time until the ring of live peers is fully
+// consistent (successor and predecessor pointers form the sorted cycle).
+func (c *Cluster) WaitStable(budget time.Duration) error {
+	_, err := c.WaitUntil(budget, fmt.Sprintf("the ring of %d live peers to stabilize", len(c.Live())), c.consistent)
+	return err
 }
 
 func (c *Cluster) consistent() bool {
@@ -166,8 +180,8 @@ func (c *Cluster) consistent() bool {
 	return true
 }
 
-// MasterOf returns the live peer currently responsible for ring position
-// of the given ID-producing function result.
+// MasterOf returns the live peer currently responsible for the given
+// ring position: the first live peer at or after id on the circle.
 func (c *Cluster) MasterOf(id uint64) *core.Peer {
 	live := c.Live()
 	sort.Slice(live, func(i, j int) bool { return live[i].Node.ID() < live[j].Node.ID() })

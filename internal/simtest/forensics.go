@@ -34,8 +34,8 @@ type Forensics struct {
 // included on purpose: their rings are frozen at the moment of death,
 // which is usually the moment under investigation.
 func (r *runner) collectFlight() {
-	recs := make([]*flightrec.Recorder, 0, len(r.all))
-	for _, p := range r.all {
+	recs := make([]*flightrec.Recorder, 0, len(r.c.Peers))
+	for _, p := range r.c.Peers {
 		if p.Flight != nil {
 			recs = append(recs, p.Flight)
 		}

@@ -39,7 +39,7 @@ func (r *runner) settle(workloadEnd time.Duration) {
 	}
 	finalTS := func(doc string) uint64 {
 		max := maxEventTS[doc]
-		for i, p := range r.all {
+		for i, p := range r.c.Peers {
 			if r.down[i] {
 				continue
 			}
@@ -169,7 +169,7 @@ func (r *runner) settle(workloadEnd time.Duration) {
 	// maintenance walk), so give the sweeps a grace period first.
 	_ = r.clk.Sleep(r.ctx, 5*time.Second)
 	leaks, leakDetail, leakKey := 0, "", ""
-	for i, p := range r.all {
+	for i, p := range r.c.Peers {
 		if r.down[i] || !p.Node.Running() {
 			continue
 		}
@@ -272,7 +272,7 @@ func orf(detail, format string, args ...any) string {
 // regions.
 func (r *runner) coldReaders(doc string, n int) []*core.Replica {
 	var hosts []*core.Peer
-	for i, p := range r.all {
+	for i, p := range r.c.Peers {
 		if !r.down[i] && p.Node.Running() {
 			hosts = append(hosts, p)
 		}

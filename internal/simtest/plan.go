@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -336,13 +337,25 @@ func (p Plan) Save(path string) error {
 }
 
 // Parse decodes a plan file, rejecting unknown fields so a typo in a
-// knob name fails loudly instead of silently running the default.
+// knob name fails loudly instead of silently running the default, and
+// anything after the plan object, so a concatenated or merge-damaged
+// file does not silently run its first half. Empty churn and fault
+// lists decode as absent, the form Marshal writes them in.
 func Parse(b []byte) (Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("plan: trailing content after the plan object at offset %d", dec.InputOffset())
+	}
+	if len(p.Churn) == 0 {
+		p.Churn = nil
+	}
+	if len(p.Faults) == 0 {
+		p.Faults = nil
 	}
 	return p, nil
 }

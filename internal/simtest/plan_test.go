@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,6 +28,51 @@ func TestPlanParseRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "peer_count") {
 		t.Fatalf("typo'd knob not rejected: %v", err)
 	}
+}
+
+func TestPlanParseRejectsTrailingContent(t *testing.T) {
+	const a = `{"name":"a","peers":8,"docs":1,"editors_per_doc":1,"edits_per_editor":1}`
+	if _, err := Parse([]byte(a + "\n")); err != nil {
+		t.Fatalf("one plan and a newline: %v", err)
+	}
+	for _, tail := range []string{"\n" + `{"name":"b","peers":512}`, " x", "}"} {
+		if p, err := Parse([]byte(a + tail)); err == nil {
+			t.Errorf("%q after the plan object parsed as plan %q", tail, p.Name)
+		}
+	}
+}
+
+// FuzzPlan: Parse never panics, and a plan that parses and validates
+// survives Marshal and a second Parse unchanged.
+func FuzzPlan(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join(plansDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed plans under %s: %v", plansDir, err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Parse(b)
+		if err != nil || p.Validate() != nil {
+			return
+		}
+		out, err := p.Marshal()
+		if err != nil {
+			t.Fatalf("valid plan does not marshal: %v", err)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("marshalled plan does not parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("round trip changed the plan:\n%+v\nvs\n%+v", p, back)
+		}
+	})
 }
 
 func TestPlanValidate(t *testing.T) {

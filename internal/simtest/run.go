@@ -16,6 +16,7 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/metrics"
+	"p2pltr/internal/ringtest"
 	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
@@ -70,18 +71,16 @@ type runner struct {
 	seed int64
 	res  *Result
 
-	clk    *vclock.Virtual
-	net    *transport.Simnet
-	opts   core.Options
+	c      *ringtest.Cluster
+	clk    *vclock.Virtual // c.Clk
 	ctx    context.Context
 	epoch  time.Time
 	tracer *trace.Tracer
 
 	mu       sync.Mutex // guards events/digest/session bookkeeping
 	dig      digest
-	all      []*core.Peer
-	down     []bool
-	hosts    []int // reserved session-host peer indexes (direct mode)
+	down     []bool // parallel to c.Peers
+	hosts    []int  // reserved session-host peer indexes (direct mode)
 	hostBusy []bool
 	gwHosts  map[int]bool
 	killReq  []int
@@ -104,16 +103,13 @@ type runner struct {
 	vc       int
 }
 
+// newRunner compiles the plan's schedule and builds its ring, making the
+// calling goroutine the ring's simulation driver; run closes the ring.
 func newRunner(plan Plan, seed int64, res *Result) *runner {
 	clk := vclock.NewVirtual()
 	r := &runner{
 		plan: plan, seed: seed, res: res,
-		clk: clk,
-		net: transport.NewSimnet(
-			transport.WithClock(clk),
-			transport.WithLatency(transport.NewLogNormalLatency(ms(plan.LatencyMedianMS), plan.LatencySigma, seed+1)),
-			transport.WithDropProb(0, seed+2), // loss starts after warm-up
-		),
+		clk:      clk,
 		ctx:      context.Background(),
 		epoch:    time.Unix(0, 0).UTC(),
 		dig:      newDigest(),
@@ -142,14 +138,13 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 	// Paper-like timers, as in chord's scale tests: virtual time makes
 	// aggressive periods pointless, and at 512+ peers their event rate
 	// would dominate the wall-time budget.
-	r.opts = core.Options{
+	opts := core.Options{
 		Chord: chord.Config{
 			SuccListLen:     8,
 			StabilizeEvery:  500 * time.Millisecond,
 			FixFingersEvery: 500 * time.Millisecond,
 			CheckPredEvery:  time.Second,
 			CallTimeout:     400 * time.Millisecond,
-			Clock:           clk,
 		},
 		CheckpointInterval: plan.CheckpointInterval,
 		ClientBackoff:      time.Second,
@@ -159,7 +154,7 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 		FlightRecorder:     256,
 	}
 	if !plan.DisableMaintain {
-		r.opts.Maintain = &maintain.Config{
+		opts.Maintain = &maintain.Config{
 			TruncateEvery: ms(plan.TruncateEveryMS),
 			KeepIntervals: plan.KeepIntervals,
 		}
@@ -180,6 +175,12 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 		}
 	}
 	sort.SliceStable(r.schedule, func(i, j int) bool { return r.schedule[i].at < r.schedule[j].at })
+	// The ring: this goroutine becomes its simulation driver.
+	r.c = ringtest.NewVirtualCluster(plan.Peers, opts,
+		transport.WithLatency(transport.NewLogNormalLatency(ms(plan.LatencyMedianMS), plan.LatencySigma, seed+1)),
+		transport.WithDropProb(0, seed+2), // loss starts after warm-up
+	)
+	r.down = make([]bool, plan.Peers)
 	return r
 }
 
@@ -193,31 +194,31 @@ func (r *runner) record(kind, doc, site string, ts uint64) {
 	r.mu.Unlock()
 }
 
+// newPeer creates an unjoined peer for a churn join and returns its
+// index.
 func (r *runner) newPeer() int {
-	i := len(r.all)
-	r.all = append(r.all, core.NewPeer(r.net.NewEndpoint(fmt.Sprintf("sim-%05d", i)), r.opts))
+	p := r.c.NewPeer()
 	r.down = append(r.down, false)
 	if r.partOn {
 		// A peer born during a partition window joins on the majority
 		// side of the split (simnet sends unmentioned endpoints to their
 		// own group, where nobody could bootstrap them).
-		r.partGroups[1] = append(r.partGroups[1], r.all[i].Addr())
-		r.net.Partition(r.partGroups...)
+		r.partGroups[1] = append(r.partGroups[1], p.Addr())
+		r.c.Net.Partition(r.partGroups...)
 	}
-	return i
+	return len(r.c.Peers) - 1
 }
 
 func (r *runner) crash(i int) {
 	if r.down[i] {
 		return
 	}
-	r.net.Crash(r.all[i].Addr())
-	r.all[i].Stop()
+	r.c.Crash(r.c.Peers[i])
 	r.down[i] = true
 }
 
 func (r *runner) livePeer() *core.Peer {
-	for i, p := range r.all {
+	for i, p := range r.c.Peers {
 		if !r.down[i] && p.Node.Running() {
 			return p
 		}
@@ -241,22 +242,10 @@ func (r *runner) isHost(i int) bool {
 // settle phase.
 func (r *runner) run() {
 	plan := r.plan
-	for i := 0; i < plan.Peers; i++ {
-		r.newPeer()
-	}
-	nodes := make([]*chord.Node, len(r.all))
-	for i, p := range r.all {
-		nodes[i] = p.Node
-	}
-	r.clk.Register()
-	defer r.clk.Unregister()
-	chord.SeedRing(nodes)
+	defer r.c.Close()
 	defer func() {
 		for _, g := range r.gws {
 			g.Close()
-		}
-		for _, p := range r.all {
-			p.Stop()
 		}
 	}()
 
@@ -273,7 +262,7 @@ func (r *runner) run() {
 	}
 
 	_ = r.clk.Sleep(r.ctx, ms(plan.WarmupMS))
-	r.net.SetDropProb(plan.LossRate)
+	r.c.Net.SetDropProb(plan.LossRate)
 
 	if plan.Gateways > 0 {
 		r.startGatewaySessions()
@@ -286,7 +275,7 @@ func (r *runner) run() {
 	if r.partOn {
 		// A partition window outlasting the workload heals before the
 		// settle phase: the invariants judge the converged system.
-		r.net.Heal()
+		r.c.Net.Heal()
 		r.partOn = false
 		r.partGroups = nil
 		r.record("heal", "", "forced", 0)
@@ -377,7 +366,7 @@ func (r *runner) fire(a action, rng *rand.Rand) {
 			frac = 0.25
 		}
 		var live []transport.Addr
-		for i, p := range r.all {
+		for i, p := range r.c.Peers {
 			if !r.down[i] {
 				live = append(live, p.Addr())
 			}
@@ -390,12 +379,12 @@ func (r *runner) fire(a action, rng *rand.Rand) {
 			return
 		}
 		r.partGroups = [][]transport.Addr{live[:cut], live[cut:]}
-		r.net.Partition(r.partGroups...)
+		r.c.Net.Partition(r.partGroups...)
 		r.partOn = true
 		r.record("partition", "", fmt.Sprintf("%d|%d", cut, len(live)-cut), 0)
 	case "heal":
 		if r.partOn {
-			r.net.Heal()
+			r.c.Net.Heal()
 			r.partOn = false
 			r.partGroups = nil
 			r.record("heal", "", "", 0)
@@ -405,7 +394,7 @@ func (r *runner) fire(a action, rng *rand.Rand) {
 			return
 		}
 		doc := docName(a.f.Doc)
-		for i, p := range r.all {
+		for i, p := range r.c.Peers {
 			if r.down[i] || !p.Node.Running() {
 				continue
 			}
@@ -427,7 +416,7 @@ func (r *runner) fire(a action, rng *rand.Rand) {
 
 func (r *runner) fireChurn(b ChurnBatch, rng *rand.Rand) {
 	var eligible []int
-	for i := range r.all {
+	for i := range r.c.Peers {
 		if !r.down[i] && !r.isHost(i) {
 			eligible = append(eligible, i)
 		}
@@ -436,7 +425,7 @@ func (r *runner) fireChurn(b ChurnBatch, rng *rand.Rand) {
 	for k := 0; k < b.Crash && k < len(perm); k++ {
 		v := eligible[perm[k]]
 		r.crash(v)
-		r.record("crash", "", string(r.all[v].Addr()), 0)
+		r.record("crash", "", string(r.c.Peers[v].Addr()), 0)
 	}
 	for k := 0; k < b.Join; k++ {
 		r.pending = append(r.pending, pendingJoin{idx: r.newPeer()})
@@ -455,9 +444,9 @@ func (r *runner) advanceJoins() {
 			continue
 		}
 		boot := -1
-		for probe := 0; probe < len(r.all); probe++ {
-			j := (pj.idx + 1 + pj.attempts + probe) % len(r.all)
-			if j != pj.idx && !r.down[j] && r.all[j].Node.Running() && !r.cutOff(r.all[j].Addr()) {
+		for probe := 0; probe < len(r.c.Peers); probe++ {
+			j := (pj.idx + 1 + pj.attempts + probe) % len(r.c.Peers)
+			if j != pj.idx && !r.down[j] && r.c.Peers[j].Node.Running() && !r.cutOff(r.c.Peers[j].Addr()) {
 				boot = j
 				break
 			}
@@ -465,8 +454,8 @@ func (r *runner) advanceJoins() {
 		var jerr error
 		if boot < 0 {
 			jerr = fmt.Errorf("no live bootstrap peer")
-		} else if jerr = r.all[pj.idx].Join(r.ctx, r.all[boot].Addr()); jerr == nil {
-			r.record("join", "", string(r.all[pj.idx].Addr()), 0)
+		} else if jerr = r.c.Peers[pj.idx].Join(r.ctx, r.c.Peers[boot].Addr()); jerr == nil {
+			r.record("join", "", string(r.c.Peers[pj.idx].Addr()), 0)
 			continue
 		}
 		pj.attempts++
@@ -480,7 +469,7 @@ func (r *runner) advanceJoins() {
 		}
 		pj.nextAt = now + backoff
 		if pj.attempts >= 30 {
-			r.res.check("run", false, "churn join of %s gave up after %d attempts: %v", r.all[pj.idx].Addr(), pj.attempts, jerr)
+			r.res.check("run", false, "churn join of %s gave up after %d attempts: %v", r.c.Peers[pj.idx].Addr(), pj.attempts, jerr)
 			continue
 		}
 		kept = append(kept, pj)
@@ -515,7 +504,7 @@ func (r *runner) startDirectSessions() {
 		doomed := r.doomed[d]
 		site := fmt.Sprintf("site-%02d", s)
 		hostIdx := r.hosts[s]
-		host := r.all[hostIdx]
+		host := r.c.Peers[hostIdx]
 		ed, think := workload.SessionSpec{
 			Site:           site,
 			DeleteFraction: plan.DeleteFraction,
@@ -626,7 +615,7 @@ func (r *runner) startGateways() {
 	for g := 0; g < plan.Gateways; g++ {
 		h := (g * plan.Peers) / plan.Gateways
 		r.gwHosts[h] = true
-		r.gws = append(r.gws, gateway.New(r.all[h], gcfg))
+		r.gws = append(r.gws, gateway.New(r.c.Peers[h], gcfg))
 	}
 }
 
@@ -695,7 +684,7 @@ func (r *runner) collectCounters() {
 	// in whatever order the peers stop.
 	r.tracer.SetSink(nil)
 	agg := metrics.NewFamily()
-	for _, p := range r.all {
+	for _, p := range r.c.Peers {
 		if p.Maint != nil {
 			agg.Merge(p.Maint.Counters())
 		}
@@ -706,12 +695,12 @@ func (r *runner) collectCounters() {
 	for k, v := range agg.Snapshot() {
 		res.Counters[k] = v
 	}
-	for _, p := range r.all {
+	for _, p := range r.c.Peers {
 		g, rj, _ := p.KTS.Stats()
 		res.Grants += g
 		res.Rejects += rj
 	}
-	res.Sent, res.Dropped = r.net.Stats()
+	res.Sent, res.Dropped = r.c.Net.Stats()
 	res.Virtual = r.clk.Since(r.epoch)
 	for _, ev := range res.Events {
 		switch ev.Kind {
@@ -728,7 +717,7 @@ func (r *runner) collectCounters() {
 func (r *runner) logSlots(doc string) int {
 	prefix := "log/" + doc + "/"
 	n := 0
-	for i, p := range r.all {
+	for i, p := range r.c.Peers {
 		if r.down[i] {
 			continue
 		}
@@ -748,7 +737,7 @@ func (r *runner) coveredSlots(doc string, horizon uint64) int {
 		return 0
 	}
 	n := 0
-	for i, p := range r.all {
+	for i, p := range r.c.Peers {
 		if r.down[i] {
 			continue
 		}
