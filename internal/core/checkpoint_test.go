@@ -3,7 +3,6 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -137,50 +136,5 @@ func TestDirtyReplicaDoesNotJumpCheckpoints(t *testing.T) {
 	}
 	if ts, err := bob.Commit(ctx); err != nil || ts != 9 {
 		t.Fatalf("dirty commit: ts=%d err=%v", ts, err)
-	}
-}
-
-// TestJournalCompactsOnCheckpoint: WAL checkpointing piggybacks on the
-// DHT snapshot — after a boundary commit the journal holds one snapshot
-// record, and a restart restores from it.
-func TestJournalCompactsOnCheckpoint(t *testing.T) {
-	const interval = 2
-	c := newCheckpointingCluster(t, 4, interval)
-	ctx := ctxT(t, c, 60*time.Second)
-	path := filepath.Join(t.TempDir(), "alice.journal")
-	r, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sizeAtBoundary, sizeBefore int64
-	for i := 0; i < 4; i++ {
-		if err := r.Insert(0, fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		sizeBefore = r.JournalSize()
-		ts, err := r.Commit(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ts%interval == 0 {
-			sizeAtBoundary = r.JournalSize()
-		}
-	}
-	// A boundary commit compacts: the journal after it is no larger than
-	// it was before the commit appended (compaction rewrote it to a
-	// single snapshot instead of growing the chain).
-	if sizeAtBoundary == 0 || sizeAtBoundary > sizeBefore {
-		t.Fatalf("journal did not compact at boundary: at=%d before-last=%d", sizeAtBoundary, sizeBefore)
-	}
-	if err := r.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := core.OpenReplica(c.Peers[0], "doc", "alice", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.CloseJournal()
-	if r2.CommittedTS() != 4 || r2.Text() != r.Text() {
-		t.Fatalf("restart from compacted journal: ts=%d", r2.CommittedTS())
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2pltr/internal/checkpoint"
@@ -119,6 +120,10 @@ type Peer struct {
 
 	frontMu sync.RWMutex
 	front   Front
+
+	// replicas counts the NewReplica calls on this peer; each replica's
+	// patch-ID session includes its count (see NewReplica).
+	replicas atomic.Uint64
 
 	Node *chord.Node
 	DHT  *dht.Service

@@ -16,7 +16,6 @@ import (
 	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
-	"p2pltr/internal/wal"
 )
 
 // ErrMasterUnavailable is returned when the Master-key peer (and every
@@ -63,7 +62,11 @@ type Replica struct {
 	committed   *patch.Document
 	committedTS uint64
 	tentative   []patch.Op
-	seq         uint64 // author-local patch counter
+	// idBase prefixes every patch ID this replica mints: the site and a
+	// session that no other replica of the site shares, so seq may start
+	// at 0 again in every session (see NewReplica).
+	idBase string
+	seq    uint64 // session-local patch counter
 	// pendingID is the patch ID minted for the current tentative ops; a
 	// Commit retried over unchanged ops reuses it, so a patch the master
 	// granted before the failed call is recognised in the log. Empty
@@ -86,20 +89,28 @@ type Replica struct {
 	// rebaseOnCkpt opts into rebasing tentative edits onto the checkpoint
 	// state when the log prefix beneath them was truncated.
 	rebaseOnCkpt bool
-	// journal, when non-nil, persists snapshots across restarts (see
-	// OpenReplica in persist.go).
-	journal *wal.Log
 }
 
 // NewReplica opens the document key at peer, with site as the author
 // identity (must be unique among collaborating user peers). The document
 // starts from the empty state at timestamp 0; Pull brings it up to date
 // with any previously committed patches.
+//
+// Each replica is a new session of its site: its patch IDs carry the
+// peer's address, how many replicas the peer opened before it and the
+// clock reading. A site reopened on another peer, on the same peer or in
+// a restarted process therefore never mints an ID an earlier session
+// used, which the master and the log would take for that session's patch.
+// Nothing is kept across a restart but what the log holds: uncommitted
+// edits are lost.
 func NewReplica(peer *Peer, key, site string) *Replica {
+	session := string(peer.Addr()) + "." + strconv.FormatUint(peer.replicas.Add(1), 36) +
+		"." + strconv.FormatInt(peer.clock.Now().UnixNano(), 36)
 	return &Replica{
 		peer:      peer,
 		key:       key,
 		site:      site,
+		idBase:    site + "@" + session,
 		mu:        vclock.NewMutex(peer.clock),
 		committed: patch.NewDocument(""),
 	}
@@ -276,7 +287,7 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 
 	if r.pendingID == "" {
 		r.seq++
-		r.pendingID = patch.NewPatchID(r.site, r.seq)
+		r.pendingID = patch.NewPatchID(r.idBase, r.seq)
 	}
 	p := patch.Patch{
 		ID:     r.pendingID,
@@ -320,9 +331,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				// The very bytes the master published at this timestamp.
 				f.Committed(p2plog.Record{Key: r.key, TS: resp.ValidatedTS, PatchID: p.ID, Patch: enc})
 			}
-			if err := r.saveLocked(); err != nil {
-				return r.committedTS, fmt.Errorf("core: committed at ts %d but journaling failed: %w", r.committedTS, err)
-			}
 			sp.Mark("apply")
 			r.maybeCheckpointLocked(ctx, resp.ValidatedTS)
 			sp.Mark("checkpoint")
@@ -345,9 +353,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				// That holds even when a later record of the range failed
 				// to arrive (err != nil): the commit is done, the rest of
 				// the range is the next Pull's work.
-				if err := r.saveLocked(); err != nil {
-					return r.committedTS, fmt.Errorf("core: committed but journaling failed: %w", err)
-				}
 				return ownTS, nil
 			}
 			if err != nil {
@@ -361,9 +366,6 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 				// sentinel tells the caller its edit did NOT commit even
 				// though the replica is consistent and current.
 				r.pendingID = ""
-				if err := r.saveLocked(); err != nil {
-					return r.committedTS, err
-				}
 				return r.committedTS, ErrTentativeDropped
 			}
 			// Rebase the pending patch on the newly integrated commits.
@@ -434,7 +436,7 @@ func (r *Replica) PullTo(ctx context.Context, target uint64) error {
 	if r.committedTS != target {
 		return fmt.Errorf("core: pulled %s to ts %d, want %d", r.key, r.committedTS, target)
 	}
-	return r.saveLocked()
+	return nil
 }
 
 // CommittedLines returns a copy of the committed document's lines (the
@@ -453,36 +455,24 @@ func (r *Replica) pullLocked(ctx context.Context) error {
 	if ckpt > r.seenCkptTS {
 		r.seenCkptTS = ckpt
 	}
-	changed := false
 	// Bootstrap from the newest reachable checkpoint plus the log tail:
 	// a cold (or long-offline) replica pays O(tail), not O(history).
 	// Jumping is only legal with no tentative edits — transforming them
 	// would need exactly the intermediate patches the jump skips.
 	if ckpt > r.committedTS && len(r.tentative) == 0 {
-		jumped, err := r.bootstrapFromCheckpointLocked(ctx, ckpt)
-		if err != nil {
+		if _, err := r.bootstrapFromCheckpointLocked(ctx, ckpt); err != nil {
 			return err
 		}
-		changed = changed || jumped
 	}
-	if last > r.committedTS {
-		if _, err := r.integrateMissingLocked(ctx, last, ""); err != nil {
-			return err
-		}
-		changed = true
-	}
-	if !changed {
-		return nil
-	}
-	return r.saveLocked()
+	_, err = r.integrateMissingLocked(ctx, last, "")
+	return err
 }
 
 // bootstrapFromCheckpointLocked installs the snapshot taken at ts as the
-// committed state, replacing whatever older prefix was integrated. The
-// journal is compacted to the snapshot (the paper's WAL checkpointing
-// piggybacks on the DHT-resident one). Returns false when no replica of
-// the promised checkpoint was reachable — the caller falls back to the
-// log, which may still hold the full history.
+// committed state, replacing whatever older prefix was integrated.
+// Returns false when no replica of the promised checkpoint was reachable
+// — the caller falls back to the log, which may still hold the full
+// history.
 func (r *Replica) bootstrapFromCheckpointLocked(ctx context.Context, ts uint64) (bool, error) {
 	cp, err := r.peer.Ckpt.Fetch(ctx, r.key, ts)
 	if err != nil {
@@ -494,7 +484,7 @@ func (r *Replica) bootstrapFromCheckpointLocked(ctx context.Context, ts uint64) 
 	r.committed = patch.FromLines(cp.Lines)
 	r.committedTS = cp.TS
 	r.ckptBootstraps++
-	return true, r.compactJournalLocked()
+	return true, nil
 }
 
 // maybeCheckpointLocked publishes a snapshot when this commit landed on a
@@ -523,9 +513,6 @@ func (r *Replica) maybeCheckpointLocked(ctx context.Context, ts uint64) {
 	}
 	r.ckptPublished++
 	r.peer.Flight.Record(ctx, "ckpt-publish", r.key, "ts="+strconv.FormatUint(ts, 10))
-	// Local WAL checkpointing rides on the same snapshot: state up to ts
-	// is durable in the DHT, so the journal shrinks to one record.
-	_ = r.compactJournalLocked()
 }
 
 // integrateMissingLocked retrieves patches (committedTS, lastTS] from the
@@ -640,7 +627,7 @@ func (r *Replica) rebaseOntoCheckpointLocked(ctx context.Context) error {
 	r.committed = doc
 	r.committedTS = cp.TS
 	r.ckptRebases++
-	return r.compactJournalLocked()
+	return nil
 }
 
 // rebaseOps re-anchors tentative ops onto a new base document: positions

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,53 +88,74 @@ func retryWorld(t *testing.T) (c *ringtest.Cluster, ep *ackLoser, front *flakyFr
 // TestRetriedCommitKeepsPatchID: the master grants and logs bob's patch,
 // the ack is lost, and the catch-up that would have recognised the patch
 // in the log fails before reaching it, so Commit errors. The retry must
-// go out under the same patch ID — also when bob's replica is saved and
-// reopened from its journal in between: it then finds its own record,
-// the line lands once and the timestamp returned is the one the log holds.
+// go out under the same patch ID: it then finds its own record, the line
+// lands once and the timestamp returned is the one the log holds.
 func TestRetriedCommitKeepsPatchID(t *testing.T) {
-	for _, reopen := range []bool{false, true} {
-		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
-			c, ep, front, host, key := retryWorld(t)
-			ctx := ctxT(t, c, 60*time.Second)
-			path := filepath.Join(t.TempDir(), "bob.journal")
-			bob, err := core.OpenReplica(host, key, "bob", path)
-			if err != nil {
+	// bob's replica lives on between the two commits; it is never reopened.
+	t.Run("reopen=false", func(t *testing.T) {
+		c, ep, front, host, key := retryWorld(t)
+		ctx := ctxT(t, c, 60*time.Second)
+		bob := core.NewReplica(host, key, "bob")
+		if err := bob.Insert(0, "bob's line"); err != nil {
+			t.Fatal(err)
+		}
+		ep.armed.Store(true)
+		front.arm(0)
+		if ts, err := bob.Commit(ctx); err == nil {
+			t.Fatalf("commit with a lost ack and a failed retrieval returned ts %d, want an error", ts)
+		}
+		ts, err := bob.Commit(ctx)
+		if err != nil {
+			t.Fatalf("retried commit: %v", err)
+		}
+		reader := core.NewReplica(c.Peers[1], key, "reader")
+		if err := reader.Pull(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(reader.Text(), "bob's line"); n != 1 || ts != 1 || reader.CommittedTS() != 1 {
+			t.Fatalf("retried commit ts %d, line occurs %d times, log at ts %d; want ts 1, once: %q",
+				ts, n, reader.CommittedTS(), reader.Text())
+		}
+		if bob.Text() != reader.Text() || bob.Dirty() {
+			t.Fatalf("bob diverged or still dirty: %q vs %q", bob.Text(), reader.Text())
+		}
+	})
+}
+
+// TestSecondSessionOfSiteKeepsItsEdit: a site restarted without any
+// local state opens a second replica under the same site name — on
+// another peer, or on the same one — and commits before it pulls. Its
+// patch must not share an ID with the first session's, or the commit
+// round that catches up would take the first session's record for its
+// own patch and drop the new edit.
+func TestSecondSessionOfSiteKeepsItsEdit(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		peer, peer2 int
+	}{{"other-peer", 0, 1}, {"same-peer", 0, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 4)
+			ctx := ctxT(t, c, 30*time.Second)
+			first := core.NewReplica(c.Peers[tc.peer], "doc", "alice")
+			first.SetText("first session")
+			if _, err := first.Commit(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if err := bob.Insert(0, "bob's line"); err != nil {
+			second := core.NewReplica(c.Peers[tc.peer2], "doc", "alice")
+			if err := second.Insert(0, "second session"); err != nil {
 				t.Fatal(err)
 			}
-			ep.armed.Store(true)
-			front.arm(0)
-			if ts, err := bob.Commit(ctx); err == nil {
-				t.Fatalf("commit with a lost ack and a failed retrieval returned ts %d, want an error", ts)
+			if ts, err := second.Commit(ctx); ts != 2 || err != nil {
+				t.Fatalf("second session's commit = (%d, %v), want (2, nil)", ts, err)
 			}
-			if reopen {
-				if err := bob.Save(); err != nil {
-					t.Fatal(err)
-				}
-				if err := bob.CloseJournal(); err != nil {
-					t.Fatal(err)
-				}
-				if bob, err = core.OpenReplica(host, key, "bob", path); err != nil {
-					t.Fatal(err)
-				}
-			}
-			defer bob.CloseJournal()
-			ts, err := bob.Commit(ctx)
-			if err != nil {
-				t.Fatalf("retried commit: %v", err)
-			}
-			reader := core.NewReplica(c.Peers[1], key, "reader")
+			reader := core.NewReplica(c.Peers[2], "doc", "reader")
 			if err := reader.Pull(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if n := strings.Count(reader.Text(), "bob's line"); n != 1 || ts != 1 || reader.CommittedTS() != 1 {
-				t.Fatalf("retried commit ts %d, line occurs %d times, log at ts %d; want ts 1, once: %q",
-					ts, n, reader.CommittedTS(), reader.Text())
-			}
-			if bob.Text() != reader.Text() || bob.Dirty() {
-				t.Fatalf("bob diverged or still dirty: %q vs %q", bob.Text(), reader.Text())
+			for _, line := range []string{"first session", "second session"} {
+				if n := strings.Count(reader.Text(), line); n != 1 {
+					t.Fatalf("%q occurs %d times in the log's document %q, want once", line, n, reader.Text())
+				}
 			}
 		})
 	}

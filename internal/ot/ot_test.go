@@ -170,6 +170,79 @@ func TestTransformSeqBoundsProperty(t *testing.T) {
 	}
 }
 
+// decodeSeqCase turns fuzz bytes into a base document and one valid op
+// sequence per site: b[0] picks the base length, then each of up to 64
+// byte pairs (ctl, pos) appends to site ctl&1 an insert (ctl&2 == 0, or
+// that site's document is empty) or a delete, at pos modulo the valid
+// range. Lines are named as randOps names them.
+func decodeSeqCase(b []byte) (doc *patch.Document, a, bOps []patch.Op) {
+	if len(b) == 0 {
+		return patch.FromLines(nil), nil, nil
+	}
+	lines := make([]string, b[0]%8)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("base-%d", i)
+	}
+	var ops [2][]patch.Op
+	l := [2]int{len(lines), len(lines)}
+	sites := [2]string{"s1", "s2"}
+	for i := 1; i+1 < len(b) && i < 129; i += 2 {
+		side, pos := b[i]&1, int(b[i+1])
+		if l[side] == 0 || b[i]&2 == 0 {
+			ops[side] = append(ops[side], patch.Op{Kind: patch.OpInsert, Pos: pos % (l[side] + 1),
+				Line: fmt.Sprintf("%s-%d", sites[side], len(ops[side]))})
+			l[side]++
+		} else {
+			ops[side] = append(ops[side], patch.Op{Kind: patch.OpDelete, Pos: pos % l[side]})
+			l[side]--
+		}
+	}
+	return patch.FromLines(lines), ops[0], ops[1]
+}
+
+// encodeSeqCase is decodeSeqCase's inverse for the small cases randOps
+// draws; the fuzz seeds come from it.
+func encodeSeqCase(nLines int, a, b []patch.Op) []byte {
+	out := []byte{byte(nLines)}
+	for side, ops := range [2][]patch.Op{a, b} {
+		for _, op := range ops {
+			ctl := byte(side)
+			if op.Kind == patch.OpDelete {
+				ctl |= 2
+			}
+			out = append(out, ctl, byte(op.Pos))
+		}
+	}
+	return out
+}
+
+// FuzzTransformSeq checks TransformSeq's two properties on arbitrary
+// concurrent sequences: every transformed op applies after the other
+// site's sequence (bounds), and doc·A·B' == doc·B·A' (convergence). The
+// seeds are the first cases of TestTransformSeqConvergenceProperty and
+// TestTransformSeqBoundsProperty.
+func FuzzTransformSeq(f *testing.F) {
+	conv, bounds := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(99))
+	for trial := 0; trial < 8; trial++ {
+		n := conv.Intn(6)
+		a := randOps(conv, n, conv.Intn(5), "s1")
+		f.Add(encodeSeqCase(n, a, randOps(conv, n, conv.Intn(5), "s2")))
+		n = bounds.Intn(5)
+		a = randOps(bounds, n, bounds.Intn(6), "s1")
+		f.Add(encodeSeqCase(n, a, randOps(bounds, n, bounds.Intn(6), "s2")))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		doc, a, b := decodeSeqCase(in)
+		aP, bP := TransformSeq(a, "s1", b, "s2")
+		d1 := applyAll(t, doc, append(append([]patch.Op{}, a...), bP...))
+		d2 := applyAll(t, doc, append(append([]patch.Op{}, b...), aP...))
+		if !d1.Equal(d2) {
+			t.Fatalf("divergence\nbase=%q\na=%v\nb=%v\na'=%v\nb'=%v\nd1=%q\nd2=%q",
+				doc.String(), a, b, aP, bP, d1.String(), d2.String())
+		}
+	})
+}
+
 func TestTransformSeqEmptySides(t *testing.T) {
 	a := []patch.Op{{Kind: patch.OpInsert, Pos: 0, Line: "x"}}
 	aP, bP := TransformSeq(a, "s1", nil, "s2")

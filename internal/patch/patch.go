@@ -55,10 +55,6 @@ func (o *Op) wire(c *msg.Coder) {
 	c.String(&o.Line)
 }
 
-// WireOps codes a list of ops; core's journal encodes its tentative ops
-// with it too. 3 is the fewest bytes an Op encodes to.
-func WireOps(c *msg.Coder, ops *[]Op) { msg.Slice(c, ops, 3, (*Op).wire) }
-
 func (o Op) String() string {
 	if o.Kind == OpNop {
 		return "nop"
@@ -69,9 +65,9 @@ func (o Op) String() string {
 // Patch is the unit of update exchange: the paper's "sequence of updates"
 // wrapped at each document save.
 type Patch struct {
-	// ID uniquely identifies the patch (author site + author-local
-	// sequence number). The Master-key uses it to recognize an idempotent
-	// republish after a crash.
+	// ID uniquely identifies the patch (author site and session +
+	// session-local sequence number). The Master-key uses it to recognize
+	// an idempotent republish after a crash.
 	ID string
 	// Author is the site identifier of the producing user peer; it also
 	// breaks ties in operation transformation.
@@ -90,7 +86,7 @@ func (p *Patch) wire(c *msg.Coder) {
 	c.String(&p.ID)
 	c.String(&p.Author)
 	c.Uint64(&p.BaseTS)
-	WireOps(c, &p.Ops)
+	msg.Slice(c, &p.Ops, 3, (*Op).wire) // 3 is the fewest bytes an Op encodes to
 }
 
 // NewPatchID formats the canonical patch identifier.
