@@ -221,7 +221,7 @@ func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		deleted, err := log.Truncate(ctx, key, depth)
+		deleted, err := log.TruncateTo(ctx, key, 0, depth)
 		if err != nil {
 			b.Fatal(err)
 		}

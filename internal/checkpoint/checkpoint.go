@@ -19,29 +19,21 @@
 // A replica that is behind bootstraps from the newest reachable
 // checkpoint plus the log tail: catch-up is O(Interval), not O(history).
 // Once a checkpoint is fully replicated, the log prefix it covers may be
-// truncated (p2plog.Truncate); TruncateLog gates truncation on full
-// replication so the write-once tail the Master-key crash-recovery walks
-// is never cut out from under it.
+// truncated: the maintenance engine (internal/maintain) runs Repair and
+// only on its full-replication verdict calls p2plog.Log.TruncateTo, so
+// the write-once tail the Master-key crash-recovery walks is never cut
+// out from under it.
 package checkpoint
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"p2pltr/internal/dht"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
-	"p2pltr/internal/p2plog"
 )
-
-// DefaultReplicas is |Hc| when none is configured; it mirrors the
-// P2P-Log's replication factor so checkpoints survive the same crash
-// patterns the log does.
-const DefaultReplicas = 3
 
 // DefaultInterval is the checkpoint period in committed patches used when
 // a caller enables checkpointing without choosing one.
@@ -54,7 +46,7 @@ var ErrMissing = errors.New("checkpoint: not found at any replica")
 // Committed state at a timestamp is deterministic across correct
 // replicas, so a conflict indicates a diverged (buggy or byzantine)
 // producer; the occupant stays authoritative.
-var ErrConflict = errors.New("checkpoint: slot already holds a different snapshot")
+var ErrConflict = dht.ErrConflict
 
 // Checkpoint is one published snapshot: the committed document state of
 // Key immediately after integrating the patch with timestamp TS.
@@ -65,7 +57,7 @@ type Checkpoint struct {
 }
 
 // Pointer is the mutable latest-checkpoint record replicated at the
-// CheckpointPtrHash positions of a key.
+// ids.PointerSlot positions of a key.
 type Pointer struct {
 	Key string
 	TS  uint64
@@ -116,63 +108,33 @@ func decodePointer(b []byte) (Pointer, error) {
 }
 
 // Store reads and writes checkpoints and pointer records through a DHT
-// client. It is the checkpoint analogue of p2plog.Log.
+// client, n = ids.Replicas copies of each. It is the checkpoint analogue
+// of p2plog.Log.
 type Store struct {
-	c        *dht.Client
-	replicas int
+	c *dht.Client
 }
 
-// NewStore returns a checkpoint view with replication factor n = |Hc|
-// (DefaultReplicas if n <= 0).
-func NewStore(c *dht.Client, replicas int) *Store {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Store{c: c, replicas: replicas}
-}
+// NewStore returns a checkpoint view over c.
+func NewStore(c *dht.Client) *Store { return &Store{c: c} }
 
-// Replicas returns the replication factor n.
-func (s *Store) Replicas() int { return s.replicas }
-
-// Publish writes the snapshot to all n replica slots, write-once. At
-// least one replica must accept; a slot occupied by a different snapshot
-// aborts with ErrConflict.
+// Publish writes the snapshot to all n replica slots, write-once, and
+// returns how many hold it. At least one replica must accept; a slot
+// occupied by a different snapshot aborts with ErrConflict.
 func (s *Store) Publish(ctx context.Context, cp Checkpoint) (stored int, err error) {
 	enc, err := encode(checkpointFormat, cp.wire)
 	if err != nil {
 		return 0, err
 	}
-	var lastErr error
-	for i := 0; i < s.replicas; i++ {
-		slot := ids.CheckpointHash(i, cp.Key, cp.TS)
-		ok, existing, perr := s.c.PutID(ctx, slot, slotKey(cp.Key, cp.TS, i), enc, true)
-		if perr != nil {
-			lastErr = perr
-			continue
-		}
-		if ok {
-			stored++
-			continue
-		}
-		if bytes.Equal(existing, enc) {
-			stored++ // idempotent republish
-			continue
-		}
-		return stored, fmt.Errorf("%w: slot %d of (%s,%d)", ErrConflict, i, cp.Key, cp.TS)
-	}
-	if stored == 0 {
-		return 0, fmt.Errorf("checkpoint: publish (%s,%d): no replica reachable: %w", cp.Key, cp.TS, lastErr)
-	}
-	return stored, nil
+	return s.c.PutSlots(ctx, ids.CheckpointSlot(cp.Key, cp.TS), enc, true, nil)
 }
 
 // Fetch retrieves the checkpoint of key taken at ts, falling back across
 // the n replicas like the P2P-Log retrieval does.
 func (s *Store) Fetch(ctx context.Context, key string, ts uint64) (Checkpoint, error) {
 	var lastErr error
-	for i := 0; i < s.replicas; i++ {
-		slot := ids.CheckpointHash(i, key, ts)
-		v, found, err := s.c.GetID(ctx, slot)
+	slot := ids.CheckpointSlot(key, ts)
+	for i := 0; i < ids.Replicas; i++ {
+		v, found, err := s.c.GetID(ctx, slot.Pos(i))
 		if err != nil {
 			lastErr = err
 			continue
@@ -203,9 +165,9 @@ func (s *Store) Repair(ctx context.Context, key string, ts uint64) (repaired int
 		enc     []byte
 		missing []int
 	)
-	for i := 0; i < s.replicas; i++ {
-		slot := ids.CheckpointHash(i, key, ts)
-		v, found, err := s.c.GetID(ctx, slot)
+	slot := ids.CheckpointSlot(key, ts)
+	for i := 0; i < ids.Replicas; i++ {
+		v, found, err := s.c.GetID(ctx, slot.Pos(i))
 		if err != nil {
 			return 0, false, err
 		}
@@ -221,22 +183,13 @@ func (s *Store) Repair(ctx context.Context, key string, ts uint64) (repaired int
 		return 0, false, fmt.Errorf("%w (key=%s ts=%d)", ErrMissing, key, ts)
 	}
 	for _, i := range missing {
-		slot := ids.CheckpointHash(i, key, ts)
-		ok, _, err := s.c.PutID(ctx, slot, slotKey(key, ts, i), enc, true)
+		ok, _, err := s.c.PutID(ctx, slot.Pos(i), slot.Name(i), enc, true)
 		if err != nil || !ok {
 			return repaired, false, err
 		}
 		repaired++
 	}
 	return repaired, true, nil
-}
-
-// FullyReplicated repairs (key, ts) and reports whether all n replicas
-// now hold the snapshot. It is the gate log truncation stands behind:
-// only history covered by a fully-replicated checkpoint may go.
-func (s *Store) FullyReplicated(ctx context.Context, key string, ts uint64) (bool, error) {
-	_, full, err := s.Repair(ctx, key, ts)
-	return full, err
 }
 
 // WritePointer replicates the latest-checkpoint pointer of key at the n
@@ -249,20 +202,8 @@ func (s *Store) WritePointer(ctx context.Context, key string, ts uint64) error {
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	stored := 0
-	for i := 0; i < s.replicas; i++ {
-		slot := ids.CheckpointPtrHash(i, key)
-		if _, _, err := s.c.PutID(ctx, slot, ptrKey(key, i), enc, false); err != nil {
-			lastErr = err
-			continue
-		}
-		stored++
-	}
-	if stored == 0 {
-		return fmt.Errorf("checkpoint: pointer (%s,%d): no replica reachable: %w", key, ts, lastErr)
-	}
-	return nil
+	_, err = s.c.PutSlots(ctx, ids.PointerSlot(key), enc, false, nil)
+	return err
 }
 
 // LatestPointer returns the newest checkpoint timestamp recorded for key
@@ -274,9 +215,9 @@ func (s *Store) LatestPointer(ctx context.Context, key string) (uint64, error) {
 		lastErr error
 		found   bool
 	)
-	for i := 0; i < s.replicas; i++ {
-		slot := ids.CheckpointPtrHash(i, key)
-		v, ok, err := s.c.GetID(ctx, slot)
+	slot := ids.PointerSlot(key)
+	for i := 0; i < ids.Replicas; i++ {
+		v, ok, err := s.c.GetID(ctx, slot.Pos(i))
 		if err != nil {
 			lastErr = err
 			continue
@@ -300,89 +241,13 @@ func (s *Store) LatestPointer(ctx context.Context, key string) (uint64, error) {
 	return best, nil
 }
 
-// TruncateLog reclaims the log prefix of key covered by its latest
-// checkpoint: it resolves the pointer, verifies (and repairs to) full
-// replication of that checkpoint, and only then truncates the P2P-Log up
-// to the checkpoint timestamp. It returns the covered timestamp (0 when
-// nothing was truncated) and the number of slot replicas removed.
-//
-// The truncation also declares the checkpoint timestamp the key's
-// truncation low-water mark on every contacted Log-Peer (see
-// p2plog.TruncateTo): stale successor copies of the reclaimed prefix
-// can then never be promoted back, which is what makes cutting
-// write-once history under a churning ring safe rather than merely
-// probabilistic.
-func (s *Store) TruncateLog(ctx context.Context, log *p2plog.Log, key string) (upTo uint64, deleted int, err error) {
-	ptr, err := s.LatestPointer(ctx, key)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ptr == 0 {
-		return 0, 0, nil
-	}
-	full, err := s.FullyReplicated(ctx, key, ptr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: truncate gate for (%s,%d): %w", key, ptr, err)
-	}
-	if !full {
-		return 0, 0, nil
-	}
-	deleted, err = log.Truncate(ctx, key, ptr)
-	if err != nil {
-		return 0, deleted, err
-	}
-	return ptr, deleted, nil
-}
-
-func slotKey(key string, ts uint64, replica int) string {
-	return fmt.Sprintf("ckpt/%s/%d/r%d", key, ts, replica)
-}
-
-func ptrKey(key string, replica int) string {
-	return fmt.Sprintf("ckptptr/%s/r%d", key, replica)
-}
-
-// ParseSlotName decodes a checkpoint slot name ("ckpt/<key>/<ts>/r<i>")
-// back into its document key and timestamp, reporting ok=false for names
-// of any other shape. Keys may themselves contain '/', so the timestamp
-// and replica components are taken from the right. The maintenance
-// discovery scan uses it to recover document keys from locally stored
-// slots.
+// ParseSlotName is ids.ParseSlot restricted to checkpoint slots: it
+// returns the document key and timestamp of a checkpoint slot name, and
+// ok=false for names of any other shape.
 func ParseSlotName(name string) (key string, ts uint64, ok bool) {
-	rest, found := strings.CutPrefix(name, "ckpt/")
-	if !found {
+	s, _, ok := ids.ParseSlot(name)
+	if !ok || s.Kind != ids.KindCheckpoint {
 		return "", 0, false
 	}
-	i := strings.LastIndexByte(rest, '/')
-	if i < 0 || !strings.HasPrefix(rest[i+1:], "r") {
-		return "", 0, false
-	}
-	rest = rest[:i]
-	j := strings.LastIndexByte(rest, '/')
-	if j < 0 {
-		return "", 0, false
-	}
-	ts, err := strconv.ParseUint(rest[j+1:], 10, 64)
-	if err != nil || rest[:j] == "" {
-		return "", 0, false
-	}
-	return rest[:j], ts, true
-}
-
-// ParsePtrName decodes a checkpoint pointer record name
-// ("ckptptr/<key>/r<i>") back into its document key, reporting ok=false
-// for names of any other shape.
-func ParsePtrName(name string) (key string, ok bool) {
-	rest, found := strings.CutPrefix(name, "ckptptr/")
-	if !found {
-		return "", false
-	}
-	i := strings.LastIndexByte(rest, '/')
-	if i < 0 || !strings.HasPrefix(rest[i+1:], "r") || rest[:i] == "" {
-		return "", false
-	}
-	if _, err := strconv.Atoi(rest[i+2:]); err != nil {
-		return "", false
-	}
-	return rest[:i], true
+	return s.Key, s.TS, true
 }

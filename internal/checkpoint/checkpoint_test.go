@@ -37,8 +37,8 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	if stored != c.Peers[0].Ckpt.Replicas() {
-		t.Fatalf("stored %d replicas, want %d", stored, c.Peers[0].Ckpt.Replicas())
+	if stored != ids.Replicas {
+		t.Fatalf("stored %d replicas, want %d", stored, ids.Replicas)
 	}
 	for _, p := range c.Peers {
 		got, err := p.Ckpt.Fetch(ctx, "doc", 8)
@@ -110,13 +110,13 @@ func TestFullyReplicatedRepairsHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lose one replica everywhere; the probe must restore it.
-	dropSlot(c, ids.CheckpointHash(0, "doc", 8))
-	full, err := s.FullyReplicated(ctx, "doc", 8)
-	if err != nil || !full {
-		t.Fatalf("fully-replicated after repair: %v %v", full, err)
+	dropSlot(c, ids.CheckpointSlot("doc", 8).Pos(0))
+	repaired, full, err := s.Repair(ctx, "doc", 8)
+	if err != nil || !full || repaired != 1 {
+		t.Fatalf("repair: repaired=%d full=%v err=%v", repaired, full, err)
 	}
 	// The repaired slot is readable again at its own position.
-	v, found, err := c.Peers[1].Client.GetID(ctx, ids.CheckpointHash(0, "doc", 8))
+	v, found, err := c.Peers[1].Client.GetID(ctx, ids.CheckpointSlot("doc", 8).Pos(0))
 	if err != nil || !found || len(v) == 0 {
 		t.Fatalf("repaired slot: found=%v err=%v", found, err)
 	}
@@ -133,6 +133,9 @@ func publishLog(t *testing.T, c *ringtest.Cluster, key string, n uint64) {
 	}
 }
 
+// TestTruncateLogReclaimsCoveredPrefix walks the maintenance engine's
+// truncation path by hand: resolve the pointer, repair the checkpoint it
+// names, and only on full replication truncate the log up to it.
 func TestTruncateLogReclaimsCoveredPrefix(t *testing.T) {
 	c := newCluster(t, 6)
 	ctx := context.Background()
@@ -146,12 +149,16 @@ func TestTruncateLogReclaimsCoveredPrefix(t *testing.T) {
 	if err := s.WritePointer(ctx, "doc", 8); err != nil {
 		t.Fatal(err)
 	}
-	upTo, deleted, err := s.TruncateLog(ctx, log, "doc")
-	if err != nil {
-		t.Fatalf("truncate: %v", err)
+	upTo, err := s.LatestPointer(ctx, "doc")
+	if err != nil || upTo != 8 {
+		t.Fatalf("pointer: %d %v", upTo, err)
 	}
-	if upTo != 8 || deleted == 0 {
-		t.Fatalf("truncated upTo=%d deleted=%d", upTo, deleted)
+	if _, full, err := s.Repair(ctx, "doc", upTo); err != nil || !full {
+		t.Fatalf("repair gate: full=%v err=%v", full, err)
+	}
+	deleted, err := log.TruncateTo(ctx, "doc", 0, upTo)
+	if err != nil || deleted == 0 {
+		t.Fatalf("truncate: deleted=%d err=%v", deleted, err)
 	}
 	// Covered prefix is gone; the live tail survives.
 	if _, err := log.Fetch(ctx, "doc", 3); !errors.Is(err, p2plog.ErrMissing) {
@@ -159,43 +166,6 @@ func TestTruncateLogReclaimsCoveredPrefix(t *testing.T) {
 	}
 	if recs, err := log.FetchRange(ctx, "doc", 8, 10); err != nil || len(recs) != 2 {
 		t.Fatalf("tail after truncate: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestTruncateGateRefusesUnreplicatedCheckpoint(t *testing.T) {
-	c := newCluster(t, 6)
-	ctx := context.Background()
-	s := c.Peers[0].Ckpt
-	log := c.Peers[0].Log
-	publishLog(t, c, "doc", 6)
-	cp := checkpoint.Checkpoint{Key: "doc", TS: 4, Lines: []string{"state@4"}}
-	if _, err := s.Publish(ctx, cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WritePointer(ctx, "doc", 4); err != nil {
-		t.Fatal(err)
-	}
-	// Lose every replica of the checkpoint: the pointer now promises a
-	// snapshot that cannot be retrieved, so truncation must refuse.
-	for i := 0; i < s.Replicas(); i++ {
-		dropSlot(c, ids.CheckpointHash(i, "doc", 4))
-	}
-	if _, _, err := s.TruncateLog(ctx, log, "doc"); err == nil {
-		t.Fatal("truncate proceeded without a retrievable checkpoint")
-	}
-	// The log is intact.
-	if recs, err := log.FetchRange(ctx, "doc", 0, 6); err != nil || len(recs) != 6 {
-		t.Fatalf("log after refused truncate: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestTruncateLogNoCheckpointIsNoop(t *testing.T) {
-	c := newCluster(t, 4)
-	ctx := context.Background()
-	publishLog(t, c, "doc", 3)
-	upTo, deleted, err := c.Peers[0].Ckpt.TruncateLog(ctx, c.Peers[0].Log, "doc")
-	if err != nil || upTo != 0 || deleted != 0 {
-		t.Fatalf("noop truncate: upTo=%d deleted=%d err=%v", upTo, deleted, err)
 	}
 }
 

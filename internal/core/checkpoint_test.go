@@ -74,11 +74,7 @@ func TestColdJoinAfterTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	upTo, deleted, err := c.Peers[1].Ckpt.TruncateLog(ctx, c.Peers[1].Log, "doc")
-	if err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	if upTo != 8 || deleted == 0 {
+	if upTo, deleted := truncateCovered(t, ctx, c.Peers[1], "doc"); upTo != 8 || deleted == 0 {
 		t.Fatalf("truncate upTo=%d deleted=%d", upTo, deleted)
 	}
 	if _, err := c.Peers[2].Log.Fetch(ctx, "doc", 1); !errors.Is(err, p2plog.ErrMissing) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"p2pltr/internal/checkpoint"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/store"
 )
@@ -35,12 +34,8 @@ func (s snapshotter) Discover() []string {
 	seen := make(map[string]struct{})
 	collect := func(entries []store.Entry) {
 		for _, e := range entries {
-			if key, _, ok := ids.ParseLogSlotName(e.Key); ok {
-				seen[key] = struct{}{}
-			} else if key, _, ok := checkpoint.ParseSlotName(e.Key); ok {
-				seen[key] = struct{}{}
-			} else if key, ok := checkpoint.ParsePtrName(e.Key); ok {
-				seen[key] = struct{}{}
+			if slot, _, ok := ids.ParseSlot(e.Key); ok {
+				seen[slot.Key] = struct{}{}
 			}
 		}
 	}

@@ -35,10 +35,6 @@ type Options struct {
 	// Chord tunes the ring maintenance; zero value selects
 	// chord.DefaultConfig.
 	Chord chord.Config
-	// LogReplicas is n = |Hr|, the patch replication factor
-	// (p2plog.DefaultReplicas if zero). Checkpoints are replicated at as
-	// many Hc positions.
-	LogReplicas int
 	// ClientBackoff separates retries (default 2x stabilize interval).
 	ClientBackoff time.Duration
 	// CheckpointInterval makes replicas on this peer snapshot a document
@@ -88,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Clock = vclock.OrSystem(o.Clock)
 	o.Chord.Clock = o.Clock
-	if o.LogReplicas == 0 {
-		o.LogReplicas = p2plog.DefaultReplicas
-	}
 	if o.ClientBackoff == 0 {
 		o.ClientBackoff = 2 * o.Chord.StabilizeEvery
 	}
@@ -155,8 +148,8 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	}
 	p.Node = chord.NewNode(ep, opts.Chord, opts.Tracer, p.Flight)
 	p.Client = dht.NewClient(p.Node, clientAttempts, opts.ClientBackoff, opts.Clock)
-	p.Log = p2plog.New(p.Client, opts.LogReplicas, opts.Clock)
-	p.Ckpt = checkpoint.NewStore(p.Client, opts.LogReplicas)
+	p.Log = p2plog.New(p.Client, opts.Clock)
+	p.Ckpt = checkpoint.NewStore(p.Client)
 	var maintCfg maintain.Config
 	var floorHint func(ctx context.Context, key string) (uint64, bool)
 	if opts.Maintain != nil {

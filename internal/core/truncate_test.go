@@ -27,14 +27,28 @@ func truncatedCluster(t *testing.T, interval uint64, patches int) (*ringtest.Clu
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	upTo, _, err := c.Peers[0].Ckpt.TruncateLog(ctx, c.Peers[0].Log, key)
-	if err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	if upTo != interval {
+	if upTo, _ := truncateCovered(t, ctx, c.Peers[0], key); upTo != interval {
 		t.Fatalf("truncated to %d, want %d", upTo, interval)
 	}
 	return c, w, key
+}
+
+// truncateCovered truncates key's log the way the maintenance engine
+// does: resolve the pointer, repair the checkpoint it names, and only on
+// full replication truncate the log up to it.
+func truncateCovered(t *testing.T, ctx context.Context, p *core.Peer, key string) (upTo uint64, deleted int) {
+	t.Helper()
+	upTo, err := p.Ckpt.LatestPointer(ctx, key)
+	if err != nil {
+		t.Fatalf("pointer: %v", err)
+	}
+	if _, full, err := p.Ckpt.Repair(ctx, key, upTo); err != nil || !full {
+		t.Fatalf("checkpoint %d of %s: full=%v err=%v", upTo, key, full, err)
+	}
+	if deleted, err = p.Log.TruncateTo(ctx, key, 0, upTo); err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	return upTo, deleted
 }
 
 // TestTruncatedPrefixSurfacesTypedError: a replica with tentative edits
@@ -183,8 +197,8 @@ func TestRebaseDroppingAllOpsSurfacesSentinel(t *testing.T) {
 	if err := r.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if upTo, _, err := c.Peers[0].Ckpt.TruncateLog(ctx, c.Peers[0].Log, key); err != nil || upTo != 4 {
-		t.Fatalf("truncate: upTo=%d err=%v", upTo, err)
+	if upTo, _ := truncateCovered(t, ctx, c.Peers[0], key); upTo != 4 {
+		t.Fatalf("truncated to %d, want 4", upTo)
 	}
 
 	r.SetRebaseOntoCheckpoint(true)

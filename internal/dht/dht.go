@@ -3,9 +3,9 @@
 // service plus a client that routes operations to the responsible peer.
 //
 // Storage slots are addressed by ring position. The client hashes string
-// keys itself (plain data placement); the P2P-Log computes its own replica
-// positions with the Hr family and reuses this client's routing/retry
-// machinery through PutID/GetID.
+// keys itself (plain data placement); replicated records — log patches,
+// checkpoints and pointers — are placed and named by ids.Slot and written
+// through PutSlots, and read slot by slot through GetID.
 package dht
 
 import (
@@ -683,6 +683,10 @@ func entriesToItems(entries []store.Entry) []msg.StateItem {
 // all retries.
 var ErrNoOwner = errors.New("dht: responsible peer unreachable")
 
+// ErrConflict reports a write-once slot already holding a different
+// record. p2plog and checkpoint export it under their own names.
+var ErrConflict = errors.New("dht: slot already holds a different record")
+
 // Client routes DHT operations from any ring member. Operations retry
 // with fresh lookups when the responsible peer fails mid-call, which is
 // how P2P-LTR rides out churn.
@@ -776,13 +780,39 @@ func (c *Client) PutID(ctx context.Context, id ids.ID, key string, value []byte,
 	return pr.Stored, pr.Existing, nil
 }
 
-// DeleteID removes the slot at ring position id, reporting whether the
-// responsible peer held it. Reserved for the checkpoint layer's log
-// truncation: deleting a write-once slot is only sound when its content
-// is covered by a fully-replicated checkpoint.
-func (c *Client) DeleteID(ctx context.Context, id ids.ID) (bool, error) {
-	deleted, _, err := c.deleteID(ctx, id, msg.TruncFloor{})
-	return deleted, err
+// PutSlots writes enc to the ids.Replicas positions of slot in index
+// order and returns how many hold it afterwards. It is the one write loop
+// behind log publish, checkpoint publish and pointer write (the paper's
+// Put(h1(key+ts),Patch) … Put(hn(key+ts),Patch)). An unreachable replica
+// is skipped; the others provide availability, so at least one must
+// accept. With ifAbsent the slots are write-once, and the store already
+// acknowledges an occupant with identical bytes as stored; any other
+// occupant is judged by same: nil counts the slot as holding the record,
+// an error wrapping ErrConflict aborts the walk, any other error marks
+// the replica unusable. A nil same makes every occupant a conflict.
+func (c *Client) PutSlots(ctx context.Context, slot ids.Slot, enc []byte, ifAbsent bool, same func(occupant []byte) error) (stored int, err error) {
+	var lastErr error
+	for i := 0; i < ids.Replicas; i++ {
+		ok, occupant, err := c.PutID(ctx, slot.Pos(i), slot.Name(i), enc, ifAbsent)
+		if err == nil && !ok {
+			err = ErrConflict
+			if same != nil {
+				err = same(occupant)
+			}
+			if errors.Is(err, ErrConflict) {
+				return stored, fmt.Errorf("%s: %w", slot.Name(i), err)
+			}
+		}
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		stored++
+	}
+	if stored == 0 {
+		return 0, fmt.Errorf("dht: put %v: no replica reachable: %w", slot, lastErr)
+	}
+	return stored, nil
 }
 
 // DeleteSlotID removes a P2P-Log slot as part of a truncation sweep of

@@ -93,12 +93,12 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	ctx := context.Background()
 
 	publish := func(key string, ts uint64) ids.ID {
-		slot := ids.ReplicaHash(0, key, ts)
-		_, _, err := peers[0].Client.PutID(ctx, slot, ids.LogSlotName(key, ts, 0), []byte("patch"), true)
+		slot := ids.LogSlot(key, ts)
+		_, _, err := peers[0].Client.PutID(ctx, slot.Pos(0), slot.Name(0), []byte("patch"), true)
 		if err != nil {
 			t.Fatalf("publish %s/%d: %v", key, ts, err)
 		}
-		return slot
+		return slot.Pos(0)
 	}
 
 	// --- Flavor 1: floor reaches the successor via the refresh. ---
@@ -143,7 +143,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	var owner2, succ2 *core.Peer
 	for i := 0; ; i++ { // pick a key whose owner pair is still alive
 		key2 = fmt.Sprintf("res-doc-2-%d", i)
-		slot2 = ids.ReplicaHash(0, key2, 1)
+		slot2 = ids.LogSlot(key2, 1).Pos(0)
 		publish(key2, 1)
 		owner2, succ2 = holderAndSucc(t, peers, slot2)
 		if owner2.Node.Running() && succ2.Node.Running() && owner2 != succ2 {

@@ -481,7 +481,7 @@ func TestFeedParksAtTheLogPeer(t *testing.T) {
 		// B's host must not own the slot its idle feed parks on, or the
 		// parked read would short-cut the tapped transport.
 		hostA, hostB := c.Peers[0], c.Peers[1]
-		if hostB == c.MasterOf(uint64(ids.ReplicaHash(0, "doc", commits+1))) {
+		if hostB == c.MasterOf(uint64(ids.LogSlot("doc", commits+1).Pos(0))) {
 			hostB = c.Peers[2]
 		}
 		start := clk.Now()

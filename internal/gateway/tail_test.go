@@ -267,8 +267,8 @@ func TestWaiterRereadsAfterMiss(t *testing.T) {
 		// A host that owns none of the record's three slots, so every
 		// slot read crosses the slow link.
 		owners := map[*core.Peer]bool{}
-		for i := 0; i < p2plog.DefaultReplicas; i++ {
-			owners[c.MasterOf(uint64(ids.ReplicaHash(i, "doc", 1)))] = true
+		for i := 0; i < ids.Replicas; i++ {
+			owners[c.MasterOf(uint64(ids.LogSlot("doc", 1).Pos(i)))] = true
 		}
 		var host, publisher *core.Peer
 		for _, p := range c.Peers {
@@ -317,7 +317,7 @@ func TestWaiterRereadsAfterMiss(t *testing.T) {
 
 		// All three slots have answered "empty" to the first reader; the
 		// last answer is still on the slow link. Publish now.
-		for slotMisses() < base+p2plog.DefaultReplicas {
+		for slotMisses() < base+ids.Replicas {
 			_ = clk.Sleep(ctx, 5*time.Millisecond)
 		}
 		enc, err := patch.Patch{ID: "w#1", Author: "w", Ops: []patch.Op{{Kind: patch.OpInsert, Line: "x"}}}.Encode()

@@ -11,7 +11,9 @@
 //   - ht, the timestamp hash function used to locate the Master-key peer of
 //     a document key (HashTS);
 //   - Hr = {h1..hn}, the pairwise-independent replication hash functions
-//     used to place timestamped patches at Log-Peers (ReplicaHash).
+//     used to place timestamped patches at Log-Peers (Slot.Pos), which
+//     checkpoints and checkpoint pointers reuse under their own
+//     namespaces.
 //
 // Pairwise independence is obtained by namespacing the SHA-1 input with the
 // function index, which is how replicated DHT schemes such as the one in
@@ -23,6 +25,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -49,65 +52,115 @@ func HashString(s string) ID { return Hash([]byte(s)) }
 // independent.
 func HashTS(key string) ID { return Hash([]byte("p2pltr/ts\x00" + key)) }
 
-// ReplicaHash is hi from the replication family Hr. Index i must be in
-// [0, n); each index yields an independent placement for (key, ts).
-// It implements the paper's hi(key+ts).
-func ReplicaHash(i int, key string, ts uint64) ID {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], ts)
-	return Hash([]byte("p2pltr/log\x00" + strconv.Itoa(i) + "\x00" + key + "\x00" + string(buf[:])))
+// Replicas is n = |Hr| = |Hc|: every log record, checkpoint and
+// checkpoint pointer is written at this many ring positions.
+const Replicas = 3
+
+// Kind names the record family a Slot belongs to. Its name is both the
+// hash namespace and the first component of the slot name, so the three
+// families never collide.
+type Kind uint8
+
+const (
+	// KindLog is a P2P-Log record, placed by Hr at hi(key+ts).
+	KindLog Kind = iota
+	// KindCheckpoint is a write-once document snapshot, placed by Hc.
+	KindCheckpoint
+	// KindPointer is the mutable latest-checkpoint record of a key. It
+	// hashes no timestamp: the KTS master overwrites it in ts order.
+	KindPointer
+)
+
+var kindNames = [...]string{KindLog: "log", KindCheckpoint: "ckpt", KindPointer: "ckptptr"}
+
+// Slot is one replicated record: the n replicas of (Kind, Key, TS) live
+// at Pos(0) … Pos(Replicas-1) under the names Name(0) … Name(Replicas-1).
+// TS is ignored for KindPointer. This is the one place slots are named and
+// placed; moving a position strands every record already in the DHT.
+type Slot struct {
+	Kind Kind
+	Key  string
+	TS   uint64
 }
 
-// CheckpointHash is hci from the checkpoint replication family Hc: the
-// ring positions hc1(k,ts) … hcn(k,ts) where the write-once document
-// snapshot taken at timestamp ts is replicated. It is namespaced apart
-// from Hr so checkpoints and log slots never collide.
-func CheckpointHash(i int, key string, ts uint64) ID {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], ts)
-	return Hash([]byte("p2pltr/ckpt\x00" + strconv.Itoa(i) + "\x00" + key + "\x00" + string(buf[:])))
-}
+// LogSlot is the P2P-Log record of key at ts.
+func LogSlot(key string, ts uint64) Slot { return Slot{KindLog, key, ts} }
 
-// CheckpointPtrHash locates the i-th replica of the mutable
-// "latest checkpoint pointer" record of a document key. Unlike log and
-// checkpoint slots it does not hash the timestamp: the pointer is
-// overwritten in timestamp order by the KTS master.
-func CheckpointPtrHash(i int, key string) ID {
-	return Hash([]byte("p2pltr/ckptptr\x00" + strconv.Itoa(i) + "\x00" + key))
-}
+// CheckpointSlot is the snapshot of key taken at ts.
+func CheckpointSlot(key string, ts uint64) Slot { return Slot{KindCheckpoint, key, ts} }
 
-// LogSlotName is the debug name stored alongside a P2P-Log replica slot:
-// "log/<key>/<ts>/r<i>". It lives here (rather than in p2plog) because
-// the DHT storage service must be able to recognize log slots too — its
-// truncation low-water mark gates successor-copy promotion on the
-// (key, ts) a slot belongs to — and ids is the one package both layers
-// already share.
-func LogSlotName(key string, ts uint64, replica int) string {
-	return fmt.Sprintf("log/%s/%d/r%d", key, ts, replica)
-}
+// PointerSlot is the latest-checkpoint pointer of key.
+func PointerSlot(key string) Slot { return Slot{Kind: KindPointer, Key: key} }
 
-// ParseLogSlotName decodes a LogSlotName back into its document key and
-// timestamp, reporting ok=false for names of any other shape. Keys may
-// themselves contain '/', so the timestamp and replica components are
-// taken from the right.
-func ParseLogSlotName(name string) (key string, ts uint64, ok bool) {
-	rest, found := strings.CutPrefix(name, "log/")
-	if !found {
-		return "", 0, false
+// Pos is the ring position of replica i: SHA-1 over
+// "p2pltr/<kind>\x00<i>\x00<key>[\x00<ts as 8 big-endian bytes>]".
+// Namespacing the input with the index makes the family pairwise
+// independent in practice; for KindLog it is the paper's hi(key+ts).
+func (s Slot) Pos(i int) ID {
+	b := make([]byte, 0, 40+len(s.Key))
+	b = append(append(b, "p2pltr/"...), kindNames[s.Kind]...)
+	b = append(strconv.AppendInt(append(b, 0), int64(i), 10), 0)
+	b = append(b, s.Key...)
+	if s.Kind != KindPointer {
+		b = binary.BigEndian.AppendUint64(append(b, 0), s.TS)
 	}
+	return Hash(b)
+}
+
+// String is the slot's name without a replica index:
+// "<kind>/<key>[/<ts>]".
+func (s Slot) String() string {
+	if s.Kind == KindPointer {
+		return kindNames[s.Kind] + "/" + s.Key
+	}
+	return kindNames[s.Kind] + "/" + s.Key + "/" + strconv.FormatUint(s.TS, 10)
+}
+
+// Name is the debug name stored alongside replica i:
+// "<kind>/<key>[/<ts>]/r<i>". Storage peers parse it back (ParseSlot) to
+// apply the truncation low-water mark and to discover document keys.
+func (s Slot) Name(i int) string { return s.String() + "/r" + strconv.Itoa(i) }
+
+// ParseSlot decodes a Name back into its slot and replica index,
+// reporting ok=false for names of any other shape. Keys may themselves
+// contain '/', so the timestamp and replica components are taken from the
+// right. Names arrive from other peers, so nothing here may panic.
+func ParseSlot(name string) (s Slot, replica int, ok bool) {
+	prefix, rest, found := strings.Cut(name, "/")
+	kind := slices.Index(kindNames[:], prefix)
+	if !found || kind < 0 {
+		return Slot{}, 0, false
+	}
+	s.Kind = Kind(kind)
 	i := strings.LastIndexByte(rest, '/')
 	if i < 0 || !strings.HasPrefix(rest[i+1:], "r") {
-		return "", 0, false
+		return Slot{}, 0, false
+	}
+	r, err := strconv.ParseUint(rest[i+2:], 10, 31)
+	if err != nil {
+		return Slot{}, 0, false
 	}
 	rest = rest[:i]
-	if i = strings.LastIndexByte(rest, '/'); i < 0 {
+	if s.Kind != KindPointer {
+		if i = strings.LastIndexByte(rest, '/'); i < 0 {
+			return Slot{}, 0, false
+		}
+		if s.TS, err = strconv.ParseUint(rest[i+1:], 10, 64); err != nil {
+			return Slot{}, 0, false
+		}
+		rest = rest[:i]
+	}
+	s.Key = rest
+	return s, int(r), true
+}
+
+// ParseLogSlotName is ParseSlot restricted to log slots.
+func ParseLogSlotName(name string) (key string, ts uint64, ok bool) {
+	s, _, ok := ParseSlot(name)
+	if !ok || s.Kind != KindLog {
 		return "", 0, false
 	}
-	v, err := strconv.ParseUint(rest[i+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return rest[:i], v, true
+	return s.Key, s.TS, true
 }
 
 // String renders the ID as fixed-width hexadecimal.

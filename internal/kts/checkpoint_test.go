@@ -124,7 +124,16 @@ func TestLastTSSyncsPastTruncatedHistory(t *testing.T) {
 	if err := c.Peers[0].Ckpt.WritePointer(ctx, key, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Peers[0].Ckpt.TruncateLog(ctx, c.Peers[0].Log, key); err != nil {
+	// Truncate as the maintenance engine does: pointer, repair gate,
+	// then TruncateTo.
+	ptr, err := c.Peers[0].Ckpt.LatestPointer(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, full, err := c.Peers[0].Ckpt.Repair(ctx, key, ptr); err != nil || !full {
+		t.Fatalf("checkpoint gate at %d: full=%v err=%v", ptr, full, err)
+	}
+	if _, err := c.Peers[0].Log.TruncateTo(ctx, key, 0, ptr); err != nil {
 		t.Fatal(err)
 	}
 	if got := lastTS(t, c, key); got != 6 {

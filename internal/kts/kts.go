@@ -751,24 +751,6 @@ func (s *Service) KeyStates() []KeyState {
 	return out
 }
 
-// KeysHeld returns the document keys this node holds timestamp state for
-// and whether it is currently their master.
-func (s *Service) KeysHeld() map[string]bool {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.entries))
-	// Collected into a map below: the result is order-free by type, and
-	// Owns is a pure ring-interval test. lint:unordered-ok
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	out := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		out[k] = s.ring.Owns(ids.HashTS(k))
-	}
-	return out
-}
-
 // Stats returns cumulative grant/reject/takeover counters.
 func (s *Service) Stats() (grants, rejects, takeovers int64) {
 	return s.cGrants.Value(), s.cRejects.Value(), s.cTakeovers.Value()

@@ -262,9 +262,12 @@ func TestMasterStatsAndKeysHeld(t *testing.T) {
 	if grants != 1 {
 		t.Fatalf("master grants = %d", grants)
 	}
-	held := master.KTS.KeysHeld()
-	if isMaster, ok := held[key]; !ok || !isMaster {
-		t.Fatalf("KeysHeld = %v", held)
+	held := false
+	for _, st := range master.KTS.KeyStates() {
+		held = held || (st.Key == key && st.Master)
+	}
+	if !held {
+		t.Fatalf("master's KeyStates = %+v, want %q held as master", master.KTS.KeyStates(), key)
 	}
 	if last, ok := master.KTS.LastTSLocal(key); !ok || last != 1 {
 		t.Fatalf("LastTSLocal = %d,%v", last, ok)

@@ -413,8 +413,8 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 	}
 
 	// (3) Rate-limited truncation, gated on the newest probe's
-	// replication verdict (re-probing the same checkpoint through
-	// TruncateLog would double the background slot reads).
+	// replication verdict. This is the only truncation path: nothing
+	// else calls p2plog.Log.TruncateTo outside tests.
 	if full {
 		e.maybeTruncate(ctx, st)
 	}

@@ -3,15 +3,17 @@ package maintain_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"p2pltr/internal/checkpoint"
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/metrics"
+	"p2pltr/internal/p2plog"
+	"p2pltr/internal/patch"
 	"p2pltr/internal/ringtest"
 )
 
@@ -74,11 +76,10 @@ func counters(c *ringtest.Cluster) map[string]int64 {
 // logSlots counts the P2P-Log slot replicas of key across the live
 // peers' primary stores, without triggering any read repair.
 func logSlots(c *ringtest.Cluster, key string) int {
-	prefix := "log/" + key + "/"
 	n := 0
 	for _, p := range c.Live() {
-		for _, e := range p.DHT.Store().SnapshotAll() {
-			if strings.HasPrefix(e.Key, prefix) {
+		for _, e := range p.DHT.Store().SnapshotMeta() {
+			if k, _, ok := ids.ParseLogSlotName(e.Key); ok && k == key {
 				n++
 			}
 		}
@@ -86,14 +87,22 @@ func logSlots(c *ringtest.Cluster, key string) int {
 	return n
 }
 
+// dropSlot removes a ring slot from every peer's primary and replica
+// store, simulating the loss of all its copies.
+func dropSlot(c *ringtest.Cluster, pos ids.ID) {
+	for _, p := range c.Peers {
+		p.DHT.Store().Delete(pos)
+		p.DHT.ReplicaStore().Delete(pos)
+	}
+}
+
 // tsSlots counts the primary-store replicas of one (key, ts) log slot
 // across the live peers, without any read repair.
 func tsSlots(c *ringtest.Cluster, key string, ts uint64) int {
-	replicas := c.Peers[0].Log.Replicas()
 	n := 0
 	for _, p := range c.Live() {
-		for r := 0; r < replicas; r++ {
-			if _, ok := p.DHT.Store().Get(ids.ReplicaHash(r, key, ts)); ok {
+		for r := 0; r < ids.Replicas; r++ {
+			if _, ok := p.DHT.Store().Get(ids.LogSlot(key, ts).Pos(r)); ok {
 				n++
 			}
 		}
@@ -185,19 +194,14 @@ func TestRepairsLostCheckpointSlots(t *testing.T) {
 	commit(t, w, interval) // author checkpoints at the boundary itself
 	waitPointer(t, c, key, interval)
 
-	slot := ids.CheckpointHash(0, key, interval)
-	if _, err := c.Peers[0].Client.DeleteID(ctx, slot); err != nil {
-		t.Fatalf("delete slot: %v", err)
-	}
+	slot := ids.CheckpointSlot(key, interval).Pos(0)
+	dropSlot(c, slot)
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
 		t.Fatal("slot still present after delete")
 	}
 
-	// Wait for the repair counter, not the read path: a read can
-	// transiently resolve to the successor's copy while the async
-	// replica delete is still in flight, which is not a repair. Each poll
-	// moves the engine clock past the repair throttle, so every pass
-	// probes.
+	// Wait for the repair counter, not the read path. Each poll moves
+	// the engine clock past the repair throttle, so every pass probes.
 	waitFor(t, c, 20*time.Second, "the engine to repair the lost checkpoint slot", func() bool {
 		if counters(c)["slots-repaired"] > 0 {
 			return true
@@ -265,6 +269,105 @@ func TestTruncationRateLimited(t *testing.T) {
 	}
 }
 
+// TestTruncateGateRefusesUnreadableCheckpoint: the pointer names a
+// checkpoint whose every slot is gone. The engine's repair probe cannot
+// prove the snapshot readable, so its truncation gate stays shut: no
+// truncation, and the whole log stays retrievable. This is the gate
+// production truncates behind (Repair, then TruncateTo).
+func TestTruncateGateRefusesUnreadableCheckpoint(t *testing.T) {
+	const interval = 4
+	clk := newTestClock()
+	c := newMaintCluster(t, 6, interval, maintain.Config{TruncateEvery: time.Millisecond, Now: clk.Now})
+	key := "unreadable-ckpt"
+	ctx := context.Background()
+	// Every engine has run its first pass, so discovery now waits for the
+	// test to move the engine clock. Write the log directly: without a
+	// KTS entry no engine acts on the key until discovery hands it to its
+	// master below, after the pointer exists.
+	sleep(c, 100*time.Millisecond)
+	for ts := uint64(1); ts <= 6; ts++ {
+		id := fmt.Sprintf("u#%d", ts)
+		enc, err := patch.Patch{ID: id, Author: "u", Ops: []patch.Op{{Kind: patch.OpInsert, Line: id}}}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Peers[0].Log.Publish(ctx, p2plog.Record{Key: key, TS: ts, PatchID: id, Patch: enc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Let every Log-Peer consult its truncation-floor hint while no
+	// pointer exists. The hint trusts the pointer and is not re-consulted
+	// for dht.DefaultFloorRecheck, longer than this whole test runs, so
+	// only the engine's gate stands between the pointer and the log.
+	sleep(c, time.Second)
+	if snap := counters(c); snap["keys-discovered"] != 0 || snap["errors"] != 0 {
+		t.Fatalf("engine acted on the key before the pointer existed: %v", snap)
+	}
+
+	s := c.Peers[0].Ckpt
+	if _, err := s.Publish(ctx, checkpoint.Checkpoint{Key: key, TS: interval, Lines: []string{"state@4"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePointer(ctx, key, interval); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ids.Replicas; i++ {
+		dropSlot(c, ids.CheckpointSlot(key, interval).Pos(i))
+	}
+
+	// Each poll moves the engine clock past the discovery throttle; the
+	// master's first pass over the key probes the checkpoint and fails.
+	waitFor(t, c, 20*time.Second, "the engine to probe the unreadable checkpoint", func() bool {
+		if snap := counters(c); snap["keys-discovered"] > 0 && snap["errors"] > 0 {
+			return true
+		}
+		clk.advance(maintain.DefaultDiscoverEvery)
+		return false
+	})
+	clk.advance(2 * maintain.DefaultRepairEvery) // the next pass probes again
+	sleep(c, 2*time.Second)
+
+	snap := counters(c)
+	if snap["truncations"] != 0 || snap["slots-truncated"] != 0 {
+		t.Fatalf("engine truncated behind an unreadable checkpoint: %v", snap)
+	}
+	if snap["fallback-checkpoints"] != 0 {
+		t.Fatalf("engine replaced the pointed-to checkpoint: %v", snap)
+	}
+	recs, err := c.Peers[1].Log.FetchRange(ctx, key, 0, 6)
+	if err != nil || len(recs) != 6 {
+		t.Fatalf("log after refused truncation: %d records, %v", len(recs), err)
+	}
+}
+
+// TestNoTruncationWithoutCheckpoint: a key whose history has not reached
+// a checkpoint boundary has nothing to truncate behind; passes leave its
+// log whole.
+func TestNoTruncationWithoutCheckpoint(t *testing.T) {
+	const interval = 4
+	c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: time.Millisecond})
+	key := "no-ckpt"
+	w := core.NewReplica(c.Peers[0], key, "author")
+	commit(t, w, interval-1)
+	before := counters(c)["passes"]
+	sleep(c, 2*time.Second)
+
+	snap := counters(c)
+	if snap["passes"] == before {
+		t.Fatal("engine ran no passes")
+	}
+	if snap["truncations"] != 0 || snap["slots-truncated"] != 0 {
+		t.Fatalf("engine truncated a key without a checkpoint: %v", snap)
+	}
+	if ptr := pointer(t, c, key); ptr != 0 {
+		t.Fatalf("pointer = %d, want none", ptr)
+	}
+	recs, err := c.Peers[1].Log.FetchRange(context.Background(), key, 0, interval-1)
+	if err != nil || len(recs) != interval-1 {
+		t.Fatalf("log: %d records, %v", len(recs), err)
+	}
+}
+
 // TestNoopWhenAuthorCheckpointed: when the boundary author did its job,
 // later passes must be pure no-ops — no duplicate production, no
 // repairs, pointer untouched (the idempotence race resolves through
@@ -317,10 +420,8 @@ func TestRepairIntervalThrottlesSteadyState(t *testing.T) {
 	waitFor(t, c, 20*time.Second, "a pass to skip repair inside the window", func() bool { return counters(c)["repairs-skipped"] > 0 })
 
 	// A slot lost inside the window stays lost — the probe is throttled.
-	slot := ids.CheckpointHash(0, key, interval)
-	if _, err := c.Peers[0].Client.DeleteID(ctx, slot); err != nil {
-		t.Fatal(err)
-	}
+	slot := ids.CheckpointSlot(key, interval).Pos(0)
+	dropSlot(c, slot)
 	sleep(c, 150*time.Millisecond) // many passes, all inside the window
 	if _, found, _ := c.Peers[0].Client.GetID(ctx, slot); found {
 		t.Fatal("slot repaired inside the repair window")
@@ -494,8 +595,8 @@ func TestKeepIntervalsMargin(t *testing.T) {
 	for ts := uint64(1); ts <= interval; ts++ {
 		reclaimed += tsSlots(c, key, ts)
 	}
-	if replicas := c.Peers[0].Log.Replicas(); reclaimed > replicas {
-		t.Fatalf("%d slot replicas left below the margin, allow at most %d stragglers", reclaimed, replicas)
+	if reclaimed > ids.Replicas {
+		t.Fatalf("%d slot replicas left below the margin, allow at most %d stragglers", reclaimed, ids.Replicas)
 	}
 	for ts := uint64(interval + 1); ts <= 2*interval; ts++ {
 		if tsSlots(c, key, ts) == 0 {

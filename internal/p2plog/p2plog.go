@@ -25,13 +25,10 @@ import (
 	"p2pltr/internal/vclock"
 )
 
-// DefaultReplicas is the size of Hr used when none is configured.
-const DefaultReplicas = 3
-
 // ErrConflict reports that a slot already holds a different patch: a
 // previous Master-key incarnation published this timestamp. The caller
 // (the KTS) treats the existing patch as the committed one.
-var ErrConflict = errors.New("p2plog: slot already holds a different patch")
+var ErrConflict = dht.ErrConflict
 
 // ErrMissing reports that no replica of a slot could be found; with live
 // Log-Peers this means the timestamp was never published.
@@ -57,27 +54,20 @@ func (r *Record) wire(c *msg.Coder) {
 
 // Log reads and writes the P2P-Log through a DHT client.
 type Log struct {
-	c        *dht.Client
-	replicas int
-	clock    vclock.Clock
+	c     *dht.Client
+	clock vclock.Clock
 }
 
-// New returns a log view with the given replication factor n = |Hr|
-// (DefaultReplicas if n <= 0). Every read repairs: a fetch that finds the
-// record at some replica re-publishes it to replicas that are missing it,
-// restoring the replication degree after Log-Peer crashes and re-homing
-// slots onto the peers that currently own their positions. The
-// windowed-retrieval worker goroutines run on clk, so virtual-time
-// simulations can account for them.
-func New(c *dht.Client, replicas int, clk vclock.Clock) *Log {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Log{c: c, replicas: replicas, clock: clk}
+// New returns a log view over n = ids.Replicas replicas per record. Every
+// read repairs: a fetch that finds the record at some replica
+// re-publishes it to replicas that are missing it, restoring the
+// replication degree after Log-Peer crashes and re-homing slots onto the
+// peers that currently own their positions. The windowed-retrieval
+// worker goroutines run on clk, so virtual-time simulations can account
+// for them.
+func New(c *dht.Client, clk vclock.Clock) *Log {
+	return &Log{c: c, clock: clk}
 }
-
-// Replicas returns the replication factor n.
-func (l *Log) Replicas() int { return l.replicas }
 
 // encodeRecord produces the canonical slot content. The codec encodes
 // one record to exactly one byte string, which makes idempotent republish
@@ -98,53 +88,23 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// PublishResult describes the outcome of one Publish.
-type PublishResult struct {
-	// StoredReplicas counts slots this call wrote or found identical.
-	StoredReplicas int
-	// Conflict, when non-nil, is the differing record found occupying at
-	// least one slot.
-	Conflict *Record
-}
-
 // Publish implements sendToPublish for one (key, ts): it writes the patch
-// to all n replica slots. At least one replica must accept for the publish
-// to count; a slot occupied by a different patch aborts with ErrConflict
-// and returns the occupant so the master can converge on it.
-func (l *Log) Publish(ctx context.Context, rec Record) (PublishResult, error) {
+// to all n replica slots and returns how many hold it. At least one
+// replica must accept for the publish to count; a slot occupied by a
+// different patch aborts with ErrConflict, naming the occupant's patch ID,
+// so the master can converge on it.
+func (l *Log) Publish(ctx context.Context, rec Record) (stored int, err error) {
 	enc, err := encodeRecord(rec)
 	if err != nil {
-		return PublishResult{}, err
+		return 0, err
 	}
-	var res PublishResult
-	var lastErr error
-	for i := 0; i < l.replicas; i++ {
-		slot := ids.ReplicaHash(i, rec.Key, rec.TS)
-		stored, existing, err := l.c.PutID(ctx, slot, logSlotKey(rec.Key, rec.TS, i), enc, true)
-		if err != nil {
-			lastErr = err
-			continue // unavailable Log-Peer; other replicas provide availability
+	return l.c.PutSlots(ctx, ids.LogSlot(rec.Key, rec.TS), enc, true, func(occupant []byte) error {
+		r, err := decodeRecord(occupant)
+		if err == nil && r.PatchID != rec.PatchID {
+			return fmt.Errorf("%w: holds patch %s", ErrConflict, r.PatchID)
 		}
-		if stored {
-			res.StoredReplicas++
-			continue
-		}
-		occupant, derr := decodeRecord(existing)
-		if derr != nil {
-			lastErr = derr
-			continue
-		}
-		if occupant.PatchID == rec.PatchID {
-			res.StoredReplicas++ // same patch, counted as replicated
-			continue
-		}
-		res.Conflict = &occupant
-		return res, fmt.Errorf("%w: slot %d of (%s,%d) holds patch %s", ErrConflict, i, rec.Key, rec.TS, occupant.PatchID)
-	}
-	if res.StoredReplicas == 0 {
-		return res, fmt.Errorf("p2plog: publish (%s,%d): no replica reachable: %w", rec.Key, rec.TS, lastErr)
-	}
-	return res, nil
+		return err // nil: the same patch, counted as replicated
+	})
 }
 
 // Fetch retrieves the committed patch at (key, ts). It probes every
@@ -158,16 +118,17 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 		enc     []byte
 		have    bool
 	)
-	for i := 0; i < l.replicas; i++ {
-		slot := ids.ReplicaHash(i, key, ts)
+	slot := ids.LogSlot(key, ts)
+	for i := 0; i < ids.Replicas; i++ {
+		pos := slot.Pos(i)
 		if have {
 			// Only probing for holes to repair from here on.
-			if _, found, err := l.c.GetID(ctx, slot); err == nil && !found {
+			if _, found, err := l.c.GetID(ctx, pos); err == nil && !found {
 				missing = append(missing, i)
 			}
 			continue
 		}
-		v, found, err := l.c.GetID(ctx, slot)
+		v, found, err := l.c.GetID(ctx, pos)
 		if err != nil {
 			lastErr = err
 			continue
@@ -189,8 +150,9 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 		}
 		return Record{}, fmt.Errorf("%w (key=%s ts=%d)", ErrMissing, key, ts)
 	}
-	if len(missing) > 0 {
-		l.repair(ctx, rec, enc, missing)
+	// Best-effort repair of the replicas observed empty.
+	for _, i := range missing {
+		_, _, _ = l.c.PutID(ctx, slot.Pos(i), slot.Name(i), enc, true)
 	}
 	return rec, nil
 }
@@ -204,7 +166,7 @@ func (l *Log) Fetch(ctx context.Context, key string, ts uint64) (Record, error) 
 // across replicas and never repairs: a reader that wants the record
 // however it can be had uses Fetch.
 func (l *Log) Await(ctx context.Context, key string, ts uint64, wait time.Duration) (rec Record, found bool, err error) {
-	v, found, err := l.c.AwaitID(ctx, ids.ReplicaHash(0, key, ts), wait)
+	v, found, err := l.c.AwaitID(ctx, ids.LogSlot(key, ts).Pos(0), wait)
 	if err != nil || !found {
 		return Record{}, false, err
 	}
@@ -212,15 +174,6 @@ func (l *Log) Await(ctx context.Context, key string, ts uint64, wait time.Durati
 		return Record{}, false, err
 	}
 	return rec, true, nil
-}
-
-// repair best-effort re-publishes an encoded record to the replica slots
-// that were observed empty.
-func (l *Log) repair(ctx context.Context, rec Record, enc []byte, missing []int) {
-	for _, i := range missing {
-		slot := ids.ReplicaHash(i, rec.Key, rec.TS)
-		_, _, _ = l.c.PutID(ctx, slot, logSlotKey(rec.Key, rec.TS, i), enc, true)
-	}
 }
 
 // Exists reports whether any replica of (key, ts) holds a patch. The KTS
@@ -316,37 +269,21 @@ func (l *Log) FetchRange(ctx context.Context, key string, from, to uint64) ([]Re
 	return all[:resolved], err
 }
 
-// Truncate reclaims Log-Peer storage by deleting every replica slot of
-// key with timestamp in [1, upToTS]. Deleted counts the slot replicas
-// that were actually removed somewhere on the ring.
-//
-// Callers MUST only truncate timestamps covered by a fully-replicated
-// checkpoint (see internal/checkpoint, which gates exactly that): the
-// write-once invariant remains intact for the live tail (upToTS, last],
-// which Master-key crash-recovery still walks. Deletion is best-effort
-// per slot — an unreachable Log-Peer keeps its copy and a later Truncate
-// pass reclaims it.
-//
-// Like FetchRange, consecutive timestamps live at independent ring
-// positions, so their slot deletes are issued concurrently in prefetch
-// windows: reclaiming a deep history costs ~ceil(k/window) round trips
-// instead of k.
-func (l *Log) Truncate(ctx context.Context, key string, upToTS uint64) (deleted int, err error) {
-	return l.TruncateTo(ctx, key, 0, upToTS)
-}
-
 // TruncateTo deletes the replica slots with timestamps in
 // (afterTS, upToTS] and declares upToTS the key's truncation low-water
 // mark: every contacted Log-Peer records that no slot of key at or below
 // upToTS may ever be stored or promoted again, and reclaims any stale
-// copy it still holds. It is the prefix-truncation entry point — callers
+// copy it still holds. It is the one truncation entry point — callers
 // assert that the whole prefix [1, upToTS] is covered by a
 // fully-replicated checkpoint AND that [1, afterTS] was already
-// reclaimed by their previous sweeps (the maintenance engine's per-key
-// horizon guarantees both). The floor is what stops the DHT's
-// successor-copy promotion from resurrecting truncated slots when churn
-// races the async copy delete — a leak no later sweep would revisit,
-// since each sweep is O(new history) by design.
+// reclaimed by their previous sweeps (the maintenance engine's repair
+// verdict and per-key horizon guarantee both). The floor is what stops
+// the DHT's successor-copy promotion from resurrecting truncated slots
+// when churn races the async copy delete — a leak no later sweep would
+// revisit, since each sweep is O(new history) by design. Deletion is
+// best-effort per slot: an unreachable Log-Peer keeps its copy until the
+// floor reaches it. Like FetchRange, the deletes of consecutive
+// timestamps go out concurrently in prefetch windows.
 func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64) (deleted int, err error) {
 	if upToTS <= afterTS {
 		return 0, nil
@@ -359,13 +296,14 @@ func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64
 	werr := l.mapWindowed(ctx, afterTS+1, upToTS,
 		func(ts uint64) error {
 			var derrLast error
-			for r := 0; r < l.replicas; r++ {
+			slot := ids.LogSlot(key, ts)
+			for r := 0; r < ids.Replicas; r++ {
 				// Each delete carries the sweep's truncation horizon, so the
 				// responsible peer (and, via its replica-delete push and
 				// periodic refresh, its successor) learns the low-water
 				// mark and reclaims any stale copy itself; those sweep
 				// removals ride back in the count.
-				n, derr := l.c.DeleteSlotID(ctx, ids.ReplicaHash(r, key, ts), key, upToTS)
+				n, derr := l.c.DeleteSlotID(ctx, slot.Pos(r), key, upToTS)
 				if derr != nil {
 					derrLast = derr
 					continue
@@ -388,10 +326,4 @@ func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64
 		return deleted, fmt.Errorf("p2plog: truncate %s up to %d: %w", key, upToTS, lastErr)
 	}
 	return deleted, nil
-}
-
-// logSlotKey is the debug name stored alongside a slot; the format lives
-// in ids so the DHT's truncation low-water mark can parse it back.
-func logSlotKey(key string, ts uint64, replica int) string {
-	return ids.LogSlotName(key, ts, replica)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,27 +12,26 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
-	"p2pltr/internal/vclock"
 )
 
-func newCluster(t *testing.T, n int, replicas int) *ringtest.Cluster {
+func newCluster(t *testing.T, n int) *ringtest.Cluster {
 	t.Helper()
-	c := ringtest.NewVirtualCluster(n, core.Options{LogReplicas: replicas})
+	c := ringtest.NewVirtualCluster(n, core.Options{})
 	t.Cleanup(c.Close)
 	return c
 }
 
 func TestPublishFetchRoundTrip(t *testing.T) {
-	c := newCluster(t, 5, 3)
+	c := newCluster(t, 5)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	rec := p2plog.Record{Key: "doc", TS: 1, PatchID: "u#1", Patch: []byte("payload")}
-	res, err := log.Publish(ctx, rec)
+	stored, err := log.Publish(ctx, rec)
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	if res.StoredReplicas != 3 {
-		t.Fatalf("stored %d replicas, want 3", res.StoredReplicas)
+	if stored != ids.Replicas {
+		t.Fatalf("stored %d replicas, want %d", stored, ids.Replicas)
 	}
 	// Any peer can fetch.
 	for _, p := range c.Peers {
@@ -46,35 +46,35 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 }
 
 func TestPublishIdempotent(t *testing.T) {
-	c := newCluster(t, 4, 3)
+	c := newCluster(t, 4)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	rec := p2plog.Record{Key: "doc", TS: 1, PatchID: "u#1", Patch: []byte("p")}
 	if _, err := log.Publish(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
-	res, err := log.Publish(ctx, rec)
+	stored, err := log.Publish(ctx, rec)
 	if err != nil {
 		t.Fatalf("republish: %v", err)
 	}
-	if res.StoredReplicas != 3 {
-		t.Fatalf("republish replicas = %d", res.StoredReplicas)
+	if stored != ids.Replicas {
+		t.Fatalf("republish replicas = %d", stored)
 	}
 }
 
 func TestPublishConflictDetected(t *testing.T) {
-	c := newCluster(t, 4, 3)
+	c := newCluster(t, 4)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	if _, err := log.Publish(ctx, p2plog.Record{Key: "doc", TS: 1, PatchID: "a#1", Patch: []byte("A")}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := log.Publish(ctx, p2plog.Record{Key: "doc", TS: 1, PatchID: "b#1", Patch: []byte("B")})
+	_, err := log.Publish(ctx, p2plog.Record{Key: "doc", TS: 1, PatchID: "b#1", Patch: []byte("B")})
 	if !errors.Is(err, p2plog.ErrConflict) {
 		t.Fatalf("want ErrConflict, got %v", err)
 	}
-	if res.Conflict == nil || res.Conflict.PatchID != "a#1" {
-		t.Fatalf("conflict occupant: %+v", res.Conflict)
+	if !strings.Contains(err.Error(), "a#1") {
+		t.Fatalf("conflict error %q does not name the occupant a#1", err)
 	}
 	// The committed slot is unchanged.
 	rec, err := log.Fetch(ctx, "doc", 1)
@@ -84,7 +84,7 @@ func TestPublishConflictDetected(t *testing.T) {
 }
 
 func TestFetchMissing(t *testing.T) {
-	c := newCluster(t, 3, 2)
+	c := newCluster(t, 3)
 	_, err := c.Peers[0].Log.Fetch(context.Background(), "doc", 99)
 	if !errors.Is(err, p2plog.ErrMissing) {
 		t.Fatalf("want ErrMissing, got %v", err)
@@ -96,7 +96,7 @@ func TestFetchMissing(t *testing.T) {
 }
 
 func TestFetchRangeTotalOrder(t *testing.T) {
-	c := newCluster(t, 5, 3)
+	c := newCluster(t, 5)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	for ts := uint64(1); ts <= 8; ts++ {
@@ -129,7 +129,7 @@ func TestFetchRangeTotalOrder(t *testing.T) {
 }
 
 func TestFetchRangeRefusesHoles(t *testing.T) {
-	c := newCluster(t, 4, 2)
+	c := newCluster(t, 4)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	for _, ts := range []uint64{1, 2, 4} { // hole at 3
@@ -149,7 +149,7 @@ func TestFetchRangeRefusesHoles(t *testing.T) {
 // TestAvailabilityUnderLogPeerCrash is the paper's high-availability
 // claim: with n replicas, patches survive Log-Peer failures.
 func TestAvailabilityUnderLogPeerCrash(t *testing.T) {
-	c := newCluster(t, 8, 3)
+	c := newCluster(t, 8)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	const docs = 5
@@ -171,8 +171,8 @@ func TestAvailabilityUnderLogPeerCrash(t *testing.T) {
 		key := fmt.Sprintf("doc-%d", d)
 		for ts := uint64(1); ts <= 4; ts++ {
 			rk := fmt.Sprintf("%s@%d", key, ts)
-			for i := 0; i < 3; i++ {
-				owner := c.MasterOf(uint64(ids.ReplicaHash(i, key, ts)))
+			for i := 0; i < ids.Replicas; i++ {
+				owner := c.MasterOf(uint64(ids.LogSlot(key, ts).Pos(i)))
 				placements[rk] = append(placements[rk], string(owner.Addr()))
 			}
 		}
@@ -234,18 +234,11 @@ func TestReplicaSlotsSpreadAcrossPeers(t *testing.T) {
 	// distinct ring positions (pairwise independence in practice).
 	key, ts := "doc", uint64(1)
 	positions := map[ids.ID]bool{}
-	for i := 0; i < 3; i++ {
-		positions[ids.ReplicaHash(i, key, ts)] = true
+	for i := 0; i < ids.Replicas; i++ {
+		positions[ids.LogSlot(key, ts).Pos(i)] = true
 	}
-	if len(positions) != 3 {
+	if len(positions) != ids.Replicas {
 		t.Fatalf("replica positions collide: %v", positions)
-	}
-}
-
-func TestReplicasDefault(t *testing.T) {
-	l := p2plog.New(nil, 0, vclock.System)
-	if l.Replicas() != p2plog.DefaultReplicas {
-		t.Fatalf("default replicas = %d", l.Replicas())
 	}
 }
 
@@ -253,7 +246,7 @@ func TestReplicasDefault(t *testing.T) {
 // slots directly, fetch once, and verify the slots are repopulated at
 // their owners.
 func TestReadRepairRestoresMissingReplicas(t *testing.T) {
-	c := newCluster(t, 6, 3)
+	c := newCluster(t, 6)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	rec := p2plog.Record{Key: "repair-doc", TS: 1, PatchID: "u#1", Patch: []byte("x")}
@@ -262,7 +255,7 @@ func TestReadRepairRestoresMissingReplicas(t *testing.T) {
 	}
 	// Remove replicas 1 and 2 from every store (simulating loss).
 	for i := 1; i <= 2; i++ {
-		pos := ids.ReplicaHash(i, "repair-doc", 1)
+		pos := ids.LogSlot("repair-doc", 1).Pos(i)
 		for _, p := range c.Peers {
 			p.DHT.Store().Delete(pos)
 			p.DHT.ReplicaStore().Delete(pos)
@@ -273,7 +266,7 @@ func TestReadRepairRestoresMissingReplicas(t *testing.T) {
 	}
 	// The fetch must have restored the missing slots at current owners.
 	for i := 1; i <= 2; i++ {
-		pos := ids.ReplicaHash(i, "repair-doc", 1)
+		pos := ids.LogSlot("repair-doc", 1).Pos(i)
 		if _, err := c.WaitUntil(5*time.Second, fmt.Sprintf("replica %d to be repaired", i), func() bool {
 			for _, p := range c.Peers {
 				if _, ok := p.DHT.Store().Get(pos); ok {
@@ -292,7 +285,7 @@ func TestReadRepairRestoresMissingReplicas(t *testing.T) {
 // total order, and a hole on either side of a window edge stops the
 // result at the ordered prefix before it.
 func TestFetchRangePrefetchWindows(t *testing.T) {
-	c := newCluster(t, 5, 3)
+	c := newCluster(t, 5)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	publish := func(key string, ts uint64) {
@@ -347,7 +340,7 @@ func TestFetchRangePrefetchWindows(t *testing.T) {
 // TestFetchRangeParallelHoleStopsPrefix: holes abort with the ordered
 // prefix even when fetched in parallel windows.
 func TestFetchRangeParallelHoleStopsPrefix(t *testing.T) {
-	c := newCluster(t, 4, 2)
+	c := newCluster(t, 4)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	for _, ts := range []uint64{1, 2, 3, 5, 6} { // hole at 4
@@ -371,17 +364,17 @@ func TestFetchRangeParallelHoleStopsPrefix(t *testing.T) {
 
 // TestFetchFallsBackWhenFirstReplicaMissing: retrieval must survive the
 // FIRST Hr replica being gone (not just a middle one) — this is the path
-// a partially applied Truncate leaves behind, and the one
+// a partially applied truncation leaves behind, and the one
 // checkpoint-gated truncation must never break for the live tail.
 func TestFetchFallsBackWhenFirstReplicaMissing(t *testing.T) {
-	c := newCluster(t, 6, 3)
+	c := newCluster(t, 6)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	rec := p2plog.Record{Key: "fb-doc", TS: 1, PatchID: "u#1", Patch: []byte("x")}
 	if _, err := log.Publish(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
-	pos := ids.ReplicaHash(0, "fb-doc", 1)
+	pos := ids.LogSlot("fb-doc", 1).Pos(0)
 	for _, p := range c.Peers {
 		p.DHT.Store().Delete(pos)
 		p.DHT.ReplicaStore().Delete(pos)
@@ -395,10 +388,10 @@ func TestFetchFallsBackWhenFirstReplicaMissing(t *testing.T) {
 	}
 }
 
-// TestTruncatePreservesLiveTail: Truncate removes exactly [1, upToTS];
+// TestTruncatePreservesLiveTail: TruncateTo from 0 removes exactly [1, upToTS];
 // the tail keeps its write-once slots and total-order retrieval.
 func TestTruncatePreservesLiveTail(t *testing.T) {
-	c := newCluster(t, 6, 3)
+	c := newCluster(t, 6)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	for ts := uint64(1); ts <= 6; ts++ {
@@ -407,12 +400,12 @@ func TestTruncatePreservesLiveTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deleted, err := log.Truncate(ctx, "tr-doc", 4)
+	deleted, err := log.TruncateTo(ctx, "tr-doc", 0, 4)
 	if err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
-	if deleted != 4*log.Replicas() {
-		t.Fatalf("deleted %d slot replicas, want %d", deleted, 4*log.Replicas())
+	if deleted != 4*ids.Replicas {
+		t.Fatalf("deleted %d slot replicas, want %d", deleted, 4*ids.Replicas)
 	}
 	for ts := uint64(1); ts <= 4; ts++ {
 		if ok, err := log.Exists(ctx, "tr-doc", ts); err != nil || ok {
@@ -431,8 +424,8 @@ func TestTruncatePreservesLiveTail(t *testing.T) {
 	// The truncated slots are gone from every peer's stores (storage
 	// actually reclaimed, not just unreachable).
 	for ts := uint64(1); ts <= 4; ts++ {
-		for i := 0; i < 3; i++ {
-			pos := ids.ReplicaHash(i, "tr-doc", ts)
+		for i := 0; i < ids.Replicas; i++ {
+			pos := ids.LogSlot("tr-doc", ts).Pos(i)
 			for _, p := range c.Peers {
 				if _, ok := p.DHT.Store().Get(pos); ok {
 					t.Fatalf("primary slot (ts=%d, r=%d) still stored at %s", ts, i, p)
@@ -446,7 +439,7 @@ func TestTruncatePreservesLiveTail(t *testing.T) {
 // (afterTS, upToTS] on top of an earlier sweep to afterTS, the contract
 // periodic maintenance relies on to keep each sweep O(new history).
 func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
-	c := newCluster(t, 6, 3)
+	c := newCluster(t, 6)
 	ctx := context.Background()
 	log := c.Peers[0].Log
 	for ts := uint64(1); ts <= 8; ts++ {
@@ -456,15 +449,15 @@ func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
 		}
 	}
 	// The earlier sweep TruncateTo(4, 6) asserts: [1, 4] already reclaimed.
-	if _, err := log.Truncate(ctx, "lw-doc", 4); err != nil {
+	if _, err := log.TruncateTo(ctx, "lw-doc", 0, 4); err != nil {
 		t.Fatalf("truncate to the mark: %v", err)
 	}
 	deleted, err := log.TruncateTo(ctx, "lw-doc", 4, 6)
 	if err != nil {
 		t.Fatalf("truncate range: %v", err)
 	}
-	if deleted != 2*log.Replicas() {
-		t.Fatalf("deleted %d slot replicas, want %d", deleted, 2*log.Replicas())
+	if deleted != 2*ids.Replicas {
+		t.Fatalf("deleted %d slot replicas, want %d", deleted, 2*ids.Replicas)
 	}
 	for ts := uint64(5); ts <= 6; ts++ {
 		if ok, err := log.Exists(ctx, "lw-doc", ts); err != nil || ok {

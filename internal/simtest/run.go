@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -715,14 +714,13 @@ func (r *runner) collectCounters() {
 // logSlots counts the log slots of doc still stored ring-wide (primary
 // stores of live peers).
 func (r *runner) logSlots(doc string) int {
-	prefix := "log/" + doc + "/"
 	n := 0
 	for i, p := range r.c.Peers {
 		if r.down[i] {
 			continue
 		}
 		for _, e := range p.DHT.Store().SnapshotMeta() {
-			if strings.HasPrefix(e.Key, prefix) {
+			if key, _, ok := ids.ParseLogSlotName(e.Key); ok && key == doc {
 				n++
 			}
 		}
