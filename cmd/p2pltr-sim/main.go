@@ -9,7 +9,6 @@
 //	p2pltr-sim sweep   -plan examples/plans/e12.json -seeds 256 [-workers 8] [-short]
 //	p2pltr-sim shrink  -plan broken.json -seed 3 [-max-runs 100] -out repro.json
 //	p2pltr-sim explain -plan repro.json -seed 3 [-out forensics.json]
-//	p2pltr-sim plan    -plan examples/plans/e12.json [-short]
 //
 // -plan is a plan file; the committed ones live under examples/plans.
 // `run` exits 1 when an invariant fails, `sweep` when any seed fails;
@@ -45,8 +44,6 @@ func main() {
 		os.Exit(cmdShrink(args))
 	case "explain":
 		os.Exit(cmdExplain(args))
-	case "plan":
-		os.Exit(cmdPlan(args))
 	default:
 		usage()
 		os.Exit(2)
@@ -54,7 +51,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: p2pltr-sim <run|sweep|shrink|explain|plan> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: p2pltr-sim <run|sweep|shrink|explain> [flags]")
 }
 
 // loadPlan reads and validates the plan file -plan names.
@@ -283,22 +280,5 @@ func cmdExplain(args []string) int {
 		}
 		fmt.Printf("\nforensics bundle written to %s\n", *out)
 	}
-	return 0
-}
-
-func cmdPlan(args []string) int {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	planName := fs.String("plan", "", "plan file")
-	short := fs.Bool("short", false, "apply the plan's short override")
-	fs.Parse(args)
-	plan, err := loadPlan(*planName, *short)
-	if err != nil {
-		return fail(err)
-	}
-	b, err := plan.WithDefaults().Marshal()
-	if err != nil {
-		return fail(err)
-	}
-	os.Stdout.Write(b)
 	return 0
 }

@@ -35,10 +35,6 @@ import (
 	"p2pltr/internal/msg"
 )
 
-// DefaultInterval is the checkpoint period in committed patches used when
-// a caller enables checkpointing without choosing one.
-const DefaultInterval = 64
-
 // ErrMissing reports that no replica of a checkpoint could be found.
 var ErrMissing = errors.New("checkpoint: not found at any replica")
 

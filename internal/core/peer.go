@@ -157,7 +157,7 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 		if maintCfg.Now == nil {
 			maintCfg.Now = opts.Clock.Now
 		}
-		floorHint = floorFromCheckpoint(p.Ckpt, maintCfg.KeepIntervals, opts.CheckpointInterval)
+		floorHint = floorFromCheckpoint(p.Ckpt, maintCfg, opts.CheckpointInterval)
 	}
 	p.DHT = dht.NewService(p.Node, opts.Clock, p.Flight, floorHint)
 	p.KTS = kts.NewService(p.Node, p.Log, p.Ckpt, opts.Clock, opts.Tracer, p.Flight, opts.AdmissionLimit)
@@ -174,20 +174,13 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 // peer that runs the maintenance engine. Truncation floors are in-memory;
 // after a restart they are re-derived from the replicated checkpoint
 // pointer, minus the same safety margin the truncation sweep honors.
-func floorFromCheckpoint(ckpt *checkpoint.Store, keep int, interval uint64) func(ctx context.Context, key string) (uint64, bool) {
+func floorFromCheckpoint(ckpt *checkpoint.Store, cfg maintain.Config, interval uint64) func(ctx context.Context, key string) (uint64, bool) {
 	return func(ctx context.Context, key string) (uint64, bool) {
 		ptr, err := ckpt.LatestPointer(ctx, key)
 		if err != nil {
 			return 0, false
 		}
-		if keep > 0 {
-			margin := uint64(keep) * interval
-			if margin == 0 || ptr <= margin {
-				return 0, true // margin incomputable or nothing below it
-			}
-			ptr -= margin
-		}
-		return ptr, true
+		return cfg.Horizon(ptr, interval), true
 	}
 }
 

@@ -115,6 +115,22 @@ type Config struct {
 	Now func() time.Time
 }
 
+// Horizon is the highest log timestamp truncation may reclaim under the
+// checkpoint pointer ptr: ptr less the KeepIntervals margin. It is 0,
+// reclaiming nothing, when the margin covers ptr or cannot be computed
+// (KeepIntervals set but interval unknown): truncating anyway would
+// reclaim history the operator asked to keep.
+func (c Config) Horizon(ptr, interval uint64) uint64 {
+	if c.KeepIntervals <= 0 {
+		return ptr
+	}
+	margin := uint64(c.KeepIntervals) * interval
+	if margin == 0 || ptr <= margin {
+		return 0
+	}
+	return ptr - margin
+}
+
 // Puller reconstructs committed document state for the fallback producer
 // and names the documents this peer holds slots of. core.Peer adapts its
 // user-replica pull path (checkpoint bootstrap plus log tail) and its DHT
@@ -455,21 +471,9 @@ func (e *Engine) produce(ctx context.Context, key string, boundary uint64) (uint
 // truncation point is already gone.
 func (e *Engine) maybeTruncate(ctx context.Context, st kts.KeyState) {
 	// Hold back the configured safety margin; the checkpoint at
-	// st.CkptTS covers any shorter prefix, so the gate still stands.
-	target := st.CkptTS
-	if e.cfg.KeepIntervals > 0 {
-		margin := uint64(e.cfg.KeepIntervals) * e.interval
-		if margin == 0 {
-			// Interval unknown (0): the margin cannot be computed, and
-			// truncating anyway would reclaim history the operator asked
-			// to keep. Skip rather than surprise.
-			return
-		}
-		if target <= margin {
-			return
-		}
-		target -= margin
-	}
+	// st.CkptTS covers any shorter prefix, so the gate still stands. A
+	// zero horizon reclaims nothing: the check below returns.
+	target := e.cfg.Horizon(st.CkptTS, e.interval)
 	now := e.cfg.Now()
 	e.mu.Lock()
 	after := e.truncatedTo[st.Key]

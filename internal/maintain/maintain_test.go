@@ -612,3 +612,31 @@ func TestKeepIntervalsMargin(t *testing.T) {
 		t.Fatalf("margin commit needed %d rebases", r.Rebases())
 	}
 }
+
+// TestHorizon pins the reclaim horizon's edge cases: no margin reclaims
+// the whole pointer, an unknown interval or a margin that covers the
+// pointer reclaims nothing.
+func TestHorizon(t *testing.T) {
+	cases := []struct {
+		keep          int
+		ptr, interval uint64
+		want          uint64
+	}{
+		{keep: 0, ptr: 16, interval: 8, want: 16},
+		{keep: 0, ptr: 16, interval: 0, want: 16},
+		{keep: 0, ptr: 0, interval: 8, want: 0},
+		{keep: -1, ptr: 16, interval: 8, want: 16},
+		{keep: 1, ptr: 16, interval: 0, want: 0},
+		{keep: 1, ptr: 7, interval: 8, want: 0},
+		{keep: 1, ptr: 8, interval: 8, want: 0},
+		{keep: 1, ptr: 9, interval: 8, want: 1},
+		{keep: 1, ptr: 24, interval: 8, want: 16},
+		{keep: 2, ptr: 16, interval: 8, want: 0},
+		{keep: 2, ptr: 24, interval: 8, want: 8},
+	}
+	for _, c := range cases {
+		if got := (maintain.Config{KeepIntervals: c.keep}).Horizon(c.ptr, c.interval); got != c.want {
+			t.Errorf("keep %d: Horizon(%d, %d) = %d, want %d", c.keep, c.ptr, c.interval, got, c.want)
+		}
+	}
+}

@@ -64,7 +64,7 @@ func TestPlanE12Shape(t *testing.T) {
 	if res.Counters["fallback-checkpoints"] == 0 {
 		t.Fatalf("boundary authors died yet no fallback checkpoint was produced: %v", res.Counters)
 	}
-	interval := plan.CheckpointInterval
+	interval := checkpointInterval
 	doomed := plan.DoomedDocs()
 	for i, d := range res.Docs {
 		if d.Doomed != doomed[i] {

@@ -7,6 +7,7 @@ import (
 
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
+	"p2pltr/internal/maintain"
 )
 
 // settle runs the end-of-plan invariant suite. Checks are appended in a
@@ -16,10 +17,21 @@ import (
 // report shows the full failure shape.
 func (r *runner) settle(workloadEnd time.Duration) {
 	plan := r.plan
-	interval := plan.CheckpointInterval
-	budget := ms(plan.SettleBudgetMS)
-	deadline := workloadEnd + budget
-	past := func(d time.Duration) bool { return r.clk.Since(r.epoch) > d }
+	interval := checkpointInterval
+	deadline := workloadEnd + settleBudget
+	// waitUntil polls cond once per sample until it holds (true) or the
+	// virtual clock passes by (false). Each round checks cond, then the
+	// deadline, then sleeps, so the poll schedule is part of the
+	// deterministic trace.
+	waitUntil := func(by time.Duration, cond func() bool) bool {
+		for !cond() {
+			if r.clk.Since(r.epoch) > by {
+				return false
+			}
+			_ = r.clk.Sleep(r.ctx, sample)
+		}
+		return true
+	}
 
 	// Authoritative per-document final timestamp: the max of every live
 	// KTS's local last_ts and every granted timestamp we observed. The
@@ -81,14 +93,10 @@ func (r *runner) settle(workloadEnd time.Duration) {
 			}
 			return true
 		}
-		for !caughtUp() {
-			if past(deadline) {
-				convOK, convKey = false, doc
-				convDetail = fmt.Sprintf("%s: reader stuck at %d of %d after %s",
-					doc, readers[0].CommittedTS(), reports[d].FinalTS, budget)
-				break
-			}
-			_ = r.clk.Sleep(r.ctx, ms(plan.SampleMS))
+		if !waitUntil(deadline, caughtUp) {
+			convOK, convKey = false, doc
+			convDetail = fmt.Sprintf("%s: reader stuck at %d of %d after %s",
+				doc, readers[0].CommittedTS(), reports[d].FinalTS, settleBudget)
 		}
 		if !convOK {
 			break
@@ -114,20 +122,14 @@ func (r *runner) settle(workloadEnd time.Duration) {
 	for d := range reports {
 		doc := reports[d].Doc
 		boundary := reports[d].FinalTS - reports[d].FinalTS%interval
-		for {
+		waitUntil(deadline, func() bool {
 			var ptr uint64
 			if p := r.livePeer(); p != nil {
 				ptr, _ = p.Ckpt.LatestPointer(r.ctx, doc)
 			}
 			reports[d].CkptPtr = ptr
-			if ptr >= boundary || plan.DisableMaintain && reports[d].Doomed {
-				break
-			}
-			if past(deadline) {
-				break
-			}
-			_ = r.clk.Sleep(r.ctx, ms(plan.SampleMS))
-		}
+			return ptr >= boundary || plan.DisableMaintain && reports[d].Doomed
+		})
 		reports[d].CkptLag = reports[d].FinalTS - reports[d].CkptPtr
 		if reports[d].CkptLag >= interval && reports[d].FinalTS >= interval {
 			lagOK, lagKey = false, doc
@@ -146,18 +148,11 @@ func (r *runner) settle(workloadEnd time.Duration) {
 		reclaimOK, reclaimDetail, reclaimKey := true, "", ""
 		for d := range reports {
 			doc := reports[d].Doc
-			reclaimTo := uint64(0)
-			if reports[d].CkptPtr > interval {
-				reclaimTo = reports[d].CkptPtr - interval
-			}
-			for r.coveredSlots(doc, reclaimTo) > 0 {
-				if past(workloadEnd + 2*budget) {
-					reclaimOK, reclaimKey = false, doc
-					reclaimDetail = fmt.Sprintf("%s: %d slots at or below reclaim horizon %d still stored",
-						doc, r.coveredSlots(doc, reclaimTo), reclaimTo)
-					break
-				}
-				_ = r.clk.Sleep(r.ctx, ms(plan.SampleMS))
+			reclaimTo := maintain.Config{KeepIntervals: keepIntervals}.Horizon(reports[d].CkptPtr, interval)
+			if !waitUntil(workloadEnd+2*settleBudget, func() bool { return r.coveredSlots(doc, reclaimTo) == 0 }) {
+				reclaimOK, reclaimKey = false, doc
+				reclaimDetail = fmt.Sprintf("%s: %d slots at or below reclaim horizon %d still stored",
+					doc, r.coveredSlots(doc, reclaimTo), reclaimTo)
 			}
 			reports[d].LogSlots = r.logSlots(doc)
 		}
@@ -228,16 +223,10 @@ func (r *runner) settle(workloadEnd time.Duration) {
 		for d := range reports {
 			doc := reports[d].Doc
 			for _, m := range r.monitors[doc] {
-				for {
-					if _, ts := m.Read(); ts >= reports[d].FinalTS {
-						break
-					}
-					if past(workloadEnd + 2*budget) {
-						staleOK, staleKey = false, doc
-						staleDetail = fmt.Sprintf("%s: follower stuck at %d of %d", doc, m.TS(), reports[d].FinalTS)
-						break
-					}
-					_ = r.clk.Sleep(r.ctx, ms(plan.SampleMS))
+				caughtUp := func() bool { _, ts := m.Read(); return ts >= reports[d].FinalTS }
+				if !waitUntil(workloadEnd+2*settleBudget, caughtUp) {
+					staleOK, staleKey = false, doc
+					staleDetail = fmt.Sprintf("%s: follower stuck at %d of %d", doc, m.TS(), reports[d].FinalTS)
 				}
 				if !staleOK {
 					break
@@ -246,12 +235,12 @@ func (r *runner) settle(workloadEnd time.Duration) {
 			r.mu.Lock()
 			reports[d].StaleMax = r.staleMax[doc]
 			r.mu.Unlock()
-			if bound := ms(plan.StalenessBoundMS); reports[d].StaleMax > bound {
+			if reports[d].StaleMax > stalenessBound {
 				staleOK, staleKey = false, doc
-				staleDetail = fmt.Sprintf("%s: staleness %s > bound %s", doc, reports[d].StaleMax, bound)
+				staleDetail = fmt.Sprintf("%s: staleness %s > bound %s", doc, reports[d].StaleMax, stalenessBound)
 			}
 		}
-		r.res.checkk("feed-staleness", staleKey, staleOK, "%s", orf(staleDetail, "all feeds within %s", ms(plan.StalenessBoundMS)))
+		r.res.checkk("feed-staleness", staleKey, staleOK, "%s", orf(staleDetail, "all feeds within %s", stalenessBound))
 	}
 
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Doc < reports[j].Doc })

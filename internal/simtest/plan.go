@@ -5,10 +5,10 @@
 // plans and FoundationDB's seeded simulation campaigns:
 //
 //   - Plan: a declarative, JSON-serializable experiment description —
-//     peer/gateway counts, latency and loss models, editor/viewer
-//     mixes, churn batches and timed fault events (boundary authors
-//     killed at their checkpoint commit, partition windows, KTS master
-//     kills) — that compiles to a runnable scenario over the existing
+//     peer/gateway counts, the loss rate, editor/viewer mixes, churn
+//     batches and timed fault events (boundary authors killed at their
+//     checkpoint commit, partition windows, KTS master kills) — that
+//     compiles to a runnable scenario over the existing
 //     vclock/simnet/core/gateway stack (run.go).
 //   - Invariants: a checker suite evaluated at plan end — all-replica
 //     convergence, checkpoint lag under one interval, no log slots
@@ -90,9 +90,13 @@ type Override struct {
 	ChurnScale float64 `json:"churn_scale,omitempty"`
 }
 
-// Plan is a declarative experiment: the operator-facing knobs the
-// paper's prototype exposes ("specify the number of peers or network
-// latencies, or provoke failures") as one serializable testcase.
+// Plan is a declarative experiment: what one run varies — topology,
+// workload mix, loss, churn and faults — as one serializable testcase.
+// The paper's prototype lets an operator "specify the number of peers
+// or network latencies, or provoke failures"; a plan keeps the peers and
+// the failures, while latency, like the rest of the scenario (think
+// times, checkpoint and truncation periods, virtual-time budgets), is
+// one fixed model set by the constants below.
 // Durations are integer milliseconds so plan files stay hand-editable.
 type Plan struct {
 	Name  string `json:"name"`
@@ -113,92 +117,52 @@ type Plan struct {
 	// DeleteFraction is the probability an edit deletes instead of
 	// inserting (direct mode; workload.Editor semantics).
 	DeleteFraction float64 `json:"delete_fraction,omitempty"`
-	ThinkMinMS     int64   `json:"think_min_ms,omitempty"`
-	ThinkMaxMS     int64   `json:"think_max_ms,omitempty"`
 
-	// Network model.
-	LatencyMedianMS int64   `json:"latency_median_ms,omitempty"`
-	LatencySigma    float64 `json:"latency_sigma,omitempty"`
 	// LossRate is the sustained message-drop probability applied after
 	// the warm-up window.
 	LossRate float64 `json:"loss_rate,omitempty"`
 
-	// Stack configuration.
-	CheckpointInterval uint64 `json:"checkpoint_interval,omitempty"`
-	KeepIntervals      int    `json:"keep_intervals,omitempty"`
-	TruncateEveryMS    int64  `json:"truncate_every_ms,omitempty"`
 	// DisableMaintain unmounts the self-healing engine — the knob that
 	// lets a plan deliberately violate the checkpoint-lag invariant
 	// (crash-boundary-author faults with nobody left to fallback).
-	DisableMaintain bool  `json:"disable_maintain,omitempty"`
-	AdmissionLimit  int   `json:"admission_limit,omitempty"`
-	BatchTickMS     int64 `json:"batch_tick_ms,omitempty"`
-	ProbeIdleMS     int64 `json:"probe_idle_ms,omitempty"`
+	DisableMaintain bool `json:"disable_maintain,omitempty"`
+	AdmissionLimit  int  `json:"admission_limit,omitempty"`
 
 	// Schedule.
 	Churn  []ChurnBatch `json:"churn,omitempty"`
 	Faults []FaultEvent `json:"faults,omitempty"`
-
-	// Budgets (virtual time).
-	WarmupMS         int64 `json:"warmup_ms,omitempty"`
-	SampleMS         int64 `json:"sample_ms,omitempty"`
-	DrainBudgetMS    int64 `json:"drain_budget_ms,omitempty"`
-	SettleBudgetMS   int64 `json:"settle_budget_ms,omitempty"`
-	StalenessBoundMS int64 `json:"staleness_bound_ms,omitempty"`
 
 	// Short is the reduced variant `run -short` / `sweep -short` apply
 	// (CI smoke sizes).
 	Short *Override `json:"short,omitempty"`
 }
 
-func ms(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
+// The fixed scenario every plan runs in.
+const (
+	// Editor think time between edits, uniform in [thinkMin, thinkMax].
+	thinkMin = time.Millisecond
+	thinkMax = 4 * time.Second
+	// Simnet's per-message latency: log-normal around latencyMedian.
+	latencyMedian = 25 * time.Millisecond
+	latencySigma  = 0.5
+	// Stack configuration: checkpoint period in commits, the truncation
+	// margin in intervals, and the maintenance and gateway timers.
+	checkpointInterval uint64 = 8
+	keepIntervals             = 1
+	truncateEvery             = 10 * time.Second
+	batchTick                 = 250 * time.Millisecond
+	probeIdle                 = 2 * time.Second
+	// Virtual-time budgets: loss-free warm-up, the driver's sampling
+	// period, the workload's drain deadline, the settle phase's wait per
+	// invariant, and the follower-feed staleness bound.
+	warmup         = 3 * time.Second
+	sample         = 500 * time.Millisecond
+	drainBudget    = 300 * time.Second
+	settleBudget   = 120 * time.Second
+	stalenessBound = 15 * time.Second
+)
 
-// WithDefaults fills unset knobs with the E-series defaults.
-func (p Plan) WithDefaults() Plan {
-	if p.ThinkMinMS <= 0 {
-		p.ThinkMinMS = 1
-	}
-	if p.ThinkMaxMS <= 0 {
-		p.ThinkMaxMS = 4000
-	}
-	if p.LatencyMedianMS <= 0 {
-		p.LatencyMedianMS = 25
-	}
-	if p.LatencySigma <= 0 {
-		p.LatencySigma = 0.5
-	}
-	if p.CheckpointInterval == 0 {
-		p.CheckpointInterval = 8
-	}
-	if p.KeepIntervals == 0 {
-		p.KeepIntervals = 1
-	}
-	if p.TruncateEveryMS <= 0 {
-		p.TruncateEveryMS = 10_000
-	}
-	if p.BatchTickMS <= 0 {
-		p.BatchTickMS = 250
-	}
-	if p.ProbeIdleMS <= 0 {
-		p.ProbeIdleMS = 2000
-	}
-	if p.WarmupMS <= 0 {
-		p.WarmupMS = 3000
-	}
-	if p.SampleMS <= 0 {
-		p.SampleMS = 500
-	}
-	if p.DrainBudgetMS <= 0 {
-		p.DrainBudgetMS = 300_000
-	}
-	if p.SettleBudgetMS <= 0 {
-		p.SettleBudgetMS = 120_000
-	}
-	if p.StalenessBoundMS <= 0 {
-		p.StalenessBoundMS = 15_000
-	}
-	return p
-}
+func ms(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
 
 // ApplyShort returns the plan with its Short override applied (and the
 // override consumed). A plan without one is returned unchanged.

@@ -23,10 +23,21 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlanParseRejectsUnknownFields covers a typo'd knob and every knob
+// the schema retired into a fixed constant: a plan that still sets one
+// must fail loudly rather than run a value it no longer controls.
 func TestPlanParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{"name":"x","peers":8,"docs":1,"editors_per_doc":1,"edits_per_editor":1,"peer_count":9}`))
-	if err == nil || !strings.Contains(err.Error(), "peer_count") {
-		t.Fatalf("typo'd knob not rejected: %v", err)
+	for _, key := range []string{
+		"peer_count",
+		"think_min_ms", "think_max_ms", "latency_median_ms", "latency_sigma",
+		"checkpoint_interval", "keep_intervals", "truncate_every_ms",
+		"batch_tick_ms", "probe_idle_ms", "warmup_ms", "sample_ms",
+		"drain_budget_ms", "settle_budget_ms", "staleness_bound_ms",
+	} {
+		_, err := Parse([]byte(`{"name":"x","peers":8,"docs":1,"editors_per_doc":1,"edits_per_editor":1,"` + key + `":9}`))
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown knob %s not rejected by name: %v", key, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"p2pltr/internal/checkpoint"
 	"p2pltr/internal/chord"
 	"p2pltr/internal/core"
 	"p2pltr/internal/gateway"
@@ -29,7 +30,6 @@ import (
 // the shrinker need. Structural problems (an invalid plan, an
 // impossible join) surface as a failed "run" check for the same reason.
 func Run(plan Plan, seed int64) *Result {
-	plan = plan.WithDefaults()
 	res := &Result{Plan: plan, Seed: seed, Counters: map[string]int64{}}
 	wallStart := vclock.System.Now()
 	defer func() { res.Wall = vclock.System.Since(wallStart) }()
@@ -145,7 +145,7 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 			CheckPredEvery:  time.Second,
 			CallTimeout:     400 * time.Millisecond,
 		},
-		CheckpointInterval: plan.CheckpointInterval,
+		CheckpointInterval: checkpointInterval,
 		ClientBackoff:      time.Second,
 		Clock:              clk,
 		AdmissionLimit:     plan.AdmissionLimit,
@@ -154,8 +154,8 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 	}
 	if !plan.DisableMaintain {
 		opts.Maintain = &maintain.Config{
-			TruncateEvery: ms(plan.TruncateEveryMS),
-			KeepIntervals: plan.KeepIntervals,
+			TruncateEvery: truncateEvery,
+			KeepIntervals: keepIntervals,
 		}
 	}
 	// Compile the timed schedule: churn batches plus partition windows
@@ -176,7 +176,7 @@ func newRunner(plan Plan, seed int64, res *Result) *runner {
 	sort.SliceStable(r.schedule, func(i, j int) bool { return r.schedule[i].at < r.schedule[j].at })
 	// The ring: this goroutine becomes its simulation driver.
 	r.c = ringtest.NewVirtualCluster(plan.Peers, opts,
-		transport.WithLatency(transport.NewLogNormalLatency(ms(plan.LatencyMedianMS), plan.LatencySigma, seed+1)),
+		transport.WithLatency(transport.NewLogNormalLatency(latencyMedian, latencySigma, seed+1)),
 		transport.WithDropProb(0, seed+2), // loss starts after warm-up
 	)
 	r.down = make([]bool, plan.Peers)
@@ -260,7 +260,7 @@ func (r *runner) run() {
 		}
 	}
 
-	_ = r.clk.Sleep(r.ctx, ms(plan.WarmupMS))
+	_ = r.clk.Sleep(r.ctx, warmup)
 	r.c.Net.SetDropProb(plan.LossRate)
 
 	if plan.Gateways > 0 {
@@ -282,7 +282,7 @@ func (r *runner) run() {
 	workloadEnd := r.clk.Since(r.epoch)
 	if !drained {
 		r.res.check("workload-drain", false, "%d/%d sessions done within %s virtual",
-			r.doneN, r.sessions, ms(plan.DrainBudgetMS))
+			r.doneN, r.sessions, drainBudget)
 	} else {
 		r.res.check("workload-drain", true, "%d sessions drained by %s virtual", r.sessions, workloadEnd)
 	}
@@ -297,11 +297,10 @@ func (r *runner) run() {
 // due schedule actions, and returns once every session drained (false:
 // budget exhausted).
 func (r *runner) driveWorkload() bool {
-	plan := r.plan
 	rng := rand.New(rand.NewSource(r.seed))
 	next := 0
 	for {
-		_ = r.clk.Sleep(r.ctx, ms(plan.SampleMS))
+		_ = r.clk.Sleep(r.ctx, sample)
 		r.sampleViewers()
 		r.serveKills()
 		now := r.clk.Since(r.epoch)
@@ -313,7 +312,7 @@ func (r *runner) driveWorkload() bool {
 		if next == len(r.schedule) && len(r.pending) == 0 && r.workloadDone() {
 			return true
 		}
-		if now > ms(plan.DrainBudgetMS) {
+		if now > drainBudget {
 			return false
 		}
 	}
@@ -495,7 +494,6 @@ func (r *runner) cutOff(addr transport.Addr) bool {
 
 func (r *runner) startDirectSessions() {
 	plan := r.plan
-	interval := plan.CheckpointInterval
 	for s := 0; s < r.sessions; s++ {
 		s := s
 		d := s % plan.Docs
@@ -507,8 +505,8 @@ func (r *runner) startDirectSessions() {
 		ed, think := workload.SessionSpec{
 			Site:           site,
 			DeleteFraction: plan.DeleteFraction,
-			ThinkMin:       ms(plan.ThinkMinMS),
-			ThinkMax:       ms(plan.ThinkMaxMS),
+			ThinkMin:       thinkMin,
+			ThinkMax:       thinkMax,
 		}.Build(r.seed + 1000*int64(s))
 		r.clk.Go(func() {
 			defer r.sessionDone()
@@ -544,7 +542,7 @@ func (r *runner) startDirectSessions() {
 					sp.EndErr(err)
 					if err == nil {
 						r.record("commit", doc, site, ts)
-						if doomed && interval > 0 && ts%interval == 0 {
+						if doomed && checkpoint.ShouldCheckpoint(checkpointInterval, ts) {
 							// This session just authored a checkpoint
 							// boundary: it dies here, snapshot unpublished.
 							// The driver crashes the host at its next
@@ -584,8 +582,8 @@ func (r *runner) sessionDone() {
 func (r *runner) startGateways() {
 	plan := r.plan
 	gcfg := gateway.Config{
-		BatchTick: ms(plan.BatchTickMS),
-		ProbeIdle: ms(plan.ProbeIdleMS),
+		BatchTick: batchTick,
+		ProbeIdle: probeIdle,
 		OnCommit: func(doc string, ts uint64, lat time.Duration) {
 			at := r.clk.Since(r.epoch)
 			r.mu.Lock()
@@ -627,7 +625,7 @@ func (r *runner) startGatewaySessions() {
 		site := fmt.Sprintf("site-%02d", s)
 		gw := r.gws[s%len(r.gws)]
 		ed := gw.Session(fmt.Sprintf("tenant-%d", s%(2*len(r.gws)))).Editor(doc, site)
-		think := workload.NewThink(ms(plan.ThinkMinMS), ms(plan.ThinkMaxMS), r.seed+1000*int64(s))
+		think := workload.NewThink(thinkMin, thinkMax, r.seed+1000*int64(s))
 		r.clk.Go(func() {
 			defer r.sessionDone()
 			for e := 0; e < plan.EditsPerEditor; e++ {

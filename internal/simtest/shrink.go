@@ -40,7 +40,6 @@ func Shrink(plan Plan, seed int64, maxRuns int, onStep func(ShrinkStep)) *Shrink
 	if maxRuns <= 0 {
 		maxRuns = 100
 	}
-	plan = plan.WithDefaults()
 	orig := Run(plan, seed)
 	if orig.Pass() {
 		return nil
@@ -127,7 +126,7 @@ func Shrink(plan Plan, seed int64, maxRuns int, onStep func(ShrinkStep)) *Shrink
 			desc string
 			mut  func(*Plan) bool
 		}{
-			{"halve peers", func(c *Plan) bool { return halve(&c.Peers, max2(4, c.Docs*c.EditorsPerDoc+1)) }},
+			{"halve peers", func(c *Plan) bool { return halve(&c.Peers, max(4, c.Docs*c.EditorsPerDoc+1)) }},
 			{"halve docs", func(c *Plan) bool { return halve(&c.Docs, 1) }},
 			{"halve editors per doc", func(c *Plan) bool { return halve(&c.EditorsPerDoc, 1) }},
 			{"halve edits per editor", func(c *Plan) bool { return halve(&c.EditsPerEditor, 1) }},
@@ -173,11 +172,4 @@ func halveChurn(churn []ChurnBatch) ([]ChurnBatch, bool) {
 		}
 	}
 	return out, any
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
