@@ -77,17 +77,19 @@ func TestPlanE12Shape(t *testing.T) {
 }
 
 // pinnedRuns is what each committed plan does at its own seed and full
-// size: the run digest, and whether every invariant holds. A change that
-// moves behaviour on purpose updates the digest here and says so in
-// CHANGES.md; one that must not (a scheduler or codec rewrite) leaves
+// size: the run digest, the trace digest (every finished span, which the
+// run digest does not fold), and whether every invariant holds. A change
+// that moves behaviour on purpose updates the digests here and says so
+// in CHANGES.md; one that must not (a scheduler or codec rewrite) leaves
 // this table alone.
 var pinnedRuns = map[string]struct {
 	digest uint64
+	trace  uint64
 	pass   bool
 }{
-	"e12.json":     {0x1429e178604b2623, true},
-	"e13-hot.json": {0x64e09fceec44fc9a, true},
-	failingExample: {0x39f6eb00f04200bf, false},
+	"e12.json":     {0x1429e178604b2623, 0x59f8dfc1428312fc, true},
+	"e13-hot.json": {0x64e09fceec44fc9a, 0x96c3118a110d7262, true},
+	failingExample: {0x39f6eb00f04200bf, 0xb55081a328552afd, false},
 }
 
 func checkPinned(t *testing.T, name string, res *Result) {
@@ -96,9 +98,9 @@ func checkPinned(t *testing.T, name string, res *Result) {
 	if !ok {
 		t.Fatalf("committed plan %s has no pinned digest", name)
 	}
-	if res.Digest != want.digest || res.Pass() != want.pass {
-		t.Fatalf("%s: digest %016x, pass %v; pinned %016x, pass %v (violations %+v)",
-			name, res.Digest, res.Pass(), want.digest, want.pass, res.Violations())
+	if res.Digest != want.digest || res.TraceDigest != want.trace || res.Pass() != want.pass {
+		t.Fatalf("%s: digest %016x, trace %016x, pass %v; pinned %016x, trace %016x, pass %v (violations %+v)",
+			name, res.Digest, res.TraceDigest, res.Pass(), want.digest, want.trace, want.pass, res.Violations())
 	}
 }
 
