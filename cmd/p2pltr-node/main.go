@@ -122,7 +122,7 @@ func main() {
 					tr = fmt.Sprintf("%016x", ev.Trace)
 				}
 				fmt.Fprintf(w, "%s  %-16s %-24s trace %s  %s\n",
-					ev.T.Format(time.RFC3339Nano), ev.Kind, ev.Key, tr, ev.Detail)
+					ev.Start.Format(time.RFC3339Nano), ev.Kind, ev.Key, tr, ev.Detail)
 			}
 		})
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {

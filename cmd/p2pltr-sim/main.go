@@ -259,7 +259,7 @@ func cmdExplain(args []string) int {
 			tr = fmt.Sprintf("%016x", ev.Trace)
 		}
 		fmt.Printf("  %-14s %-10s %-16s %-10s trace %s  %s\n",
-			ev.T.Sub(epoch), ev.Peer, ev.Kind, ev.Key, tr, ev.Detail)
+			ev.Start.Sub(epoch), ev.Peer, ev.Kind, ev.Key, tr, ev.Detail)
 	}
 	fmt.Printf("\ncross-peer spans touching the slice: %d\n", len(f.Spans))
 	for _, sp := range f.Spans {

@@ -266,9 +266,8 @@ func TestInstrumented(t *testing.T) {
 	}{
 		{ModulePath + "/internal/core", true},
 		{ModulePath + "/internal/dht", true},
-		// The flight recorder claims determinism for its event streams,
-		// so it must sit inside the vetted set.
-		{ModulePath + "/internal/flightrec", true},
+		// The tracer and its flight recorder claim determinism for their
+		// span and event streams, so they must sit inside the vetted set.
 		{ModulePath + "/internal/trace", true},
 		{ModulePath + "/cmd/p2pltr-sim", true},
 		{ModulePath + "/cmd/p2pltr-node", false},

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
@@ -200,7 +199,7 @@ type Node struct {
 	// ring-lifecycle events (join, suspect, evict, handover, absorb) into
 	// the peer's flight recorder. Either may be nil (a valid no-op).
 	tracer *trace.Tracer
-	rec    *flightrec.Recorder
+	rec    *trace.Recorder
 
 	// counters is the exportable routing metric family; the members below
 	// are cached at construction so hot paths skip the family map lookup.
@@ -230,12 +229,12 @@ func (n *Node) AddEvictObserver(fn func(dead msg.NodeRef)) {
 // with NewNodeWithID. tr opens server-side spans around dispatched RPCs
 // that carry a propagated trace context and rec receives the ring
 // lifecycle events; nil switches either off.
-func NewNode(ep transport.Endpoint, cfg Config, tr *trace.Tracer, rec *flightrec.Recorder) *Node {
+func NewNode(ep transport.Endpoint, cfg Config, tr *trace.Tracer, rec *trace.Recorder) *Node {
 	return NewNodeWithID(ep, ids.Hash([]byte(ep.Addr())), cfg, tr, rec)
 }
 
 // NewNodeWithID creates a node with an explicit ring identifier.
-func NewNodeWithID(ep transport.Endpoint, id ids.ID, cfg Config, tr *trace.Tracer, rec *flightrec.Recorder) *Node {
+func NewNodeWithID(ep transport.Endpoint, id ids.ID, cfg Config, tr *trace.Tracer, rec *trace.Recorder) *Node {
 	if cfg.SuccListLen <= 0 {
 		clk := cfg.Clock
 		cfg = DefaultConfig()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"p2pltr/internal/core"
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/trace"
@@ -66,7 +65,7 @@ func TestPeerBornWired(t *testing.T) {
 
 	// The master's maintenance engine truncates the checkpointed prefix
 	// on its own tick; the Log-Peers sweep their floors in response.
-	var events []flightrec.Event
+	var events []trace.SpanData
 	layers := map[string]int{}
 	for waited := time.Duration(0); layers["maintain"] == 0 || layers["dht"] == 0; waited += 50 * time.Millisecond {
 		if waited > 30*time.Second {
@@ -76,8 +75,8 @@ func TestPeerBornWired(t *testing.T) {
 		events, layers = events[:0], map[string]int{}
 		for _, p := range peers {
 			for _, e := range p.Flight.Events() {
-				if e.Peer != string(p.Addr()) {
-					t.Fatalf("event %+v in the recorder of %s", e, p.Addr())
+				if e.Peer != string(p.Addr()) || !e.End.Equal(e.Start) {
+					t.Fatalf("event %+v in the recorder of %s, want its peer and zero width", e, p.Addr())
 				}
 				events = append(events, e)
 				layer, _, _ := strings.Cut(e.Kind, "-")

@@ -19,7 +19,6 @@ import (
 	"p2pltr/internal/checkpoint"
 	"p2pltr/internal/chord"
 	"p2pltr/internal/dht"
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/kts"
 	"p2pltr/internal/maintain"
 	"p2pltr/internal/metrics"
@@ -130,7 +129,7 @@ type Peer struct {
 	Maint *maintain.Engine
 	// Flight is the peer's flight recorder (nil unless
 	// Options.FlightRecorder enabled it).
-	Flight *flightrec.Recorder
+	Flight *trace.Recorder
 }
 
 // NewPeer wires a peer onto the given transport endpoint. Every service
@@ -141,10 +140,7 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	opts = opts.withDefaults()
 	p := &Peer{opts: opts, clock: opts.Clock, masterOpTimeout: max(20*opts.Chord.CallTimeout, 10*time.Second)}
 	if opts.FlightRecorder > 0 {
-		// The trace-ID hook keeps flightrec free of the span machinery:
-		// events are stamped with whatever trace the request context
-		// carries, local span or propagated remote context alike.
-		p.Flight = flightrec.New(opts.Clock, string(ep.Addr()), opts.FlightRecorder, trace.TraceIDFromContext)
+		p.Flight = trace.NewRecorder(opts.Clock, string(ep.Addr()), opts.FlightRecorder)
 	}
 	p.Node = chord.NewNode(ep, opts.Chord, opts.Tracer, p.Flight)
 	p.Client = dht.NewClient(p.Node, clientAttempts, opts.ClientBackoff, opts.Clock)

@@ -17,11 +17,11 @@ import (
 	"time"
 
 	"p2pltr/internal/chord"
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/store"
+	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
 )
@@ -46,7 +46,7 @@ type Service struct {
 	// rec records storage-lifecycle events (promotion, re-home, floor
 	// sweep/derive) into the peer's flight recorder; nil is a valid no-op
 	// recorder.
-	rec *flightrec.Recorder
+	rec *trace.Recorder
 	// floorHint re-derives truncation floors lost to a process restart
 	// (see NewService); nil disables the derivation.
 	floorHint func(ctx context.Context, key string) (uint64, bool)
@@ -106,7 +106,7 @@ type Service struct {
 // everything below that would have been reclaimed by the truncation
 // sweep in steady state and is recoverable from the checkpoint the
 // pointer names.
-func NewService(ring chord.Ring, clk vclock.Clock, rec *flightrec.Recorder, floorHint func(ctx context.Context, key string) (uint64, bool)) *Service {
+func NewService(ring chord.Ring, clk vclock.Clock, rec *trace.Recorder, floorHint func(ctx context.Context, key string) (uint64, bool)) *Service {
 	s := &Service{st: store.New(), rep: store.New(),
 		rng: ring, clock: clk, rec: rec, floorHint: floorHint,
 		floors: make(map[string]uint64), floorCheckedAt: make(map[string]time.Time),

@@ -41,7 +41,6 @@ import (
 
 	"p2pltr/internal/checkpoint"
 	"p2pltr/internal/chord"
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
@@ -130,7 +129,7 @@ type Service struct {
 	// (grant, shed, takeover) into the peer's flight recorder; nil is a
 	// valid no-op recorder.
 	tracer *trace.Tracer
-	rec    *flightrec.Recorder
+	rec    *trace.Recorder
 
 	// counters is the exportable family: grants, rejects, takeovers,
 	// fast-rejects, busy-rejects, last-ts-calls. The members are cached
@@ -150,7 +149,7 @@ type Service struct {
 // last-ts recovery across truncated history with. admissionLimit <= 0
 // leaves hot-key admission unlimited; tr and rec may be nil.
 func NewService(ring chord.Ring, log *p2plog.Log, ckpt *checkpoint.Store, clk vclock.Clock,
-	tr *trace.Tracer, rec *flightrec.Recorder, admissionLimit int) *Service {
+	tr *trace.Tracer, rec *trace.Recorder, admissionLimit int) *Service {
 	f := metrics.NewFamily()
 	return &Service{
 		ring: ring, log: log, ckpt: ckpt, clock: clk, entries: make(map[string]*entry),
@@ -186,6 +185,41 @@ func (s *Service) AdmissionQueueDepth() int64 {
 
 // Name implements chord.Service.
 func (s *Service) Name() string { return ServiceName }
+
+// keyed is one timestamp entry and the key it is filed under.
+type keyed struct {
+	key string
+	e   *entry
+}
+
+// sortedEntries returns every entry in key order. It collects them under
+// s.mu, and callers lock each e.mu only after it is released: e.mu parks
+// (a master holds it across publishes), and holding the plain s.mu
+// across that park would block every other entryFor caller outside the
+// virtual scheduler's accounting — freezing a simulated timeline, and
+// stalling all KTS RPCs on this node for up to a master-op timeout on a
+// real one. Key order matters as much: callers issue per-entry RPCs, and
+// map order would issue them in a different order each run, which a
+// deterministic simulation cannot tolerate (every call draws from the
+// seeded latency/drop streams).
+func (s *Service) sortedEntries() []keyed {
+	s.mu.Lock()
+	out := make([]keyed, 0, len(s.entries))
+	// out is sorted below before anyone reads it. lint:unordered-ok
+	for key, e := range s.entries {
+		out = append(out, keyed{key, e})
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// timestamps reads the entry's last-ts and checkpoint pointer.
+func (e *entry) timestamps() (lastTS, ckptTS uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lastTS, e.ckptTS
+}
 
 // entryFor returns (creating if needed) the state for key.
 func (s *Service) entryFor(key string) *entry {
@@ -500,32 +534,18 @@ func (s *Service) Maintain(ctx context.Context) {
 	if succ.IsZero() || succ.ID == self.ID {
 		return
 	}
-	s.mu.Lock()
-	type kv struct {
-		key  string
-		tsID ids.ID
-	}
-	var owned []kv
-	// HashTS/Owns are pure filters and owned is sorted below before any
-	// RPC is issued, so map order is unobservable. lint:unordered-ok
-	for key := range s.entries {
-		tsID := ids.HashTS(key)
-		if s.ring.Owns(tsID) {
-			owned = append(owned, kv{key, tsID})
+	// Ownership is decided for the whole pass before the first RPC; each
+	// entry's timestamps are read just before its own.
+	var owned []keyed
+	for _, k := range s.sortedEntries() {
+		if s.ring.Owns(ids.HashTS(k.key)) {
+			owned = append(owned, k)
 		}
 	}
-	s.mu.Unlock()
-	// Replicate in key order: map order would issue the RPCs in a
-	// different order each run, which a deterministic simulation cannot
-	// tolerate (every call draws from the seeded latency/drop streams).
-	sort.Slice(owned, func(i, j int) bool { return owned[i].key < owned[j].key })
-	for _, kv := range owned {
-		e := s.entryFor(kv.key)
-		e.mu.Lock()
-		last, ckpt := e.lastTS, e.ckptTS
-		e.mu.Unlock()
+	for _, k := range owned {
+		last, ckpt := k.e.timestamps()
 		_, _ = s.ring.Call(ctx, transport.Addr(succ.Addr), &msg.ReplicateTSReq{
-			Key: kv.key, TSID: kv.tsID, LastTS: last, CkptTS: ckpt,
+			Key: k.key, TSID: ids.HashTS(k.key), LastTS: last, CkptTS: ckpt,
 		})
 	}
 }
@@ -588,61 +608,25 @@ func (s *Service) EnsureKey(ctx context.Context, key string) (created bool, err 
 // replicas only ever move forward, so retaining is safe and preserves
 // availability.
 func (s *Service) ExportOutside(newPred, self ids.ID) []msg.StateItem {
-	// Collect the entries under s.mu, lock each e.mu only after
-	// releasing it: e.mu parks (a master holds it across publishes), and
-	// holding the plain s.mu across that park would block every other
-	// entryFor caller outside the virtual scheduler's accounting —
-	// freezing a simulated timeline, and stalling all KTS RPCs on this
-	// node for up to a master-op timeout on a real one.
-	type kv struct {
-		key  string
-		tsID ids.ID
-		e    *entry
-	}
-	s.mu.Lock()
-	picked := make([]kv, 0, len(s.entries))
-	// HashTS/BetweenRightIncl are pure filters and picked is sorted
-	// below before the handoff RPCs go out. lint:unordered-ok
-	for key, e := range s.entries {
-		tsID := ids.HashTS(key)
-		if ids.BetweenRightIncl(tsID, newPred, self) {
-			continue
-		}
-		picked = append(picked, kv{key, tsID, e})
-	}
-	s.mu.Unlock()
-	sort.Slice(picked, func(i, j int) bool { return picked[i].key < picked[j].key })
-	items := make([]msg.StateItem, 0, len(picked))
-	for _, p := range picked {
-		p.e.mu.Lock()
-		last, ckpt := p.e.lastTS, p.e.ckptTS
-		p.e.mu.Unlock()
-		items = append(items, stateItem(p.key, p.tsID, last, ckpt))
-	}
-	return items
+	return s.export(func(tsID ids.ID) bool { return !ids.BetweenRightIncl(tsID, newPred, self) })
 }
 
 // ExportAll implements chord.Service (voluntary leave: push everything to
-// the successor, which becomes the master). Like ExportOutside, it must
-// not hold s.mu while taking the parking e.mu.
+// the successor, which becomes the master).
 func (s *Service) ExportAll() []msg.StateItem {
-	type kv struct {
-		key string
-		e   *entry
-	}
-	s.mu.Lock()
-	picked := make([]kv, 0, len(s.entries))
-	for key, e := range s.entries {
-		picked = append(picked, kv{key, e})
-	}
-	s.mu.Unlock()
-	sort.Slice(picked, func(i, j int) bool { return picked[i].key < picked[j].key })
-	items := make([]msg.StateItem, 0, len(picked))
-	for _, p := range picked {
-		p.e.mu.Lock()
-		last, ckpt := p.e.lastTS, p.e.ckptTS
-		p.e.mu.Unlock()
-		items = append(items, stateItem(p.key, ids.HashTS(p.key), last, ckpt))
+	return s.export(func(ids.ID) bool { return true })
+}
+
+// export returns, in key order, the state items of every entry whose ht
+// position keep accepts.
+func (s *Service) export(keep func(ids.ID) bool) []msg.StateItem {
+	entries := s.sortedEntries()
+	items := make([]msg.StateItem, 0, len(entries))
+	for _, k := range entries {
+		if tsID := ids.HashTS(k.key); keep(tsID) {
+			last, ckpt := k.e.timestamps()
+			items = append(items, stateItem(k.key, tsID, last, ckpt))
+		}
 	}
 	return items
 }
@@ -732,21 +716,11 @@ type KeyState struct {
 // each pass, and its per-key actions issue RPCs, so the scan order must
 // not depend on map iteration for simulations to replay identically.
 func (s *Service) KeyStates() []KeyState {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	out := make([]KeyState, 0, len(keys))
-	for _, k := range keys {
-		e := s.entryFor(k)
-		e.mu.Lock()
-		st := KeyState{Key: k, LastTS: e.lastTS, CkptTS: e.ckptTS}
-		e.mu.Unlock()
-		st.Master = s.ring.Owns(ids.HashTS(k))
-		out = append(out, st)
+	entries := s.sortedEntries()
+	out := make([]KeyState, 0, len(entries))
+	for _, k := range entries {
+		last, ckpt := k.e.timestamps()
+		out = append(out, KeyState{Key: k.key, LastTS: last, CkptTS: ckpt, Master: s.ring.Owns(ids.HashTS(k.key))})
 	}
 	return out
 }

@@ -45,12 +45,12 @@ import (
 	"time"
 
 	"p2pltr/internal/checkpoint"
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/kts"
 	"p2pltr/internal/metrics"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/p2plog"
+	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
 )
@@ -185,7 +185,7 @@ type Engine struct {
 	// rec records maintenance-lifecycle events (fallback
 	// checkpoint production, slot repair, truncation) into the peer's
 	// flight recorder; nil is a valid no-op recorder.
-	rec *flightrec.Recorder
+	rec *trace.Recorder
 }
 
 // dropAfterMisses is how many consecutive not-master passes evict a
@@ -195,7 +195,7 @@ const dropAfterMisses = 8
 // NewEngine wires a maintenance engine over the given subsystems, for a
 // checkpoint period of interval committed patches. rec receives the
 // maintenance-lifecycle events (nil = off).
-func NewEngine(cfg Config, interval uint64, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller, rec *flightrec.Recorder) *Engine {
+func NewEngine(cfg Config, interval uint64, ts *kts.Service, store *checkpoint.Store, log *p2plog.Log, pull Puller, rec *trace.Recorder) *Engine {
 	if cfg.TruncateEvery <= 0 {
 		cfg.TruncateEvery = DefaultTruncateEvery
 	}

@@ -3,7 +3,6 @@ package simtest
 import (
 	"sort"
 
-	"p2pltr/internal/flightrec"
 	"p2pltr/internal/trace"
 )
 
@@ -20,8 +19,8 @@ type Forensics struct {
 	Keys []string
 	// Slice is the causal slice of the merged timeline: every event on a
 	// violating key plus, transitively, every event sharing a trace ID
-	// with one of those (flightrec.CausalSlice).
-	Slice []flightrec.Event
+	// with one of those (trace.CausalSlice).
+	Slice []trace.SpanData
 	// Spans are the recorded spans whose trace ID appears in the slice
 	// or whose key is a violating key, oldest first — the cross-peer
 	// view of the same incidents (serve/validate/commit segments carry
@@ -34,14 +33,14 @@ type Forensics struct {
 // included on purpose: their rings are frozen at the moment of death,
 // which is usually the moment under investigation.
 func (r *runner) collectFlight() {
-	recs := make([]*flightrec.Recorder, 0, len(r.c.Peers))
+	recs := make([]*trace.Recorder, 0, len(r.c.Peers))
 	for _, p := range r.c.Peers {
 		if p.Flight != nil {
 			recs = append(recs, p.Flight)
 		}
 	}
-	r.res.FlightEvents = flightrec.Merge(recs...)
-	r.res.FlightDigest = flightrec.DigestEvents(r.res.FlightEvents)
+	r.res.FlightEvents = trace.Merge(recs...)
+	r.res.FlightDigest = trace.DigestEvents(r.res.FlightEvents)
 }
 
 // assembleForensics builds the failure bundle after the invariant suite
@@ -64,7 +63,7 @@ func (r *runner) assembleForensics() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	slice := flightrec.CausalSlice(r.res.FlightEvents, keys...)
+	slice := trace.CausalSlice(r.res.FlightEvents, keys...)
 	r.res.Forensics = &Forensics{
 		Violations: vio,
 		Keys:       keys,
@@ -77,7 +76,7 @@ func (r *runner) assembleForensics() {
 // the run's shared tracer: any span on a violating key, or on a trace
 // ID some sliced event carries. Recent is newest first; the bundle
 // reads oldest first like the slice itself.
-func (r *runner) relevantSpans(slice []flightrec.Event, keySet map[string]bool) []trace.SpanData {
+func (r *runner) relevantSpans(slice []trace.SpanData, keySet map[string]bool) []trace.SpanData {
 	if r.tracer == nil {
 		return nil
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"p2pltr/internal/flightrec"
+	"p2pltr/internal/trace"
 )
 
 // Event is one observed milestone on a run's virtual timeline. Fields
@@ -58,12 +58,12 @@ type Result struct {
 	Counters map[string]int64
 
 	// FlightEvents is the causally-ordered merge of every peer's flight
-	// recorder (flightrec.Merge over all peers, crashed ones included —
+	// recorder (trace.Merge over all peers, crashed ones included —
 	// their frozen rings often hold the most interesting evidence).
-	// FlightDigest folds them with flightrec.DigestEvents and is part of
+	// FlightDigest folds them with trace.DigestEvents and is part of
 	// the run digest: two same-seed runs must agree on the full
 	// lifecycle-event timeline, not just the workload milestones.
-	FlightEvents []flightrec.Event
+	FlightEvents []trace.SpanData
 	FlightDigest uint64
 
 	// TraceSpans counts the spans the run's shared tracer finished and

@@ -1,4 +1,4 @@
-package flightrec
+package trace
 
 import (
 	"context"
@@ -13,7 +13,7 @@ import (
 // are counted as dropped, and Events stays oldest-first across the
 // wrap-around.
 func TestRingOverflowEvictsOldest(t *testing.T) {
-	r := New(vclock.System, "peer-a", 4, nil)
+	r := NewRecorder(vclock.System, "peer-a", 4)
 	for i := 1; i <= 10; i++ {
 		r.Record(nil, "kind", fmt.Sprintf("k%02d", i), "")
 	}
@@ -31,8 +31,8 @@ func TestRingOverflowEvictsOldest(t *testing.T) {
 		if evs[i].Key != want {
 			t.Fatalf("ring[%d].Key = %q, want %q (oldest first)", i, evs[i].Key, want)
 		}
-		if evs[i].Seq != uint64(7+i) {
-			t.Fatalf("ring[%d].Seq = %d, want %d", i, evs[i].Seq, 7+i)
+		if evs[i].ID != uint64(7+i) {
+			t.Fatalf("ring[%d].ID = %d, want %d", i, evs[i].ID, 7+i)
 		}
 		if evs[i].Peer != "peer-a" {
 			t.Fatalf("ring[%d].Peer = %q", i, evs[i].Peer)
@@ -42,7 +42,7 @@ func TestRingOverflowEvictsOldest(t *testing.T) {
 
 // Before overflow, Dropped is zero and everything recorded is retained.
 func TestRingUnderCapacity(t *testing.T) {
-	r := New(vclock.System, "p", 8, nil)
+	r := NewRecorder(vclock.System, "p", 8)
 	r.Record(nil, "a", "", "")
 	r.Record(nil, "b", "", "")
 	if r.Dropped() != 0 {
@@ -57,47 +57,40 @@ func TestRingUnderCapacity(t *testing.T) {
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
 	r.Record(context.Background(), "k", "key", "d")
-	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 || r.Peer() != "" {
+	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder accessors not empty")
 	}
-	if r.Digest() != DigestEvents(nil) {
-		t.Fatal("nil recorder digest differs from the empty digest")
-	}
 }
 
-// The trace-ID hook stamps events with the trace active on the
-// triggering context; no hook (or no trace) means 0.
+// Events are stamped with the trace active on the triggering context,
+// whichever carrier holds it — a live local span or the remote context a
+// transport extracted — and a nil ctx (local timers) stamps 0.
 func TestTraceIDStamping(t *testing.T) {
-	noHook := New(vclock.System, "p", 8, nil)
-	noHook.Record(context.WithValue(context.Background(), "tid", uint64(0xbeef)), "no-hook", "", "")
-	r := New(vclock.System, "p", 8, func(ctx context.Context) uint64 {
-		if ctx == nil {
-			return 0
-		}
-		v, _ := ctx.Value("tid").(uint64)
-		return v
-	})
-	r.Record(context.WithValue(context.Background(), "tid", uint64(0xbeef)), "traced", "", "")
+	sp := New(vclock.System, 8).Start("commit", "doc")
+	r := NewRecorder(vclock.System, "p", 8)
+	r.Record(NewContext(context.Background(), sp), "local", "", "")
+	r.Record(ContextWithRemote(context.Background(), SpanContext{TraceID: 0xbeef, SpanID: 3}), "remote", "", "")
 	r.Record(nil, "timer", "", "")
-	evs := append(noHook.Events(), r.Events()...)
-	if evs[0].Trace != 0 || evs[1].Trace != 0xbeef || evs[2].Trace != 0 {
-		t.Fatalf("trace stamps %d/%d/%d, want 0/beef/0", evs[0].Trace, evs[1].Trace, evs[2].Trace)
+	evs := r.Events()
+	local := sp.Context().TraceID
+	if local == 0 || evs[0].Trace != local || evs[1].Trace != 0xbeef || evs[2].Trace != 0 {
+		t.Fatalf("trace stamps %x/%x/%x, want %x/beef/0", evs[0].Trace, evs[1].Trace, evs[2].Trace, local)
 	}
 }
 
-// Merge assembles per-peer rings into one (T, Peer, Seq)-ordered global
+// Merge assembles per-peer rings into one (Start, Peer, ID)-ordered global
 // timeline.
 func TestMergeTimelineOrder(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Register()
 	defer v.Unregister()
-	ra := New(v, "peer-a", 8, nil)
-	rb := New(v, "peer-b", 8, nil)
+	ra := NewRecorder(v, "peer-a", 8)
+	rb := NewRecorder(v, "peer-b", 8)
 	ctx := context.Background()
 
 	rb.Record(nil, "b1", "", "")
 	ra.Record(nil, "a1", "", "")
-	ra.Record(nil, "a2", "", "") // same instant as a1: Seq breaks the tie
+	ra.Record(nil, "a2", "", "") // same instant as a1: the sequence number breaks the tie
 	_ = v.Sleep(ctx, 5*time.Millisecond)
 	rb.Record(nil, "b2", "", "")
 
@@ -116,7 +109,7 @@ func TestMergeTimelineOrder(t *testing.T) {
 // CausalSlice keeps key-matching events plus — through shared trace
 // IDs — the cross-peer events of the same traces, whatever their key.
 func TestCausalSliceTraceClosure(t *testing.T) {
-	events := []Event{
+	events := []SpanData{
 		{Kind: "kts-grant", Key: "doc-a", Trace: 7},
 		{Kind: "dht-rehome", Key: "slot-x", Trace: 7},  // same trace, other key
 		{Kind: "kts-grant", Key: "doc-b", Trace: 9},    // other doc, other trace
@@ -141,31 +134,35 @@ func TestCausalSliceTraceClosure(t *testing.T) {
 // The digest is order- and content-sensitive: the determinism tests
 // compare whole merged timelines through it.
 func TestDigestSensitivity(t *testing.T) {
-	a := []Event{{Seq: 1, Peer: "p", Kind: "x"}, {Seq: 2, Peer: "p", Kind: "y"}}
-	b := []Event{{Seq: 2, Peer: "p", Kind: "y"}, {Seq: 1, Peer: "p", Kind: "x"}}
+	a := []SpanData{{ID: 1, Peer: "p", Kind: "x"}, {ID: 2, Peer: "p", Kind: "y"}}
+	b := []SpanData{{ID: 2, Peer: "p", Kind: "y"}, {ID: 1, Peer: "p", Kind: "x"}}
 	if DigestEvents(a) == DigestEvents(b) {
 		t.Fatal("digest insensitive to order")
 	}
-	c := []Event{{Seq: 1, Peer: "p", Kind: "x"}, {Seq: 2, Peer: "p", Kind: "z"}}
+	c := []SpanData{{ID: 1, Peer: "p", Kind: "x"}, {ID: 2, Peer: "p", Kind: "z"}}
 	if DigestEvents(a) == DigestEvents(c) {
 		t.Fatal("digest insensitive to content")
 	}
-	if DigestEvents(a) != DigestEvents(append([]Event{}, a...)) {
+	if DigestEvents(a) != DigestEvents(append([]SpanData{}, a...)) {
 		t.Fatal("digest not reproducible")
 	}
 }
 
-// Under a virtual clock, event stamps are exact virtual instants.
+// Under a virtual clock, event stamps are exact virtual instants, and an
+// event is zero-width.
 func TestVirtualClockStamps(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Register()
 	defer v.Unregister()
-	r := New(v, "p", 8, nil)
+	r := NewRecorder(v, "p", 8)
 	r.Record(nil, "t0", "", "")
 	_ = v.Sleep(context.Background(), 42*time.Millisecond)
 	r.Record(nil, "t1", "", "")
 	evs := r.Events()
-	if d := evs[1].T.Sub(evs[0].T); d != 42*time.Millisecond {
+	if d := evs[1].Start.Sub(evs[0].Start); d != 42*time.Millisecond {
 		t.Fatalf("virtual stamp delta %v, want exactly 42ms", d)
+	}
+	if evs[1].Total() != 0 {
+		t.Fatalf("event spans %v, want zero width", evs[1].Total())
 	}
 }

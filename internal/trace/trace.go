@@ -9,6 +9,12 @@
 // virtual time and does not perturb the deterministic scheduler. A nil
 // *Tracer (and the nil *Span it hands out) is a valid no-op, so
 // instrumented code never branches on "is tracing on".
+//
+// The package also holds each peer's flight recorder (Recorder): a ring
+// of lifecycle events — chord join/suspect/evict, KTS grant/shed/takeover,
+// DHT promotion/re-home, checkpoint publish/repair, truncation — recorded
+// as zero-width SpanData, so spans and events are one record type folded
+// by one hash.
 package trace
 
 import (
@@ -33,12 +39,14 @@ type Event struct {
 	Note  bool
 }
 
-// SpanData is the immutable record of a finished span. Trace is the
-// commit-wide trace ID shared by every span of one causally-related
-// pipeline, across peers: a root span mints it, and server-side child
-// spans opened from a propagated SpanContext inherit it. Parent is the
-// upstream span's ID (0 for roots), Hops the RPC depth below the root,
-// and Peer the address of the peer that served a remote child span.
+// SpanData is the immutable record of a finished span or of a lifecycle
+// event. Trace is the commit-wide trace ID shared by every span of one
+// causally-related pipeline, across peers: a root span mints it, and
+// server-side child spans opened from a propagated SpanContext inherit
+// it. Parent is the upstream span's ID (0 for roots), Hops the RPC depth
+// below the root, and Peer the address of the peer that served a remote
+// child span. An event (see Recorder) is zero-width — Start == End — with
+// ID its recorder's sequence number and Detail its free-form payload.
 type SpanData struct {
 	ID     uint64
 	Trace  uint64
@@ -50,6 +58,7 @@ type SpanData struct {
 	Start  time.Time
 	End    time.Time
 	Err    string
+	Detail string
 	Events []Event
 }
 
@@ -93,7 +102,7 @@ func foldInt(h uint64, v int64) uint64 {
 func HashSeed() uint64 { return fnvOffset }
 
 // Hash folds the span — kind, key, error, start/end instants, and every
-// event — into a rolling 64-bit FNV-1a accumulator. Determinism tests
+// stage event, but not Detail — into a rolling 64-bit FNV-1a accumulator. Determinism tests
 // fold every finished span in completion order into one digest and
 // compare digests across same-seed runs.
 func (d SpanData) Hash(h uint64) uint64 {
@@ -134,15 +143,12 @@ var defaultStageBuckets = []time.Duration{
 // spans for introspection, and aggregates per-(kind,stage) durations
 // into fixed-bucket histograms for metrics export.
 type Tracer struct {
-	clk  vclock.Clock
-	keep int
+	clk vclock.Clock
 
 	mu     sync.Mutex
 	origin string // folded into minted trace IDs (see SetOrigin)
 	nextID uint64
-	ring   []SpanData // recent finished spans, capacity keep
-	next   int        // ring write cursor
-	ended  int64
+	recent ring                          // recently finished spans
 	stages map[string]*metrics.Histogram // "kind/stage" aggregates
 	sink   func(SpanData)
 }
@@ -150,13 +156,9 @@ type Tracer struct {
 // New returns a tracer timing through clk (the system clock when nil),
 // retaining the last keep finished spans (256 when keep <= 0).
 func New(clk vclock.Clock, keep int) *Tracer {
-	if keep <= 0 {
-		keep = 256
-	}
 	return &Tracer{
 		clk:    vclock.OrSystem(clk),
-		keep:   keep,
-		ring:   make([]SpanData, 0, keep),
+		recent: newRing(keep),
 		stages: make(map[string]*metrics.Histogram),
 	}
 }
@@ -259,7 +261,7 @@ func (t *Tracer) Ended() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ended
+	return int64(t.recent.total)
 }
 
 // Recent returns up to n recently finished spans, ordered NEWEST FIRST:
@@ -273,19 +275,7 @@ func (t *Tracer) Recent(n int) []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := len(t.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]SpanData, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.next - 1 - i
-		if idx < 0 {
-			idx += size
-		}
-		out = append(out, t.ring[idx])
-	}
-	return out
+	return t.recent.newestFirst(n)
 }
 
 // StageHistograms returns the per-(kind,stage) aggregate duration
@@ -339,14 +329,7 @@ func (t *Tracer) StageSummary(w io.Writer) {
 
 func (t *Tracer) record(d SpanData) {
 	t.mu.Lock()
-	if len(t.ring) < t.keep {
-		t.ring = append(t.ring, d)
-		t.next = len(t.ring) % t.keep
-	} else {
-		t.ring[t.next] = d
-		t.next = (t.next + 1) % t.keep
-	}
-	t.ended++
+	t.recent.add(d)
 	for _, e := range d.Events {
 		if e.Note {
 			continue
@@ -530,8 +513,7 @@ func RemoteFromContext(ctx context.Context) (SpanContext, bool) {
 
 // TraceIDFromContext returns the trace ID active in ctx — the local
 // span's if one is live, else the remote carrier's — or 0. The flight
-// recorder uses it to stamp lifecycle events with the trace they
-// happened under without importing this package's span machinery.
+// recorder stamps lifecycle events with it.
 func TraceIDFromContext(ctx context.Context) uint64 {
 	if s := FromContext(ctx); s != nil {
 		return s.trace
