@@ -204,12 +204,23 @@ func BenchmarkE8PullUnderReplication(b *testing.B) {
 // reclamation on a deep history. Slots of consecutive timestamps live at
 // independent ring positions, so the deletes go out in windows the way
 // FetchRange's prefetch does; the simnet adds per-hop latency to make the
-// round-trip count visible.
+// round-trip count visible. deletes/op sums the Log-Peers' delete RPCs:
+// a reply vouches for its peer's whole arc, so it tracks the peers a
+// truncation touches, not its depth×Replicas slots. slots/op is the count
+// TruncateTo returns, every slot once.
 func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 	const depth = 64
 	c := mustCluster(b, 8, transport.WithLatency(transport.ConstantLatency(200*time.Microsecond)))
 	ctx := context.Background()
 	log := c.Peers[0].Log
+	deletes := func() (n int64) {
+		for _, p := range c.Peers {
+			n += p.DHT.Counters().Counter("deletes").Value()
+		}
+		return n
+	}
+	var rpcs int64
+	slots := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -220,6 +231,7 @@ func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		before := deletes()
 		b.StartTimer()
 		deleted, err := log.TruncateTo(ctx, key, 0, depth)
 		if err != nil {
@@ -228,5 +240,9 @@ func BenchmarkLogTruncateDeepHistory(b *testing.B) {
 		if deleted == 0 {
 			b.Fatal("nothing deleted")
 		}
+		rpcs += deletes() - before
+		slots += deleted
 	}
+	b.ReportMetric(float64(rpcs)/float64(b.N), "deletes/op")
+	b.ReportMetric(float64(slots)/float64(b.N), "slots/op")
 }

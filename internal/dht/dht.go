@@ -53,14 +53,14 @@ type Service struct {
 
 	mu sync.Mutex
 	// floors holds the per-document-key truncation low-water marks this
-	// peer has learned: every log slot of key with ts <= floors[key] was
-	// reclaimed under a fully-replicated checkpoint. Consulted on every
-	// path that could re-materialize a slot — replica installs,
+	// peer has learned: every log slot of key with ts <= floors[key].ts
+	// was reclaimed under a fully-replicated checkpoint. Consulted on
+	// every path that could re-materialize a slot — replica installs,
 	// successor-copy promotion, write-once puts — because churn racing
 	// the async copy delete otherwise resurrects truncated slots that no
 	// later sweep revisits (the maintenance engine's own low-water mark
 	// makes each sweep O(new history), so it never re-deletes them).
-	floors map[string]uint64
+	floors map[string]keyFloor
 	// floorCheckedAt records when each key's floorHint was last
 	// consulted. Keys re-check every DefaultFloorRecheck, so a
 	// checkpoint pointer that advances after the first consult still
@@ -109,7 +109,7 @@ type Service struct {
 func NewService(ring chord.Ring, clk vclock.Clock, rec *trace.Recorder, floorHint func(ctx context.Context, key string) (uint64, bool)) *Service {
 	s := &Service{st: store.New(), rep: store.New(),
 		rng: ring, clock: clk, rec: rec, floorHint: floorHint,
-		floors: make(map[string]uint64), floorCheckedAt: make(map[string]time.Time),
+		floors: make(map[string]keyFloor), floorCheckedAt: make(map[string]time.Time),
 		parked:   make(map[ids.ID][]*parkedRead),
 		counters: metrics.NewFamily()}
 	s.cPuts = s.counters.Counter("puts")
@@ -135,55 +135,120 @@ func (s *Service) Counters() *metrics.Family { return s.counters }
 // first consult raises the floor within a couple of truncation periods.
 const DefaultFloorRecheck = time.Minute
 
+// keyFloor is what a peer knows of one document key's truncation.
+type keyFloor struct {
+	// ts is the low-water mark: every log slot at or below it is
+	// reclaimed history.
+	ts uint64
+	// swept is the highest floor a floor-carrying delete swept the
+	// primary store to. Every path that stores a primary checks the
+	// floor first, so none at or below swept can have arrived since.
+	swept uint64
+	// unreported counts the primaries reclaimed under ts outside a
+	// floor-carrying delete — a read or the refresh walk got there
+	// first. The next delete carrying ts reports them: they belong to
+	// the truncation that set it.
+	unreported int
+}
+
 // noteFloor records a truncation low-water mark. When it rises, the
-// replica set — and, on the truncation's own delete channel, the
-// primary store — is swept for slots below it: that sweep is what
-// finally reclaims copies the delete/copy race smuggled past earlier
-// truncations (which never revisit reclaimed history). It runs at most
-// once per horizon advance per key.
+// replica set is swept for slots below it: that sweep is what finally
+// reclaims copies the delete/copy race smuggled past earlier truncations
+// (which never revisit reclaimed history). It runs at most once per
+// horizon advance per key.
 //
-// Only the DHTDeleteReq channel sweeps primaries (sweepPrimary), and
-// the count of removed primary slots rides back to the truncating
-// caller so sweep accounting stays exact: each slot is counted once,
-// whether the explicit per-slot delete or the floor sweep got to it
-// first. Floors learned out of band — a replica-delete push or the
-// Maintain refresh piggyback — must NOT touch primaries: they race an
-// in-flight truncation whose later deletes would then find (and count)
-// nothing. A primary that slips below an out-of-band floor is reclaimed
-// lazily on its next read or explicit sweep instead.
+// Only the DHTDeleteReq channel sweeps primaries (sweepPrimary), once per
+// floor, whether this delete or an earlier out-of-band message raised it:
+// the reply vouches that no primary at or below the floor is left on the
+// responder's arc (see msg.DHTDeleteResp.Arc). The count of primary
+// slots reclaimed under the floor rides back to the truncating caller,
+// so sweep accounting stays exact: each slot is counted once, by the
+// peer that removed it. Floors learned out of band — a replica-delete
+// push or the Maintain refresh piggyback — do not sweep primaries; a
+// primary below such a floor is reclaimed by the next floor-carrying
+// delete that reaches its peer, or before that on a read or refresh
+// walk, which leaves its count to that delete.
 func (s *Service) noteFloor(f msg.TruncFloor, sweepPrimary bool) (sweptPrimary int) {
-	if f.Key == "" {
+	if f.Key == "" || f.TS == 0 {
 		return 0
 	}
 	s.mu.Lock()
-	if f.TS <= s.floors[f.Key] {
-		s.mu.Unlock()
-		return 0
+	kf := s.floors[f.Key]
+	raised := f.TS > kf.ts
+	if raised {
+		kf = keyFloor{ts: f.TS, swept: kf.swept}
 	}
-	s.floors[f.Key] = f.TS
+	sweepSt := sweepPrimary && f.TS > kf.swept
+	if sweepSt {
+		kf.swept = f.TS
+	}
+	if sweepPrimary && f.TS == kf.ts {
+		sweptPrimary, kf.unreported = kf.unreported, 0
+	}
+	s.floors[f.Key] = kf
 	s.mu.Unlock()
-	stores := []*store.Store{s.rep}
-	if sweepPrimary {
-		stores = append(stores, s.st)
-	}
 	swept := 0
-	for _, st := range stores {
-		// Metadata-only snapshot: the sweep matches on slot names, and
-		// cloning every value per floor advance would be O(store bytes).
-		for _, e := range st.SnapshotMeta() {
-			if key, ts, ok := ids.ParseLogSlotName(e.Key); ok && key == f.Key && ts <= f.TS {
-				if st.Delete(e.ID) {
-					s.cFloorSweeps.Add(1)
-					swept++
-					if st == s.st {
-						sweptPrimary++
-					}
-				}
-			}
+	if raised {
+		swept = s.sweepBelow(s.rep, f)
+	}
+	if sweepSt {
+		n := s.sweepBelow(s.st, f)
+		sweptPrimary += n
+		swept += n
+	}
+	if raised || swept > 0 {
+		s.rec.Record(nil, "dht-floor-sweep", f.Key, fmt.Sprintf("ts=%d swept=%d", f.TS, swept))
+	}
+	return sweptPrimary
+}
+
+// sweepBelow removes from st every log slot of f.Key at or below f.TS
+// and returns how many it removed.
+func (s *Service) sweepBelow(st *store.Store, f msg.TruncFloor) (swept int) {
+	// Metadata-only snapshot: the sweep matches on slot names, and
+	// cloning every value per sweep would be O(store bytes).
+	for _, e := range st.SnapshotMeta() {
+		if key, ts, ok := ids.ParseLogSlotName(e.Key); ok && key == f.Key && ts <= f.TS && st.Delete(e.ID) {
+			s.cFloorSweeps.Add(1)
+			swept++
 		}
 	}
-	s.rec.Record(nil, "dht-floor-sweep", f.Key, fmt.Sprintf("ts=%d swept=%d", f.TS, swept))
-	return sweptPrimary
+	return swept
+}
+
+// reclaimPrimary removes a primary log slot found below its key's floor
+// outside a floor-carrying delete, leaving its count to the next delete
+// that carries that floor.
+func (s *Service) reclaimPrimary(id ids.ID, slotName string) {
+	if !s.st.Delete(id) {
+		return
+	}
+	key, _, _ := ids.ParseLogSlotName(slotName)
+	s.mu.Lock()
+	kf := s.floors[key]
+	kf.unreported++
+	s.floors[key] = kf
+	s.mu.Unlock()
+}
+
+// vouchedArc is the arc a floor-carrying delete of id lets this peer
+// vouch for: its (predecessor, self], when it knows a predecessor other
+// than itself and id lies on that arc. The empty arc vouches for
+// nothing: a peer with no predecessor over-claims the whole ring (see
+// chord.Node.Owns), and a delete routed to it from outside its arc came
+// over a stale route. A predecessor pointer that still lags a join
+// over-claims the joiner's part of the arc; the joiner's own floor
+// derivation (deriveFloors) and refresh walk reclaim what it holds there.
+func (s *Service) vouchedArc(id ids.ID) ids.Arc {
+	pred, self := s.rng.Predecessor(), s.rng.Ref()
+	if pred.IsZero() || pred.ID == self.ID {
+		return ids.Arc{}
+	}
+	arc := ids.Arc{From: pred.ID, To: self.ID}
+	if !arc.Contains(id) {
+		return ids.Arc{}
+	}
+	return arc
 }
 
 // Floor returns the truncation low-water mark this peer holds for a
@@ -196,7 +261,7 @@ func (s *Service) Floor(key string) uint64 { return s.floorOf(key) }
 func (s *Service) floorOf(key string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.floors[key]
+	return s.floors[key].ts
 }
 
 // belowFloor reports whether the slot named by debugKey is a log slot
@@ -211,8 +276,8 @@ func (s *Service) belowFloor(debugKey string) bool {
 func (s *Service) floorSnapshot() []msg.TruncFloor {
 	s.mu.Lock()
 	out := make([]msg.TruncFloor, 0, len(s.floors))
-	for k, ts := range s.floors {
-		out = append(out, msg.TruncFloor{Key: k, TS: ts})
+	for k, kf := range s.floors {
+		out = append(out, msg.TruncFloor{Key: k, TS: kf.ts})
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -293,9 +358,12 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 		// Drop any successor copy of the slot too, or the Maintain
 		// promotion path could resurrect it after an owner crash.
 		s.rep.Delete(r.ID)
-		swept := s.noteFloor(r.Floor, true)
+		resp := &msg.DHTDeleteResp{Deleted: deleted, Swept: s.noteFloor(r.Floor, true)}
+		if r.Floor.Key != "" {
+			resp.Arc = s.vouchedArc(r.ID)
+		}
 		s.deleteFromSucc([]ids.ID{r.ID}, r.Floor)
-		return &msg.DHTDeleteResp{Deleted: deleted, Swept: swept}, true, nil
+		return resp, true, nil
 	case *msg.DHTReplicaDeleteReq:
 		s.noteFloor(r.Floor, false)
 		for _, id := range r.IDs {
@@ -326,7 +394,7 @@ func (s *Service) get(ctx context.Context, id ids.ID) (resp *msg.DHTGetResp, emp
 			// horizon arrived via a replica push while this slot's own
 			// delete was lost): reclaim lazily rather than serve
 			// checkpoint-covered history back to readers.
-			s.st.Delete(id)
+			s.reclaimPrimary(id, e.Key)
 			return &msg.DHTGetResp{}, false
 		}
 		return &msg.DHTGetResp{Found: true, Value: e.Value}, false
@@ -457,20 +525,23 @@ func (s *Service) Maintain(ctx context.Context) {
 	// Promote owned replica entries to primary (crash takeover without
 	// waiting for a read). The truncation low-water mark gates promotion:
 	// a copy of a reclaimed log slot that survived the async replica
-	// delete is reclaimed here, not resurrected.
-	for _, e := range s.rep.SnapshotAll() {
-		if s.belowFloor(e.Key) {
-			s.rep.Delete(e.ID)
+	// delete is reclaimed here, not resurrected. The walk reads names
+	// only; a value is copied just for the entry it promotes.
+	for _, m := range s.rep.SnapshotMeta() {
+		if s.belowFloor(m.Key) {
+			s.rep.Delete(m.ID)
 			continue
 		}
-		if s.rng.Owns(e.ID) {
-			if _, ok := s.st.Get(e.ID); !ok {
-				s.cPromotions.Add(1)
-				s.rec.Record(ctx, "dht-promote", e.Key, "maintain")
-				s.st.Put(e.ID, e.Key, e.Value)
-				s.wakeParked(e.ID)
+		if s.rng.Owns(m.ID) {
+			if _, ok := s.st.Get(m.ID); !ok {
+				if e, ok := s.rep.GetEntry(m.ID); ok {
+					s.cPromotions.Add(1)
+					s.rec.Record(ctx, "dht-promote", e.Key, "maintain")
+					s.st.Put(e.ID, e.Key, e.Value)
+					s.wakeParked(e.ID)
+				}
 			}
-			s.rep.Delete(e.ID)
+			s.rep.Delete(m.ID)
 		}
 	}
 	// Refresh the successor's copy of everything we serve, with our
@@ -478,10 +549,9 @@ func (s *Service) Maintain(ctx context.Context) {
 	// delete learns the horizon here and sweeps its own copies. The same
 	// walk reclaims below-floor primaries — a stale copy this node
 	// promoted while it transiently owned the range, before the floor
-	// reached it — instead of re-replicating checkpoint-covered history
-	// onward. (Out-of-band floor learning deliberately leaves primaries
-	// to this pass and the read path: sweeping them inline would race an
-	// in-flight truncation's delete accounting.)
+	// reached it, or its own slots under a floor learned out of band —
+	// instead of re-replicating checkpoint-covered history onward; the
+	// next delete carrying that floor counts them (reclaimPrimary).
 	succ := s.rng.Successor()
 	if succ.IsZero() || succ.ID == s.rng.Ref().ID {
 		return
@@ -489,7 +559,7 @@ func (s *Service) Maintain(ctx context.Context) {
 	var items []msg.StateItem
 	for _, e := range s.st.SnapshotAll() {
 		if s.belowFloor(e.Key) {
-			s.st.Delete(e.ID)
+			s.reclaimPrimary(e.ID, e.Key)
 			continue
 		}
 		items = append(items, msg.StateItem{Service: ServiceName, Key: e.Key, ID: e.ID, Value: e.Value})
@@ -525,12 +595,18 @@ const rehomeBatch = 16
 // primaries and their successor copies once the owner has acknowledged.
 func (s *Service) rehomeStranded(ctx context.Context) {
 	self := s.rng.Ref()
+	// Names first, values only for the stranded few: most ticks re-home
+	// nothing, and copying every value to learn that is O(store bytes).
+	// The values are still read before the first routing call, so what
+	// is shipped is what the walk saw, as with a whole-store snapshot.
 	var stranded []store.Entry
-	for _, e := range s.st.SnapshotAll() {
-		if s.belowFloor(e.Key) || s.rng.Owns(e.ID) {
+	for _, m := range s.st.SnapshotMeta() {
+		if s.belowFloor(m.Key) || s.rng.Owns(m.ID) {
 			continue
 		}
-		stranded = append(stranded, e)
+		if e, ok := s.st.GetEntry(m.ID); ok {
+			stranded = append(stranded, e)
+		}
 	}
 	var dropped []ids.ID
 	consults := 0
@@ -819,26 +895,25 @@ func (c *Client) PutSlots(ctx context.Context, slot ids.Slot, enc []byte, ifAbse
 // floorKey up to floorTS: the responsible peer records the low-water
 // mark so no stale successor copy of the reclaimed prefix can ever be
 // promoted back (the resurrection leak truncation otherwise never
-// revisits). removed counts every primary slot the call reclaimed — the
-// addressed one plus any the floor sweep caught first on that peer.
-func (c *Client) DeleteSlotID(ctx context.Context, id ids.ID, floorKey string, floorTS uint64) (removed int, err error) {
-	deleted, swept, err := c.deleteID(ctx, id, msg.TruncFloor{Key: floorKey, TS: floorTS})
-	if deleted {
-		swept++
-	}
-	return swept, err
-}
-
-func (c *Client) deleteID(ctx context.Context, id ids.ID, floor msg.TruncFloor) (deleted bool, swept int, err error) {
-	resp, err := c.call(ctx, id, &msg.DHTDeleteReq{ID: id, Floor: floor})
+// revisits), and removes every primary slot of floorKey at or below
+// floorTS it holds. removed counts every primary slot the call
+// reclaimed — the addressed one plus the rest of that sweep. arc is the
+// responder's (predecessor, self] when it could vouch that no such slot
+// is left on it (see msg.DHTDeleteResp.Arc), else empty.
+func (c *Client) DeleteSlotID(ctx context.Context, id ids.ID, floorKey string, floorTS uint64) (removed int, arc ids.Arc, err error) {
+	resp, err := c.call(ctx, id, &msg.DHTDeleteReq{ID: id, Floor: msg.TruncFloor{Key: floorKey, TS: floorTS}})
 	if err != nil {
-		return false, 0, err
+		return 0, ids.Arc{}, err
 	}
 	dr, ok := resp.(*msg.DHTDeleteResp)
 	if !ok {
-		return false, 0, fmt.Errorf("dht: unexpected response %T", resp)
+		return 0, ids.Arc{}, fmt.Errorf("dht: unexpected response %T", resp)
 	}
-	return dr.Deleted, dr.Swept, nil
+	removed = dr.Swept
+	if dr.Deleted {
+		removed++
+	}
+	return removed, dr.Arc, nil
 }
 
 // GetID fetches the value at ring position id.

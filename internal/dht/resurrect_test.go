@@ -114,7 +114,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	// lands, the async replica delete is lost — the exact race window.
 	caller := clientAway(t, peers, owner1, succ1)
 	net.Partition([]transport.Addr{succ1.Addr()})
-	if n, err := caller.Client.DeleteSlotID(ctx, slot1, key1, 1); err != nil || n == 0 {
+	if n, _, err := caller.Client.DeleteSlotID(ctx, slot1, key1, 1); err != nil || n == 0 {
 		t.Fatalf("truncation delete: n=%d err=%v", n, err)
 	}
 	_ = clk.Sleep(ctx, 10*time.Millisecond) // let the doomed replica delete fire
@@ -156,7 +156,7 @@ func TestTruncationFloorStopsResurrection(t *testing.T) {
 	})
 	caller = clientAway(t, peers, owner2, succ2)
 	net.Partition([]transport.Addr{succ2.Addr()})
-	if n, err := caller.Client.DeleteSlotID(ctx, slot2, key2, 1); err != nil || n == 0 {
+	if n, _, err := caller.Client.DeleteSlotID(ctx, slot2, key2, 1); err != nil || n == 0 {
 		t.Fatalf("truncation delete: n=%d err=%v", n, err)
 	}
 	_ = clk.Sleep(ctx, 10*time.Millisecond)

@@ -186,6 +186,18 @@ func BetweenRightIncl(x, a, b ID) bool {
 	return Between(x, a, b)
 }
 
+// Arc is the ring arc (From, To]: the positions a Chord peer To owns
+// while its predecessor is From. An arc with From == To is empty — the
+// zero Arc names no positions — unlike BetweenRightIncl, which reads
+// a == b as the whole circle.
+type Arc struct{ From, To ID }
+
+// Empty reports whether the arc names no positions.
+func (a Arc) Empty() bool { return a.From == a.To }
+
+// Contains reports whether x lies on the arc.
+func (a Arc) Contains(x ID) bool { return !a.Empty() && BetweenRightIncl(x, a.From, a.To) }
+
 // Distance is the clockwise distance from a to b.
 func Distance(a, b ID) uint64 { return uint64(b - a) }
 

@@ -289,32 +289,47 @@ func (m *DHTGetResp) wire(c *Coder) { c.Bool(&m.Found); c.Bytes(&m.Value) }
 
 // DHTDeleteReq removes the slot at ring position ID from the responsible
 // peer (and, via a replica delete, from its successor's copy set). The
-// checkpoint layer uses it to truncate P2P-Log slots whose timestamps are
-// covered by a fully-replicated checkpoint; the write-once invariant is
-// preserved for the live tail because truncation never reaches past the
-// latest checkpoint.
+// P2P-Log uses it to truncate log slots whose timestamps are covered by
+// a fully-replicated checkpoint; the write-once invariant is preserved
+// for the live tail because truncation never reaches past the latest
+// checkpoint.
 type DHTDeleteReq struct {
 	ID ids.ID
 	// Floor, when non-zero-Key, is the truncation low-water mark this
 	// delete is part of: the sweep is reclaiming every log slot of
 	// Floor.Key up to Floor.TS. The responsible peer records it so the
-	// slot can never be re-installed from a stale successor copy.
+	// slot can never be re-installed from a stale successor copy, and
+	// removes every primary slot of Floor.Key at or below Floor.TS it
+	// holds before it answers.
 	Floor TruncFloor
 }
 
 func (m *DHTDeleteReq) wire(c *Coder) { c.ID(&m.ID); m.Floor.wire(c) }
 
 // DHTDeleteResp reports whether a slot existed and was removed. Swept
-// counts additional primary slots the delete's truncation floor
-// reclaimed on the same peer (see DHTDeleteReq.Floor) — the caller adds
-// them so a truncation sweep's total stays exact even when the floor
-// sweep beats the remaining per-slot deletes to the slots.
+// counts the other primary slots the same peer reclaimed under the
+// delete's truncation floor (see DHTDeleteReq.Floor): by this delete's
+// sweep, or earlier by a read or refresh walk that found them below it.
+// The caller adds them, so a truncation's total counts each slot once,
+// at the peer that removed it.
 type DHTDeleteResp struct {
 	Deleted bool
 	Swept   int
+	// Arc, when non-empty, is the responder's (predecessor, self]: a
+	// floor-carrying delete addressed inside its own arc vouches that no
+	// primary slot of Floor.Key at or below Floor.TS is left anywhere on
+	// that arc at this peer, so the truncating caller can skip the arc's
+	// other slots. Empty when the request carried no floor, the
+	// responder knows no predecessor, or ID lies outside its arc.
+	Arc ids.Arc
 }
 
-func (m *DHTDeleteResp) wire(c *Coder) { c.Bool(&m.Deleted); c.Int(&m.Swept) }
+func (m *DHTDeleteResp) wire(c *Coder) {
+	c.Bool(&m.Deleted)
+	c.Int(&m.Swept)
+	c.ID(&m.Arc.From)
+	c.ID(&m.Arc.To)
+}
 
 // DHTReplicaDeleteReq is pushed by a slot's owner to its successor after
 // a delete, so stale successor copies cannot resurrect truncated slots.

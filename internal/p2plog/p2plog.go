@@ -13,9 +13,12 @@
 package p2plog
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -272,9 +275,9 @@ func (l *Log) FetchRange(ctx context.Context, key string, from, to uint64) ([]Re
 // TruncateTo deletes the replica slots with timestamps in
 // (afterTS, upToTS] and declares upToTS the key's truncation low-water
 // mark: every contacted Log-Peer records that no slot of key at or below
-// upToTS may ever be stored or promoted again, and reclaims any stale
-// copy it still holds. It is the one truncation entry point — callers
-// assert that the whole prefix [1, upToTS] is covered by a
+// upToTS may ever be stored or promoted again, and reclaims every copy
+// of such a slot it still holds. It is the one truncation entry point —
+// callers assert that the whole prefix [1, upToTS] is covered by a
 // fully-replicated checkpoint AND that [1, afterTS] was already
 // reclaimed by their previous sweeps (the maintenance engine's repair
 // verdict and per-key horizon guarantee both). The floor is what stops
@@ -282,8 +285,16 @@ func (l *Log) FetchRange(ctx context.Context, key string, from, to uint64) ([]Re
 // when churn races the async copy delete — a leak no later sweep would
 // revisit, since each sweep is O(new history) by design. Deletion is
 // best-effort per slot: an unreachable Log-Peer keeps its copy until the
-// floor reaches it. Like FetchRange, the deletes of consecutive
-// timestamps go out concurrently in prefetch windows.
+// floor reaches it.
+//
+// Like FetchRange, the deletes of consecutive timestamps go out
+// concurrently in prefetch windows, and the cost grows with the Log-Peers
+// a sweep touches, not with its slots: a Log-Peer answering a delete
+// inside its own arc vouches for the whole arc (msg.DHTDeleteResp.Arc),
+// and later windows skip every slot on an arc vouched for in an earlier
+// one. The skip set only grows between windows, so which deletes go out
+// never depends on the order a window's concurrent replies arrive in.
+// Each reclaimed slot is counted once, by the peer that removed it.
 func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64) (deleted int, err error) {
 	if upToTS <= afterTS {
 		return 0, nil
@@ -291,24 +302,38 @@ func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64
 	// One atomic counter instead of a per-ts slice: a fresh master's
 	// first sweep over a deep pointer spans millions of timestamps, and
 	// the O(range) slice existed only to ferry per-window delete counts.
-	var removed atomic.Int64
-	var lastErr error
+	var (
+		removed atomic.Int64
+		lastErr error
+		mu      sync.Mutex
+		learned []ids.Arc // vouched for in the window in flight (under mu)
+		skip    arcSet    // vouched for in earlier windows; frozen during a window
+	)
 	werr := l.mapWindowed(ctx, afterTS+1, upToTS,
 		func(ts uint64) error {
 			var derrLast error
 			slot := ids.LogSlot(key, ts)
 			for r := 0; r < ids.Replicas; r++ {
+				pos := slot.Pos(r)
+				if skip.covers(pos) {
+					continue
+				}
 				// Each delete carries the sweep's truncation horizon, so the
 				// responsible peer (and, via its replica-delete push and
 				// periodic refresh, its successor) learns the low-water
-				// mark and reclaims any stale copy itself; those sweep
+				// mark and reclaims every stale copy itself; those sweep
 				// removals ride back in the count.
-				n, derr := l.c.DeleteSlotID(ctx, slot.Pos(r), key, upToTS)
+				n, arc, derr := l.c.DeleteSlotID(ctx, pos, key, upToTS)
 				if derr != nil {
 					derrLast = derr
 					continue
 				}
 				removed.Add(int64(n))
+				if !arc.Empty() {
+					mu.Lock()
+					learned = append(learned, arc)
+					mu.Unlock()
+				}
 			}
 			return derrLast
 		},
@@ -316,6 +341,10 @@ func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64
 			if fnErr != nil {
 				lastErr = fnErr
 			}
+			// done runs after the whole window has returned and before the
+			// next one starts: the only place the skip set grows.
+			skip = skip.with(learned)
+			learned = learned[:0]
 			return nil
 		})
 	deleted = int(removed.Load())
@@ -326,4 +355,39 @@ func (l *Log) TruncateTo(ctx context.Context, key string, afterTS, upToTS uint64
 		return deleted, fmt.Errorf("p2plog: truncate %s up to %d: %w", key, upToTS, lastErr)
 	}
 	return deleted, nil
+}
+
+// arcSet holds the arcs whose owners vouched that no slot of the key
+// being truncated is left on them, sorted by (To, From) and without
+// duplicates, so its content — and every answer covers gives — depends
+// only on which arcs were added, not on their order.
+type arcSet []ids.Arc
+
+// with returns the set with arcs added.
+func (s arcSet) with(arcs []ids.Arc) arcSet {
+	if len(arcs) == 0 {
+		return s
+	}
+	s = append(s, arcs...)
+	slices.SortFunc(s, func(a, b ids.Arc) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.From, b.From))
+	})
+	return slices.Compact(s)
+}
+
+// covers reports whether p lies on an arc of the set. On a consistent
+// ring the arcs are disjoint and p's owner's arc is the first ending at
+// or after p (wrapping past zero), so that is the one it consults. Arcs
+// from peers with stale predecessors may overlap; a position only such
+// an arc covers may read as uncovered, which costs one delete, never a
+// skipped slot.
+func (s arcSet) covers(p ids.ID) bool {
+	if len(s) == 0 {
+		return false
+	}
+	i, _ := slices.BinarySearchFunc(s, p, func(a ids.Arc, p ids.ID) int { return cmp.Compare(a.To, p) })
+	if i == len(s) {
+		i = 0
+	}
+	return s[i].Contains(p)
 }

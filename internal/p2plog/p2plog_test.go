@@ -475,3 +475,46 @@ func TestTruncateRangeRespectsLowWaterMark(t *testing.T) {
 		t.Fatalf("empty range: deleted=%d err=%v", deleted, err)
 	}
 }
+
+// TestTruncatePaysPerLogPeer: a delete's reply vouches for its peer's
+// whole arc, so truncating 64 timestamps on 8 peers reclaims all 192
+// slots — each counted once, none left behind — with at most 48 delete
+// RPCs (two windows' worth) instead of one per slot.
+func TestTruncatePaysPerLogPeer(t *testing.T) {
+	const depth = 64
+	c := newCluster(t, 8)
+	ctx := context.Background()
+	log := c.Peers[0].Log
+	for ts := uint64(1); ts <= depth; ts++ {
+		rec := p2plog.Record{Key: "arc-doc", TS: ts, PatchID: fmt.Sprintf("u#%d", ts), Patch: []byte{byte(ts)}}
+		if _, err := log.Publish(ctx, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deletes := func() (n int64) {
+		for _, p := range c.Peers {
+			n += p.DHT.Counters().Counter("deletes").Value()
+		}
+		return n
+	}
+	before := deletes()
+	deleted, err := log.TruncateTo(ctx, "arc-doc", 0, depth)
+	if err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	rpcs := deletes() - before
+	t.Logf("%d delete RPCs reclaimed %d slots", rpcs, deleted)
+	for _, p := range c.Peers {
+		for _, e := range p.DHT.Store().SnapshotMeta() {
+			if key, ts, ok := ids.ParseLogSlotName(e.Key); ok && key == "arc-doc" && ts <= depth {
+				t.Errorf("%s still holds primary %s", p, e.Key)
+			}
+		}
+	}
+	if deleted != depth*ids.Replicas {
+		t.Errorf("deleted %d slots, want %d", deleted, depth*ids.Replicas)
+	}
+	if rpcs > 48 {
+		t.Errorf("%d delete RPCs, want at most 48", rpcs)
+	}
+}
