@@ -22,7 +22,11 @@
 // truncated: the maintenance engine (internal/maintain) runs Repair and
 // only on its full-replication verdict calls p2plog.Log.TruncateTo, so
 // the write-once tail the Master-key crash-recovery walks is never cut
-// out from under it.
+// out from under it. The truncation floor F that sweep leaves at the
+// Log-Peers also reclaims every checkpoint of the key older than F
+// (bootstrapping from one would need the log records the floor removed),
+// so a key keeps the checkpoint at F, the newer ones and the log above F:
+// storage grows with the document, not with its history.
 package checkpoint
 
 import (

@@ -26,11 +26,7 @@ func node(id ids.ID) msg.NodeRef { return msg.NodeRef{ID: id, Addr: "n" + id.Str
 
 func deleteResp(t *testing.T, s *Service, req *msg.DHTDeleteReq) *msg.DHTDeleteResp {
 	t.Helper()
-	resp, handled, err := s.HandleRPC(context.Background(), "caller", req)
-	if err != nil || !handled {
-		t.Fatalf("delete: handled=%v err=%v", handled, err)
-	}
-	return resp.(*msg.DHTDeleteResp)
+	return call(t, s, req).(*msg.DHTDeleteResp)
 }
 
 // TestDeleteSweepsPrimariesBelowAKnownFloor: a floor learned out of band

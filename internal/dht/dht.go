@@ -54,12 +54,13 @@ type Service struct {
 	mu sync.Mutex
 	// floors holds the per-document-key truncation low-water marks this
 	// peer has learned: every log slot of key with ts <= floors[key].ts
-	// was reclaimed under a fully-replicated checkpoint. Consulted on
-	// every path that could re-materialize a slot — replica installs,
-	// successor-copy promotion, write-once puts — because churn racing
-	// the async copy delete otherwise resurrects truncated slots that no
-	// later sweep revisits (the maintenance engine's own low-water mark
-	// makes each sweep O(new history), so it never re-deletes them).
+	// was reclaimed under a fully-replicated checkpoint, and every
+	// checkpoint of key older than it is dead history (see reclaimed).
+	// Consulted on every path that could re-materialize a slot — replica
+	// installs, successor-copy promotion, write-once puts — because churn
+	// racing the async copy delete otherwise resurrects truncated slots
+	// that no later sweep revisits (the maintenance engine's own low-water
+	// mark makes each sweep O(new history), so it never re-deletes them).
 	floors map[string]keyFloor
 	// floorCheckedAt records when each key's floorHint was last
 	// consulted. Keys re-check every DefaultFloorRecheck, so a
@@ -137,15 +138,15 @@ const DefaultFloorRecheck = time.Minute
 
 // keyFloor is what a peer knows of one document key's truncation.
 type keyFloor struct {
-	// ts is the low-water mark: every log slot at or below it is
-	// reclaimed history.
+	// ts is the low-water mark: every log slot at or below it, and
+	// every checkpoint below it, is reclaimed history.
 	ts uint64
 	// swept is the highest floor a floor-carrying delete swept the
 	// primary store to. Every path that stores a primary checks the
 	// floor first, so none at or below swept can have arrived since.
 	swept uint64
-	// unreported counts the primaries reclaimed under ts outside a
-	// floor-carrying delete — a read or the refresh walk got there
+	// unreported counts the primary log slots reclaimed under ts outside
+	// a floor-carrying delete — a read or the refresh walk got there
 	// first. The next delete carrying ts reports them: they belong to
 	// the truncation that set it.
 	unreported int
@@ -160,14 +161,15 @@ type keyFloor struct {
 // Only the DHTDeleteReq channel sweeps primaries (sweepPrimary), once per
 // floor, whether this delete or an earlier out-of-band message raised it:
 // the reply vouches that no primary at or below the floor is left on the
-// responder's arc (see msg.DHTDeleteResp.Arc). The count of primary
+// responder's arc (see msg.DHTDeleteResp.Arc). The count of primary log
 // slots reclaimed under the floor rides back to the truncating caller,
 // so sweep accounting stays exact: each slot is counted once, by the
-// peer that removed it. Floors learned out of band — a replica-delete
-// push or the Maintain refresh piggyback — do not sweep primaries; a
-// primary below such a floor is reclaimed by the next floor-carrying
-// delete that reaches its peer, or before that on a read or refresh
-// walk, which leaves its count to that delete.
+// peer that removed it. Checkpoints the same sweeps reclaim are not in
+// that count: it measures the log truncation. Floors learned out of band
+// — a replica-delete push or the Maintain refresh piggyback — do not
+// sweep primaries; a primary below such a floor is reclaimed by the next
+// floor-carrying delete that reaches its peer, or before that on a read
+// or refresh walk, which leaves a log slot's count to that delete.
 func (s *Service) noteFloor(f msg.TruncFloor, sweepPrimary bool) (sweptPrimary int) {
 	if f.Key == "" || f.TS == 0 {
 		return 0
@@ -189,11 +191,11 @@ func (s *Service) noteFloor(f msg.TruncFloor, sweepPrimary bool) (sweptPrimary i
 	s.mu.Unlock()
 	swept := 0
 	if raised {
-		swept = s.sweepBelow(s.rep, f)
+		_, swept = s.sweepBelow(s.rep, f)
 	}
 	if sweepSt {
-		n := s.sweepBelow(s.st, f)
-		sweptPrimary += n
+		logs, n := s.sweepBelow(s.st, f)
+		sweptPrimary += logs
 		swept += n
 	}
 	if raised || swept > 0 {
@@ -202,28 +204,54 @@ func (s *Service) noteFloor(f msg.TruncFloor, sweepPrimary bool) (sweptPrimary i
 	return sweptPrimary
 }
 
-// sweepBelow removes from st every log slot of f.Key at or below f.TS
-// and returns how many it removed.
-func (s *Service) sweepBelow(st *store.Store, f msg.TruncFloor) (swept int) {
-	// Metadata-only snapshot: the sweep matches on slot names, and
-	// cloning every value per sweep would be O(store bytes).
-	for _, e := range st.SnapshotMeta() {
-		if key, ts, ok := ids.ParseLogSlotName(e.Key); ok && key == f.Key && ts <= f.TS && st.Delete(e.ID) {
-			s.cFloorSweeps.Add(1)
-			swept++
-		}
+// reclaimed reports whether slot is history that a truncation floor of
+// its key at floor has reclaimed: a log record at or below the floor, or
+// a checkpoint strictly below it. Bootstrapping from a checkpoint at
+// C < floor needs the log records (C, floor], which the floor removed,
+// so only the checkpoint at the floor and the ones above it can still
+// serve. Pointer slots are never reclaimed, and the pointer never names
+// a reclaimed checkpoint: the floor is the pointer less the maintenance
+// engine's KeepIntervals margin, so every floor leaves the pair
+// "checkpoint at the floor + log above it".
+func reclaimed(slot ids.Slot, floor uint64) bool {
+	switch slot.Kind {
+	case ids.KindLog:
+		return slot.TS <= floor
+	case ids.KindCheckpoint:
+		return slot.TS < floor
 	}
-	return swept
+	return false
 }
 
-// reclaimPrimary removes a primary log slot found below its key's floor
-// outside a floor-carrying delete, leaving its count to the next delete
-// that carries that floor.
+// sweepBelow removes from st every slot of f.Key that floor f reclaims
+// (see reclaimed), in one pass under the store lock, and returns how
+// many log slots and how many slots in all it removed.
+func (s *Service) sweepBelow(st *store.Store, f msg.TruncFloor) (logs, swept int) {
+	swept = st.DeleteIf(func(e store.Entry) bool {
+		slot, _, ok := ids.ParseSlot(e.Key)
+		if !ok || slot.Key != f.Key || !reclaimed(slot, f.TS) {
+			return false
+		}
+		if slot.Kind == ids.KindLog {
+			logs++
+		}
+		return true
+	})
+	s.cFloorSweeps.Add(int64(swept))
+	return logs, swept
+}
+
+// reclaimPrimary removes a primary slot found below its key's floor
+// outside a floor-carrying delete. A log slot's count is left to the
+// next delete that carries that floor; a checkpoint is not counted.
 func (s *Service) reclaimPrimary(id ids.ID, slotName string) {
 	if !s.st.Delete(id) {
 		return
 	}
-	key, _, _ := ids.ParseLogSlotName(slotName)
+	key, _, ok := ids.ParseLogSlotName(slotName)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	kf := s.floors[key]
 	kf.unreported++
@@ -253,8 +281,9 @@ func (s *Service) vouchedArc(id ids.ID) ids.Arc {
 
 // Floor returns the truncation low-water mark this peer holds for a
 // document key (0 when none is known): every log slot of key with
-// ts <= Floor(key) is reclaimed history this peer will neither serve
-// nor re-accept. Exposed for tests and monitoring.
+// ts <= Floor(key), and every checkpoint of key with ts < Floor(key), is
+// reclaimed history this peer will neither serve nor re-accept. Exposed
+// for tests and monitoring.
 func (s *Service) Floor(key string) uint64 { return s.floorOf(key) }
 
 // floorOf returns the recorded low-water mark for a document key.
@@ -265,10 +294,10 @@ func (s *Service) floorOf(key string) uint64 {
 }
 
 // belowFloor reports whether the slot named by debugKey is a log slot
-// the truncation low-water mark says must stay dead.
+// or checkpoint its key's truncation low-water mark says must stay dead.
 func (s *Service) belowFloor(debugKey string) bool {
-	key, ts, ok := ids.ParseLogSlotName(debugKey)
-	return ok && ts <= s.floorOf(key)
+	slot, _, ok := ids.ParseSlot(debugKey)
+	return ok && reclaimed(slot, s.floorOf(slot.Key))
 }
 
 // floorSnapshot copies the floor map as a sorted slice for piggybacking
@@ -299,8 +328,9 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 	case *msg.DHTPutReq:
 		s.cPuts.Add(1)
 		if s.belowFloor(r.Key) {
-			// A read-repair or late republish racing the truncation sweep:
-			// the slot's prefix is reclaimed under a fully-replicated
+			// A read-repair or late republish racing the truncation sweep,
+			// or a late producer's checkpoint older than the floor: the
+			// slot is reclaimed history under a fully-replicated
 			// checkpoint, so acknowledging without storing is the
 			// truncation outcome the sweep already committed to.
 			return &msg.DHTPutResp{Stored: true}, true, nil
@@ -524,9 +554,9 @@ func (s *Service) Maintain(ctx context.Context) {
 	s.rehomeStranded(ctx)
 	// Promote owned replica entries to primary (crash takeover without
 	// waiting for a read). The truncation low-water mark gates promotion:
-	// a copy of a reclaimed log slot that survived the async replica
-	// delete is reclaimed here, not resurrected. The walk reads names
-	// only; a value is copied just for the entry it promotes.
+	// a copy of a reclaimed log slot or checkpoint that survived the
+	// async replica delete is reclaimed here, not resurrected. The walk
+	// reads names only; a value is copied just for the entry it promotes.
 	for _, m := range s.rep.SnapshotMeta() {
 		if s.belowFloor(m.Key) {
 			s.rep.Delete(m.ID)
@@ -728,9 +758,9 @@ func (s *Service) ExportAll() []msg.StateItem {
 }
 
 // Import implements chord.Service: installs transferred slots as primary
-// and pushes successor copies for them. Log slots below a known
-// truncation floor are dropped — a handover from a peer that lagged the
-// truncation sweep must not re-seed the reclaimed prefix.
+// and pushes successor copies for them. Log slots and checkpoints below
+// a known truncation floor are dropped — a handover from a peer that
+// lagged the truncation sweep must not re-seed the reclaimed prefix.
 func (s *Service) Import(items []msg.StateItem) {
 	kept := items[:0]
 	for _, it := range items {
@@ -895,9 +925,10 @@ func (c *Client) PutSlots(ctx context.Context, slot ids.Slot, enc []byte, ifAbse
 // floorKey up to floorTS: the responsible peer records the low-water
 // mark so no stale successor copy of the reclaimed prefix can ever be
 // promoted back (the resurrection leak truncation otherwise never
-// revisits), and removes every primary slot of floorKey at or below
-// floorTS it holds. removed counts every primary slot the call
-// reclaimed — the addressed one plus the rest of that sweep. arc is the
+// revisits), and removes every primary log slot of floorKey at or below
+// floorTS and every checkpoint of floorKey below it. removed counts every
+// primary log slot the call reclaimed — the addressed one plus the rest
+// of that sweep; reclaimed checkpoints are not counted. arc is the
 // responder's (predecessor, self] when it could vouch that no such slot
 // is left on it (see msg.DHTDeleteResp.Arc), else empty.
 func (c *Client) DeleteSlotID(ctx context.Context, id ids.ID, floorKey string, floorTS uint64) (removed int, arc ids.Arc, err error) {

@@ -85,8 +85,10 @@ const DefaultRepairEvery = 10 * time.Second
 // without the cap, the first pass over a deep no-checkpoint history
 // replays it all inside one tick and stalls every other service's
 // Maintain. Every intermediate boundary is still published on the way
-// (the complete chain history navigation needs); the cap only decides how
-// many of them one tick may produce before resuming at the next.
+// (history navigation needs the complete chain at and above the
+// truncation floor, which reclaims the checkpoints below it); the cap
+// only decides how many of them one tick may produce before resuming at
+// the next.
 const DefaultMaxCatchupIntervals = 4
 
 // DefaultDiscoverEvery is the minimum spacing between DHT-walk discovery
@@ -352,8 +354,10 @@ func (e *Engine) maintainKey(ctx context.Context, st kts.KeyState) {
 		if boundary > st.CkptTS {
 			// Close the gap one boundary at a time, publishing EVERY
 			// intermediate boundary on the way: history navigation (time
-			// travel, audit) needs the complete boundary chain, not every
-			// DefaultMaxCatchupIntervals-th link. The cap still bounds the
+			// travel, audit) needs the complete boundary chain at and
+			// above the truncation floor, not every
+			// DefaultMaxCatchupIntervals-th link; the DHT reclaims the
+			// boundaries the floor passes later. The cap still bounds the
 			// pass — at most DefaultMaxCatchupIntervals boundary
 			// productions per tick, resuming next tick — so a deep
 			// no-checkpoint history never replays in full on the shared

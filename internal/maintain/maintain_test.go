@@ -2,6 +2,7 @@ package maintain_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -465,8 +466,10 @@ func TestFallbackCatchupCapped(t *testing.T) {
 
 // TestFallbackPublishesEveryBoundary: with a catch-up cap WIDER than one
 // interval, the fallback producer must still publish every intermediate
-// boundary inside the window — the complete chain history navigation
-// needs — not just the capped pass's newest one.
+// boundary inside the window, not just the capped pass's newest one. The
+// producer's own count shows that; what the DHT keeps afterwards is the
+// truncation floor's business: every boundary at or above the floor stays
+// fetchable, and every one below it is reclaimed.
 func TestFallbackPublishesEveryBoundary(t *testing.T) {
 	const (
 		interval = 2
@@ -481,18 +484,39 @@ func TestFallbackPublishesEveryBoundary(t *testing.T) {
 	commit(t, w, boundaries*interval)
 
 	waitPointer(t, c, key, boundaries*interval)
-	ctx := context.Background()
-	for b := uint64(interval); b <= boundaries*interval; b += interval {
-		cp, err := c.Peers[0].Ckpt.Fetch(ctx, key, b)
-		if err != nil {
-			t.Fatalf("boundary %d missing from the checkpoint chain: %v", b, err)
-		}
-		if cp.TS != b {
-			t.Fatalf("boundary %d fetched snapshot at ts %d", b, cp.TS)
-		}
+	if snap := counters(c); snap["fallback-checkpoints"] != boundaries {
+		t.Fatalf("want one fallback production per boundary (%d), counters: %v", boundaries, snap)
 	}
-	if snap := counters(c); snap["fallback-checkpoints"] < boundaries {
-		t.Fatalf("complete chain needs %d fallback productions, counters: %v", boundaries, snap)
+
+	// With no KeepIntervals margin the truncation floor is the pointer.
+	waitFor(t, c, 20*time.Second, "the truncation", func() bool { return counters(c)["truncations"] >= 1 })
+	floor := uint64(0)
+	for _, p := range c.Live() {
+		floor = max(floor, p.DHT.Floor(key))
+	}
+	if want := uint64(boundaries * interval); floor != want {
+		t.Fatalf("truncation floor %d, want the pointer %d", floor, want)
+	}
+	ctx := context.Background()
+	chainHolds := func() error {
+		for b := uint64(interval); b <= boundaries*interval; b += interval {
+			cp, err := c.Peers[0].Ckpt.Fetch(ctx, key, b)
+			switch {
+			case b >= floor && err != nil:
+				return fmt.Errorf("boundary %d at or above floor %d is gone: %v", b, floor, err)
+			case b >= floor && cp.TS != b:
+				return fmt.Errorf("boundary %d fetched snapshot at ts %d", b, cp.TS)
+			case b < floor && !errors.Is(err, checkpoint.ErrMissing):
+				return fmt.Errorf("boundary %d below floor %d reads err=%v, want ErrMissing", b, floor, err)
+			}
+		}
+		return nil
+	}
+	// The floor reaches the checkpoints' peers by deletes, refresh
+	// piggybacks and replica pushes, so the reclaim settles over a few
+	// maintenance ticks.
+	if _, err := c.WaitUntil(20*time.Second, "the floor to reclaim older checkpoints", func() bool { return chainHolds() == nil }); err != nil {
+		t.Fatalf("%v: %v", err, chainHolds())
 	}
 }
 

@@ -255,8 +255,8 @@ func (m *DHTRehomeResp) wire(c *Coder) { c.Int(&m.Stored) }
 
 // TruncFloor is one document key's truncation low-water mark: every log
 // slot of Key with timestamp <= TS has been reclaimed under a
-// fully-replicated checkpoint and must never be stored or promoted
-// again.
+// fully-replicated checkpoint, and every checkpoint of Key with
+// timestamp < TS with it; none may be stored or promoted again.
 type TruncFloor struct {
 	Key string
 	TS  uint64
@@ -299,15 +299,15 @@ type DHTDeleteReq struct {
 	// delete is part of: the sweep is reclaiming every log slot of
 	// Floor.Key up to Floor.TS. The responsible peer records it so the
 	// slot can never be re-installed from a stale successor copy, and
-	// removes every primary slot of Floor.Key at or below Floor.TS it
-	// holds before it answers.
+	// removes every primary log slot of Floor.Key at or below Floor.TS,
+	// and every checkpoint of Floor.Key below it, before it answers.
 	Floor TruncFloor
 }
 
 func (m *DHTDeleteReq) wire(c *Coder) { c.ID(&m.ID); m.Floor.wire(c) }
 
 // DHTDeleteResp reports whether a slot existed and was removed. Swept
-// counts the other primary slots the same peer reclaimed under the
+// counts the other primary log slots the same peer reclaimed under the
 // delete's truncation floor (see DHTDeleteReq.Floor): by this delete's
 // sweep, or earlier by a read or refresh walk that found them below it.
 // The caller adds them, so a truncation's total counts each slot once,

@@ -160,7 +160,8 @@ func (r *runner) settle(workloadEnd time.Duration) {
 	}
 
 	// Invariant: no slot below a peer's own truncation floor survives in
-	// its stores. Floors that arrive out of band sweep lazily (the next
+	// its stores: no log slot at or below it, no checkpoint older than
+	// it. Floors that arrive out of band sweep lazily (the next
 	// maintenance walk), so give the sweeps a grace period first.
 	_ = r.clk.Sleep(r.ctx, 5*time.Second)
 	leaks, leakDetail, leakKey := 0, "", ""
@@ -171,11 +172,15 @@ func (r *runner) settle(workloadEnd time.Duration) {
 		meta := p.DHT.Store().SnapshotMeta()
 		meta = append(meta, p.DHT.ReplicaStore().SnapshotMeta()...)
 		for _, e := range meta {
-			key, ts, ok := ids.ParseLogSlotName(e.Key)
-			if ok && ts <= p.DHT.Floor(key) {
+			slot, _, ok := ids.ParseSlot(e.Key)
+			if !ok {
+				continue
+			}
+			floor := p.DHT.Floor(slot.Key)
+			if (slot.Kind == ids.KindLog && slot.TS <= floor) || (slot.Kind == ids.KindCheckpoint && slot.TS < floor) {
 				leaks++
-				leakKey = key
-				leakDetail = fmt.Sprintf("%s holds %s at ts %d under floor %d", p.Addr(), e.Key, ts, p.DHT.Floor(key))
+				leakKey = slot.Key
+				leakDetail = fmt.Sprintf("%s holds %s at ts %d under floor %d", p.Addr(), e.Key, slot.TS, floor)
 			}
 		}
 	}

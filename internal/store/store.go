@@ -93,6 +93,27 @@ func (s *Store) Delete(id ids.ID) bool {
 	return true
 }
 
+// DeleteIf removes every entry match accepts and returns how many it
+// removed, in one pass under the store lock: no snapshot, no copy, no
+// sort. Entries are visited in no fixed order, so match must judge each
+// on its own. It sees each entry's Value without a copy and must neither
+// keep nor modify it, nor call back into the store.
+func (s *Store) DeleteIf(match func(Entry) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	// match judges each entry on its own and the map is the only state
+	// changed here, so which entry goes first cannot be observed.
+	// lint:unordered-ok
+	for id, e := range s.m {
+		if match(e) {
+			delete(s.m, id)
+			n++
+		}
+	}
+	return n
+}
+
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -120,9 +141,9 @@ func (s *Store) ExtractOutside(newPred, self ids.ID) []Entry {
 }
 
 // SnapshotMeta returns every entry's Key and ID, in ring order, with
-// the Value left nil: sweeps that only match on names (the DHT
-// truncation-floor sweep) would otherwise deep-copy the whole store's
-// bytes per pass.
+// the Value left nil: walks that only match on names (the DHT promotion
+// and re-home walks) would otherwise deep-copy the whole store's bytes
+// per pass.
 func (s *Store) SnapshotMeta() []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

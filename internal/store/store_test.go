@@ -216,3 +216,22 @@ func TestGetEntry(t *testing.T) {
 		t.Fatalf("missing entry found")
 	}
 }
+
+func TestDeleteIf(t *testing.T) {
+	s := New()
+	for i := 1; i <= 6; i++ {
+		s.Put(ids.ID(i), fmt.Sprintf("k%d", i), []byte{byte(i)})
+	}
+	n := s.DeleteIf(func(e Entry) bool { return e.Value[0]%2 == 0 })
+	if n != 3 || s.Len() != 3 {
+		t.Fatalf("removed %d, %d left; want 3 and 3", n, s.Len())
+	}
+	for _, e := range s.SnapshotAll() {
+		if e.Value[0]%2 == 0 {
+			t.Fatalf("entry %s survived", e.Key)
+		}
+	}
+	if n := s.DeleteIf(func(Entry) bool { return false }); n != 0 || s.Len() != 3 {
+		t.Fatalf("a predicate matching nothing removed %d", n)
+	}
+}
