@@ -117,6 +117,16 @@ type Maintainer interface {
 	Maintain(ctx context.Context)
 }
 
+// PacedMaintainer is a Maintainer that may want a period of its own.
+// When the node starts, it tells MaintainEvery the shared maintenance
+// tick; a positive answer shorter than that tick runs the maintainer on
+// its own ticker at that period, and any other answer leaves it on the
+// shared tick like any other Maintainer.
+type PacedMaintainer interface {
+	Maintainer
+	MaintainEvery(shared time.Duration) time.Duration
+}
+
 // Ring is the view of the node that services depend on; *Node implements
 // it. Narrowing the dependency keeps services testable.
 type Ring interface {
@@ -125,6 +135,7 @@ type Ring interface {
 	SuccessorList() []msg.NodeRef
 	Predecessor() msg.NodeRef
 	FindSuccessor(ctx context.Context, key ids.ID) (msg.NodeRef, int, error)
+	Owner(key ids.ID) (msg.NodeRef, bool)
 	Call(ctx context.Context, to transport.Addr, req msg.Message) (msg.Message, error)
 	CallWithTimeout(ctx context.Context, to transport.Addr, req msg.Message, d time.Duration) (msg.Message, error)
 	Owns(key ids.ID) bool
@@ -332,6 +343,36 @@ func (n *Node) Owns(key ids.ID) bool {
 		return true
 	}
 	return ids.BetweenRightIncl(key, n.pred.ID, n.id)
+}
+
+// Owner implements Ring: the owner of key read from local state, with
+// no message sent. It answers only when the successor list closes the
+// ring — its last entry is the predecessor, so self plus the list is the
+// whole membership, as on a ring of at most SuccListLen+1 peers — and
+// then names self for key ∈ (predecessor, self], otherwise the list
+// entry whose arc (succs[i-1], succs[i]] holds key. On a larger ring, or
+// with no known predecessor, ok is false and the caller walks
+// (FindSuccessor). Successor lists lag successor pointers after joins,
+// so the answer is a guess: a request sent on it must be one the owner
+// can refuse (DHT requests with Direct set, Master-key RPCs through
+// their NotMaster verdict).
+func (n *Node) Owner(key ids.ID) (msg.NodeRef, bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.pred.IsZero() || len(n.succs) == 0 || n.succs[len(n.succs)-1].Addr != n.pred.Addr {
+		return msg.NodeRef{}, false
+	}
+	if n.pred.ID == n.id || ids.BetweenRightIncl(key, n.pred.ID, n.id) {
+		return n.ref, true
+	}
+	prev := n.id
+	for _, s := range n.succs {
+		if ids.BetweenRightIncl(key, prev, s.ID) {
+			return s, true
+		}
+		prev = s.ID
+	}
+	return msg.NodeRef{}, false
 }
 
 // Call implements Ring: a raw RPC bounded by the node's per-call timeout
@@ -603,11 +644,22 @@ func (n *Node) start() {
 	run(n.cfg.StabilizeEvery, n.stabilize)
 	run(n.cfg.FixFingersEvery, n.fixFingers)
 	run(n.cfg.CheckPredEvery, n.checkPredecessor)
-	run(4*n.cfg.StabilizeEvery, func(ctx context.Context) {
-		for _, s := range n.services {
-			if m, ok := s.(Maintainer); ok {
-				m.Maintain(ctx)
+	shared := 4 * n.cfg.StabilizeEvery
+	var onShared []Maintainer
+	for _, s := range n.services {
+		if p, ok := s.(PacedMaintainer); ok {
+			if every := p.MaintainEvery(shared); every > 0 && every < shared {
+				run(every, p.Maintain)
+				continue
 			}
+		}
+		if m, ok := s.(Maintainer); ok {
+			onShared = append(onShared, m)
+		}
+	}
+	run(shared, func(ctx context.Context) {
+		for _, m := range onShared {
+			m.Maintain(ctx)
 		}
 	})
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"testing"
+	"time"
 
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/transport"
+	"p2pltr/internal/vclock"
 )
 
 // recorderService counts exports/imports; it handles no RPCs.
@@ -58,4 +61,44 @@ func (r *recorderService) Import(items []msg.StateItem) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.items = append(r.items, items...)
+}
+
+// pacedService is a recorderService that counts its maintenance passes,
+// records the shared tick it was told and asks for a period of every.
+type pacedService struct {
+	*recorderService
+	every  time.Duration
+	shared time.Duration
+	passes atomic.Int64
+}
+
+func (p *pacedService) Maintain(context.Context) { p.passes.Add(1) }
+func (p *pacedService) MaintainEvery(shared time.Duration) time.Duration {
+	p.shared = shared
+	return p.every
+}
+
+// TestPacedMaintainerRunsOnItsOwnTicker: a PacedMaintainer whose period
+// is shorter than the shared maintenance tick (4 × StabilizeEvery) runs
+// at its own period; one whose period is longer rides the shared tick.
+func TestPacedMaintainerRunsOnItsOwnTicker(t *testing.T) {
+	clk := vclock.NewVirtual()
+	clk.Register()
+	defer clk.Unregister()
+	cfg := FastConfig()
+	cfg.Clock = clk
+	n := NewNode(transport.NewSimnet(transport.WithClock(clk)).NewEndpoint("paced"), cfg, nil, nil)
+	fast := &pacedService{recorderService: newRecorderService("fast"), every: cfg.StabilizeEvery}
+	slow := &pacedService{recorderService: newRecorderService("slow"), every: time.Hour}
+	n.Attach(fast)
+	n.Attach(slow)
+	n.Create()
+	_ = clk.Sleep(context.Background(), 40*cfg.StabilizeEvery+cfg.StabilizeEvery/2)
+	n.Stop()
+	if f, s := fast.passes.Load(), slow.passes.Load(); f != 40 || s != 10 {
+		t.Fatalf("passes: own period %d, shared tick %d; want 40 and 10", f, s)
+	}
+	if want := 4 * cfg.StabilizeEvery; fast.shared != want || slow.shared != want {
+		t.Fatalf("told the shared tick as %v and %v, want %v", fast.shared, slow.shared, want)
+	}
 }

@@ -583,17 +583,20 @@ func (r *Replica) integrateMissingLocked(ctx context.Context, lastTS uint64, own
 			// reclaimed under a fully-replicated checkpoint, not lost.
 			if len(r.tentative) == 0 {
 				// Nothing to transform — jump to the covering checkpoint
-				// and keep integrating the tail.
-				if r.seenCkptTS <= lastTS {
-					jumped, jerr := r.bootstrapFromCheckpointLocked(ctx, r.seenCkptTS)
-					if jerr != nil {
-						return ownTS, jerr
-					}
-					if jumped {
-						// At most one of the two parts holds ownID.
-						rest, err := r.integrateMissingLocked(ctx, lastTS, ownID)
-						return max(ownTS, rest), err
-					}
+				// and keep integrating the tail. The checkpoint may lie
+				// past lastTS: the truncation floor trails the pointer
+				// by the engine's KeepIntervals margin, so a truncation
+				// that opens a hole during this pull has usually moved
+				// the pointer past lastTS, and landing beyond the
+				// requested range is a plain catch-up.
+				jumped, jerr := r.bootstrapFromCheckpointLocked(ctx, r.seenCkptTS)
+				if jerr != nil {
+					return ownTS, jerr
+				}
+				if jumped {
+					// At most one of the two parts holds ownID.
+					rest, err := r.integrateMissingLocked(ctx, lastTS, ownID)
+					return max(ownTS, rest), err
 				}
 			} else {
 				// OT would need exactly the patches truncation removed.
@@ -691,26 +694,36 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 		// detected by the callee itself, dropped, and the full lookup below
 		// runs with its complete retry budget.
 		if ref, ok := rc.Lookup(r.key); ok {
-			resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
-			switch {
-			case err == nil && !notMaster(resp):
+			resp, miss, err := r.tryMaster(ctx, "cached route", ref, req, notMaster)
+			if miss == nil && err == nil {
 				sp.MarkN("rpc", 1)
 				sp.Note("route-cached", 1)
 				return resp, nil
-			case err == nil:
-				rc.Drop(r.key)
-				lastErr = fmt.Errorf("core: cached route %s is not master for %s", ref.Addr, r.key)
-			default:
-				rc.Drop(r.key)
-				lastErr = err
-				if !transport.IsUnavailable(err) {
-					var re *transport.RemoteError
-					if !errors.As(err, &re) {
-						return nil, err // context cancelled or local failure
-					}
-				}
 			}
+			rc.Drop(r.key)
+			if err != nil {
+				return nil, err
+			}
+			lastErr = miss
 		}
+	}
+	// One-hop path: a ring view that spans the whole ring names the
+	// master without a lookup (chord.Node.Owner). The NotMaster verdict
+	// guards the guess exactly as it guards the route cache.
+	if ref, ok := r.peer.Node.Owner(tsID); ok {
+		resp, miss, err := r.tryMaster(ctx, "guessed route", ref, req, notMaster)
+		sp.MarkN("rpc", 1)
+		if err != nil {
+			return nil, err
+		}
+		if miss == nil {
+			sp.Note("route-guessed", 1)
+			if rc != nil {
+				rc.Store(r.key, ref)
+			}
+			return resp, nil
+		}
+		lastErr = miss
 	}
 	for attempt := 0; attempt < clientAttempts; attempt++ {
 		if attempt > 0 {
@@ -753,6 +766,29 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 		return resp, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrMasterUnavailable, lastErr)
+}
+
+// tryMaster sends req to ref, a master named without a lookup (what
+// says how: "cached route", "guessed route"). It returns the response
+// when ref answered as master; otherwise miss says why it did not
+// (unreachable, a remote failure, NotMaster) and the caller walks. err
+// is set only for a failure no lookup can mend: the context ended, or
+// the call failed locally.
+func (r *Replica) tryMaster(ctx context.Context, what string, ref msg.NodeRef, req msg.Message, notMaster func(msg.Message) bool) (resp msg.Message, miss, err error) {
+	resp, err = r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
+	switch {
+	case err == nil && !notMaster(resp):
+		return resp, nil, nil
+	case err == nil:
+		return nil, fmt.Errorf("core: %s %s is not master for %s", what, ref.Addr, r.key), nil
+	case transport.IsUnavailable(err):
+		return nil, err, nil
+	}
+	var re *transport.RemoteError
+	if errors.As(err, &re) {
+		return nil, err, nil
+	}
+	return nil, nil, err // context cancelled or local failure
 }
 
 // callMaster implements the client side of patch validation.

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"p2pltr/internal/core"
+	"p2pltr/internal/msg"
+	"p2pltr/internal/p2plog"
 	"p2pltr/internal/ringtest"
 )
 
@@ -214,5 +216,62 @@ func TestRebaseDroppingAllOpsSurfacesSentinel(t *testing.T) {
 	}
 	if r.Text() != w.Text() {
 		t.Fatalf("diverged after drop:\n%q\nvs\n%q", r.Text(), w.Text())
+	}
+}
+
+// truncatingFront reads the peer's own log, but its first FetchRange
+// runs during before reading: a truncation that lands mid-pull.
+type truncatingFront struct {
+	log    *p2plog.Log
+	during func()
+}
+
+func (f *truncatingFront) Lookup(string) (msg.NodeRef, bool) { return msg.NodeRef{}, false }
+func (f *truncatingFront) Store(string, msg.NodeRef)         {}
+func (f *truncatingFront) Drop(string)                       {}
+func (f *truncatingFront) Committed(p2plog.Record)           {}
+func (f *truncatingFront) FetchRange(ctx context.Context, key string, from, to uint64) ([]p2plog.Record, error) {
+	if during := f.during; during != nil {
+		f.during = nil
+		during()
+	}
+	return f.log.FetchRange(ctx, key, from, to)
+}
+
+// TestColdPullJumpsPastItsTarget: a cold pull bootstraps from the
+// checkpoint the master named (ts 4) and asks the log for the tail up to
+// last-ts 6; meanwhile the writer moves the pointer two intervals on
+// (ts 12) and truncation follows, so the tail is gone. With no tentative
+// edits the pull jumps to the new pointer, past the last-ts it asked for,
+// instead of failing on the truncated records.
+func TestColdPullJumpsPastItsTarget(t *testing.T) {
+	c, w, key := truncatedCluster(t, 4, 6)
+	ctx := context.Background()
+	host := c.Peers[1]
+	host.SetFront(&truncatingFront{log: host.Log, during: func() {
+		for i := 6; i < 14; i++ {
+			if err := w.Insert(0, fmt.Sprintf("committed %d", i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Commit(ctx); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+		}
+		if upTo, _ := truncateCovered(t, ctx, c.Peers[0], key); upTo != 12 {
+			t.Fatalf("truncated to %d, want 12", upTo)
+		}
+	}})
+	r := core.NewReplica(host, key, "cold")
+	if err := r.Pull(ctx); err != nil {
+		t.Fatalf("cold pull over a mid-pull truncation: %v", err)
+	}
+	if r.CommittedTS() != 12 {
+		t.Fatalf("cold pull reached ts %d, want the pointer 12", r.CommittedTS())
+	}
+	if err := r.Pull(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if r.CommittedTS() != 14 || r.CommittedText() != w.CommittedText() {
+		t.Fatalf("second pull at ts %d: %q, want ts 14 and %q", r.CommittedTS(), r.CommittedText(), w.CommittedText())
 	}
 }

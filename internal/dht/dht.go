@@ -87,6 +87,7 @@ type Service struct {
 	cFloorSweeps  *metrics.Counter
 	cFloorDerived *metrics.Counter
 	cRehomes      *metrics.Counter
+	cNotOwner     *metrics.Counter
 }
 
 // NewService returns an empty DHT storage service on ring. clk runs the
@@ -122,12 +123,14 @@ func NewService(ring chord.Ring, clk vclock.Clock, rec *trace.Recorder, floorHin
 	s.cFloorSweeps = s.counters.Counter("floor-swept-slots")
 	s.cFloorDerived = s.counters.Counter("floors-derived")
 	s.cRehomes = s.counters.Counter("rehomes")
+	s.cNotOwner = s.counters.Counter("not-owner")
 	return s
 }
 
 // Counters returns the service's storage metric family: puts,
 // replica-puts, gets, get-misses, deletes, promotions,
-// floor-swept-slots, floors-derived, rehomes.
+// floor-swept-slots, floors-derived, rehomes, not-owner (Direct
+// requests refused).
 func (s *Service) Counters() *metrics.Family { return s.counters }
 
 // DefaultFloorRecheck is how often deriveFloors re-consults the hint
@@ -322,10 +325,26 @@ func (s *Service) Store() *store.Store { return s.st }
 // ReplicaStore exposes the successor-copy store (tests and monitoring).
 func (s *Service) ReplicaStore() *store.Store { return s.rep }
 
+// refuses reports whether a request marked direct for id must be
+// answered NotOwner: it was sent to a guessed owner (see
+// chord.Node.Owner), and this peer does not own id. Such a request
+// stores, parks, sweeps and replicates nothing. Requests routed by a
+// lookup walk are served as they arrive.
+func (s *Service) refuses(direct bool, id ids.ID) bool {
+	if direct && !s.rng.Owns(id) {
+		s.cNotOwner.Add(1)
+		return true
+	}
+	return false
+}
+
 // HandleRPC implements chord.Service.
 func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Message) (msg.Message, bool, error) {
 	switch r := req.(type) {
 	case *msg.DHTPutReq:
+		if s.refuses(r.Direct, r.ID) {
+			return &msg.DHTPutResp{NotOwner: true}, true, nil
+		}
 		s.cPuts.Add(1)
 		if s.belowFloor(r.Key) {
 			// A read-repair or late republish racing the truncation sweep,
@@ -380,6 +399,9 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 		}
 		return &msg.Ack{}, true, nil
 	case *msg.DHTDeleteReq:
+		if s.refuses(r.Direct, r.ID) {
+			return &msg.DHTDeleteResp{NotOwner: true}, true, nil
+		}
 		// Delete before raising the floor: the floor sweep would reclaim
 		// this very slot and the response could no longer say whether it
 		// existed. The sweep's other removals ride back in Swept.
@@ -401,6 +423,9 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 		}
 		return &msg.Ack{}, true, nil
 	case *msg.DHTGetReq:
+		if s.refuses(r.Direct, r.ID) {
+			return &msg.DHTGetResp{NotOwner: true}, true, nil
+		}
 		s.cGets.Add(1)
 		resp, empty := s.get(ctx, r.ID)
 		if empty && r.Wait > 0 {
@@ -836,9 +861,28 @@ func (c *Client) call(ctx context.Context, id ids.ID, req msg.Message) (msg.Mess
 
 // callWithin is call with each attempt's RPC bounded by d instead of
 // chord's CallTimeout (d = 0).
+//
+// When the ring view names the owner without a lookup (chord.Ring.Owner:
+// the successor list spans the whole ring), the request first goes there
+// directly, marked Direct so the callee serves it only if it owns id. A
+// NotOwner refusal or an unreachable guess falls through to the lookup
+// loop; that first try neither backs off nor counts as a retry.
 func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d time.Duration) (msg.Message, error) {
 	c.cCalls.Add(1)
 	var lastErr error
+	if owner, ok := c.ring.Owner(id); ok {
+		resp, err := c.send(ctx, owner, direct(req), d)
+		switch {
+		case err == nil && !notOwner(resp):
+			return resp, nil
+		case err == nil:
+			lastErr = fmt.Errorf("dht: guessed owner %s does not own %s", owner.Addr, id)
+		case transport.IsUnavailable(err):
+			lastErr = err
+		default:
+			return nil, err
+		}
+	}
 	for a := 0; a < c.attempts; a++ {
 		if a > 0 {
 			c.cRetries.Add(1)
@@ -853,12 +897,7 @@ func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d t
 			lastErr = err
 			continue
 		}
-		var resp msg.Message
-		if d > 0 {
-			resp, err = c.ring.CallWithTimeout(ctx, transport.Addr(owner.Addr), req, d)
-		} else {
-			resp, err = c.ring.Call(ctx, transport.Addr(owner.Addr), req)
-		}
+		resp, err := c.send(ctx, owner, req, d)
 		if err != nil {
 			lastErr = err
 			if transport.IsUnavailable(err) {
@@ -870,6 +909,49 @@ func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d t
 	}
 	c.cFailures.Add(1)
 	return nil, fmt.Errorf("%w: %v", ErrNoOwner, lastErr)
+}
+
+// send invokes req at owner, bounded by d (chord's CallTimeout if 0).
+func (c *Client) send(ctx context.Context, owner msg.NodeRef, req msg.Message, d time.Duration) (msg.Message, error) {
+	if d > 0 {
+		return c.ring.CallWithTimeout(ctx, transport.Addr(owner.Addr), req, d)
+	}
+	return c.ring.Call(ctx, transport.Addr(owner.Addr), req)
+}
+
+// direct returns a copy of req, one of the client's put, get and delete
+// requests, marked Direct. It copies rather than marks req: the lookup
+// loop may send req unmarked while a timed-out handler still holds the
+// copy.
+func direct(req msg.Message) msg.Message {
+	switch r := req.(type) {
+	case *msg.DHTPutReq:
+		d := *r
+		d.Direct = true
+		return &d
+	case *msg.DHTGetReq:
+		d := *r
+		d.Direct = true
+		return &d
+	case *msg.DHTDeleteReq:
+		d := *r
+		d.Direct = true
+		return &d
+	}
+	panic(fmt.Sprintf("dht: %T cannot be sent direct", req))
+}
+
+// notOwner reports whether resp refuses a Direct request.
+func notOwner(resp msg.Message) bool {
+	switch r := resp.(type) {
+	case *msg.DHTPutResp:
+		return r.NotOwner
+	case *msg.DHTGetResp:
+		return r.NotOwner
+	case *msg.DHTDeleteResp:
+		return r.NotOwner
+	}
+	return false
 }
 
 // PutID stores value at ring position id. With ifAbsent the slot is

@@ -24,6 +24,9 @@ func (soloRing) Successor() msg.NodeRef       { return msg.NodeRef{} }
 func (soloRing) SuccessorList() []msg.NodeRef { return nil }
 func (soloRing) Predecessor() msg.NodeRef     { return msg.NodeRef{} }
 func (soloRing) Owns(ids.ID) bool             { return true }
+func (r soloRing) Owner(ids.ID) (msg.NodeRef, bool) {
+	return r.Ref(), true
+}
 func (r soloRing) FindSuccessor(context.Context, ids.ID) (msg.NodeRef, int, error) {
 	return r.Ref(), 0, nil
 }

@@ -35,6 +35,10 @@ func (r *countingRing) SuccessorList() []msg.NodeRef { return nil }
 func (r *countingRing) Predecessor() msg.NodeRef     { return msg.NodeRef{ID: r.pred, Addr: "pred"} }
 func (r *countingRing) Owns(key ids.ID) bool         { return ids.BetweenRightIncl(key, r.pred, r.self.ID) }
 
+// Owner names no owner: re-homing always consults FindSuccessor, and the
+// counts below pin those consults.
+func (r *countingRing) Owner(ids.ID) (msg.NodeRef, bool) { return msg.NodeRef{}, false }
+
 func (r *countingRing) FindSuccessor(ctx context.Context, key ids.ID) (msg.NodeRef, int, error) {
 	r.findSuccessors++
 	best := r.nodes[0]

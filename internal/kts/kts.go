@@ -580,6 +580,15 @@ func (s *Service) EnsureKey(ctx context.Context, key string) (created bool, err 
 		}
 		return true, nil
 	}
+	// A master named by the ring view without a lookup (chord.Ring.Owner)
+	// is asked first; its NotMaster verdict, or no answer, sends the
+	// probe down the lookup walk instead.
+	if guess, ok := s.ring.Owner(tsID); ok {
+		resp, err := s.ring.Call(ctx, transport.Addr(guess.Addr), &msg.LastTSReq{Key: key})
+		if lr, ok := resp.(*msg.LastTSResp); err == nil && ok && !lr.NotMaster {
+			return !lr.HadEntry, nil
+		}
+	}
 	master, _, err := s.ring.FindSuccessor(ctx, tsID)
 	if err != nil {
 		return false, err

@@ -99,7 +99,10 @@ const DefaultDiscoverEvery = 30 * time.Second
 // Config tunes the engine.
 type Config struct {
 	// TruncateEvery is the minimum spacing between truncation attempts
-	// per key (DefaultTruncateEvery if zero).
+	// per key (DefaultTruncateEvery if zero). A period shorter than the
+	// node's shared maintenance tick also sets the engine's pass rate,
+	// and then a tenth of it is forgiven as scheduling jitter (see
+	// MaintainEvery).
 	TruncateEvery time.Duration
 	// KeepIntervals is a safety margin for automatic truncation: the
 	// newest KeepIntervals checkpoint intervals below the pointer are NOT
@@ -182,6 +185,9 @@ type Engine struct {
 	notMaster map[string]int
 	// lastDiscover rate-limits the DHT-walk discovery pass.
 	lastDiscover time.Time
+	// paced is set when the engine runs on its own ticker, every
+	// TruncateEvery (see MaintainEvery).
+	paced bool
 
 	counters *metrics.Family
 	// rec records maintenance-lifecycle events (fallback
@@ -257,6 +263,21 @@ func (e *Engine) ExportAll() []msg.StateItem { return nil }
 
 // Import implements chord.Service.
 func (e *Engine) Import([]msg.StateItem) {}
+
+// MaintainEvery implements chord.PacedMaintainer. A TruncateEvery
+// shorter than the node's shared maintenance tick is honoured rather
+// than stretched to the tick (the store would otherwise hold a tick's
+// worth of history, not a period's): the engine asks for a pass of its
+// own every TruncateEvery. A longer one rides the shared tick.
+func (e *Engine) MaintainEvery(shared time.Duration) time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.paced = e.cfg.TruncateEvery < shared
+	if !e.paced {
+		return 0
+	}
+	return e.cfg.TruncateEvery
+}
 
 // Maintain implements chord.Maintainer: one anti-entropy pass over every
 // key this node currently masters.
@@ -485,7 +506,15 @@ func (e *Engine) maybeTruncate(ctx context.Context, st kts.KeyState) {
 		e.mu.Unlock()
 		return // the covered prefix is already reclaimed
 	}
-	if last, ok := e.lastTrunc[st.Key]; ok && now.Sub(last) < e.cfg.TruncateEvery {
+	window := e.cfg.TruncateEvery
+	if e.paced {
+		// Passes come every TruncateEvery and land a little early or
+		// late; refusing the early ones would halve the truncation
+		// rate, so a tenth of a period is forgiven. On the shared tick
+		// the next pass is only a fraction of the period away.
+		window -= window / 10
+	}
+	if last, ok := e.lastTrunc[st.Key]; ok && now.Sub(last) < window {
 		e.mu.Unlock()
 		e.counters.Counter("truncations-ratelimited").Add(1)
 		return

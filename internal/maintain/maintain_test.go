@@ -270,6 +270,42 @@ func TestTruncationRateLimited(t *testing.T) {
 	}
 }
 
+// TestTruncationSlackOnlyWhenPaced: an engine whose TruncateEvery is
+// shorter than the shared maintenance tick (20 ms here) runs every
+// TruncateEvery, so its passes land a little early or late, and the
+// limiter forgives a tenth of the period; a longer TruncateEvery rides
+// the shared tick, whose next pass is near, and is held to the whole
+// period. shut is the last spacing still refused, open the first allowed.
+func TestTruncationSlackOnlyWhenPaced(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		every, shut, open time.Duration
+	}{
+		{"own ticker", 10 * time.Millisecond, 8 * time.Millisecond, 9 * time.Millisecond},
+		{"shared tick", time.Hour, 57 * time.Minute, time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const interval = 4
+			clk := newTestClock()
+			c := newMaintCluster(t, 5, interval, maintain.Config{TruncateEvery: tc.every, Now: clk.Now})
+			key := "slack"
+			w := core.NewReplica(c.Peers[0], key, "author")
+			commit(t, w, interval)
+			waitPointer(t, c, key, interval)
+			waitFor(t, c, 20*time.Second, "the first auto-truncation", func() bool { return counters(c)["truncations"] == 1 })
+			commit(t, w, interval)
+			waitPointer(t, c, key, 2*interval)
+			clk.advance(tc.shut)
+			sleep(c, 200*time.Millisecond)
+			if n := counters(c)["truncations"]; n != 1 {
+				t.Fatalf("truncations = %d %v after the first, want 1", n, tc.shut)
+			}
+			clk.advance(tc.open - tc.shut)
+			waitFor(t, c, 20*time.Second, "the second auto-truncation", func() bool { return counters(c)["truncations"] == 2 })
+		})
+	}
+}
+
 // TestTruncateGateRefusesUnreadableCheckpoint: the pointer names a
 // checkpoint whose every slot is gone. The engine's repair probe cannot
 // prove the snapshot readable, so its truncation gate stays shut: no

@@ -193,6 +193,11 @@ type DHTPutReq struct {
 	// written. The P2P-Log relies on this to make (key, ts) slots
 	// write-once.
 	IfAbsent bool
+	// Direct marks a request sent straight to a guessed owner (see
+	// chord.Node.Owner) rather than to the end of a lookup walk: the
+	// callee serves it only if it owns ID, and otherwise answers
+	// NotOwner having stored nothing.
+	Direct bool
 }
 
 func (m *DHTPutReq) wire(c *Coder) {
@@ -200,6 +205,7 @@ func (m *DHTPutReq) wire(c *Coder) {
 	c.String(&m.Key)
 	c.Bytes(&m.Value)
 	c.Bool(&m.IfAbsent)
+	c.Bool(&m.Direct)
 }
 
 // DHTPutResp reports whether the value was stored. When IfAbsent was set
@@ -208,9 +214,11 @@ func (m *DHTPutReq) wire(c *Coder) {
 type DHTPutResp struct {
 	Stored   bool
 	Existing []byte
+	// NotOwner refuses a Direct request: the callee does not own ID.
+	NotOwner bool
 }
 
-func (m *DHTPutResp) wire(c *Coder) { c.Bool(&m.Stored); c.Bytes(&m.Existing) }
+func (m *DHTPutResp) wire(c *Coder) { c.Bool(&m.Stored); c.Bytes(&m.Existing); c.Bool(&m.NotOwner) }
 
 // DHTReplicaPutReq is pushed by the peer responsible for a slot to its
 // successor, which stores the copy in its replica set. This implements
@@ -275,17 +283,22 @@ type DHTGetReq struct {
 	// promotion) answers it at once, and an empty answer after Wait means
 	// nothing arrived. Zero is a plain get.
 	Wait time.Duration
+	// Direct is DHTPutReq.Direct: a non-owner answers NotOwner without
+	// reading, promoting or parking.
+	Direct bool
 }
 
-func (m *DHTGetReq) wire(c *Coder) { c.ID(&m.ID); c.Duration(&m.Wait) }
+func (m *DHTGetReq) wire(c *Coder) { c.ID(&m.ID); c.Duration(&m.Wait); c.Bool(&m.Direct) }
 
 // DHTGetResp returns the value if present.
 type DHTGetResp struct {
 	Found bool
 	Value []byte
+	// NotOwner refuses a Direct request: the callee does not own ID.
+	NotOwner bool
 }
 
-func (m *DHTGetResp) wire(c *Coder) { c.Bool(&m.Found); c.Bytes(&m.Value) }
+func (m *DHTGetResp) wire(c *Coder) { c.Bool(&m.Found); c.Bytes(&m.Value); c.Bool(&m.NotOwner) }
 
 // DHTDeleteReq removes the slot at ring position ID from the responsible
 // peer (and, via a replica delete, from its successor's copy set). The
@@ -302,9 +315,12 @@ type DHTDeleteReq struct {
 	// removes every primary log slot of Floor.Key at or below Floor.TS,
 	// and every checkpoint of Floor.Key below it, before it answers.
 	Floor TruncFloor
+	// Direct is DHTPutReq.Direct: a non-owner answers NotOwner without
+	// deleting, recording the floor or sweeping.
+	Direct bool
 }
 
-func (m *DHTDeleteReq) wire(c *Coder) { c.ID(&m.ID); m.Floor.wire(c) }
+func (m *DHTDeleteReq) wire(c *Coder) { c.ID(&m.ID); m.Floor.wire(c); c.Bool(&m.Direct) }
 
 // DHTDeleteResp reports whether a slot existed and was removed. Swept
 // counts the other primary log slots the same peer reclaimed under the
@@ -322,6 +338,8 @@ type DHTDeleteResp struct {
 	// other slots. Empty when the request carried no floor, the
 	// responder knows no predecessor, or ID lies outside its arc.
 	Arc ids.Arc
+	// NotOwner refuses a Direct request: the callee does not own ID.
+	NotOwner bool
 }
 
 func (m *DHTDeleteResp) wire(c *Coder) {
@@ -329,6 +347,7 @@ func (m *DHTDeleteResp) wire(c *Coder) {
 	c.Int(&m.Swept)
 	c.ID(&m.Arc.From)
 	c.ID(&m.Arc.To)
+	c.Bool(&m.NotOwner)
 }
 
 // DHTReplicaDeleteReq is pushed by a slot's owner to its successor after
