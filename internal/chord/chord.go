@@ -197,14 +197,6 @@ type Node struct {
 	lossMu   sync.Mutex
 	lossEWMA float64
 
-	// evictObs are the eviction observers (AddEvictObserver): the serving
-	// gateway's route cache, and the scale tests' false-eviction count.
-	// They can be added after the node started, which layered subsystems
-	// like the gateway need. Guarded by their own mutex so
-	// registration never contends with routing state.
-	evictObsMu sync.Mutex
-	evictObs   []func(dead msg.NodeRef)
-
 	// tracer opens a server-side child span around every dispatched RPC
 	// that arrived with a propagated trace context; rec records
 	// ring-lifecycle events (join, suspect, evict, handover, absorb) into
@@ -220,19 +212,6 @@ type Node struct {
 	cLookupFailures *metrics.Counter
 	cStrikes        *metrics.Counter
 	cEvictions      *metrics.Counter
-}
-
-// AddEvictObserver registers fn to observe every routing-state eviction
-// this node performs. fn runs synchronously on the evicting goroutine:
-// it must be fast and must not call back into the node. Observers cannot
-// be removed; register long-lived functions only.
-func (n *Node) AddEvictObserver(fn func(dead msg.NodeRef)) {
-	if fn == nil {
-		return
-	}
-	n.evictObsMu.Lock()
-	defer n.evictObsMu.Unlock()
-	n.evictObs = append(n.evictObs, fn)
 }
 
 // NewNode creates a node bound to ep. The node's ring ID is the hash of

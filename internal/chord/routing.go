@@ -305,12 +305,6 @@ func (n *Node) clearSuspicion(addr string) {
 func (n *Node) evict(dead msg.NodeRef) {
 	n.cEvictions.Add(1)
 	n.rec.Record(nil, "chord-evict", dead.Addr, "")
-	n.evictObsMu.Lock()
-	obs := n.evictObs
-	n.evictObsMu.Unlock()
-	for _, fn := range obs {
-		fn(dead)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i := range n.fingers {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"p2pltr/internal/chord"
-	"p2pltr/internal/msg"
+	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 	"p2pltr/internal/vclock"
 )
@@ -45,12 +45,19 @@ type scaleResult struct {
 	// FalseEvictions counts the subset that evicted a peer which was
 	// still live — pure loss-induced finger churn, the metric the
 	// lookup strike budget exists to hold down. (Evicting a genuinely
-	// dead peer is repair, not churn.)
+	// dead peer is repair, not churn.) It is read from each peer's
+	// chord-evict flight-recorder events; RecorderDrops counts events
+	// the recorders overwrote, which would make that count short.
 	Evictions      int64
 	FalseEvictions int64
+	RecorderDrops  uint64
 	Virtual        time.Duration
 	Wall           time.Duration
 }
+
+// recorderKeep is each node's flight-recorder capacity. The busiest node
+// of the 1000-peer run records 37 ring events, so nothing is overwritten.
+const recorderKeep = 128
 
 // runScale executes one virtual-time churn+convergence run.
 func runScale(seed int64, peers, rounds int) (*scaleResult, error) {
@@ -85,28 +92,26 @@ func runScale(seed int64, peers, rounds int) (*scaleResult, error) {
 
 	// Membership is dynamic: crashed peers never return (their endpoints
 	// stay dead), each churn round joins the same number of fresh peers.
+	// Every node records its ring events (evictions among them) into its
+	// own flight recorder, stamped with the virtual instant.
 	var (
 		nodes   []*chord.Node
+		recs    []*trace.Recorder
 		down    []bool
+		crashAt []time.Time // virtual instant each node crashed (zero: never)
 		addrIdx = make(map[transport.Addr]int)
 		byID    []int // membership (incl. dead peers) in ring-ID order
 		posOf   []int // node index -> position in byID
 	)
-	// Classify evictions as they happen: the observer runs synchronously
-	// on the evicting goroutine, and the virtual scheduler admits one
-	// goroutine at a time, so reading the membership state here is safe
-	// and deterministic.
-	onEvict := func(dead msg.NodeRef) {
-		if i, known := addrIdx[transport.Addr(dead.Addr)]; known && !down[i] {
-			res.FalseEvictions++
-		}
-	}
 	newNode := func() int {
 		i := len(nodes)
-		nd := chord.NewNode(net.NewEndpoint(fmt.Sprintf("sim-%05d", i)), cfg, nil, nil)
-		nd.AddEvictObserver(onEvict)
+		addr := fmt.Sprintf("sim-%05d", i)
+		rec := trace.NewRecorder(clk, addr, recorderKeep)
+		nd := chord.NewNode(net.NewEndpoint(addr), cfg, nil, rec)
 		nodes = append(nodes, nd)
+		recs = append(recs, rec)
 		down = append(down, false)
+		crashAt = append(crashAt, time.Time{})
 		addrIdx[nd.Addr()] = i
 		return i
 	}
@@ -290,6 +295,7 @@ func runScale(seed int64, peers, rounds int) (*scaleResult, error) {
 			net.Crash(nodes[v].Addr())
 			nodes[v].Stop()
 			down[v] = true
+			crashAt[v] = clk.Now()
 		}
 		conv, err := waitConverged("crash", victims)
 		if err != nil {
@@ -322,6 +328,20 @@ func runScale(seed int64, peers, rounds int) (*scaleResult, error) {
 	}
 	for _, nd := range nodes {
 		res.Evictions += nd.Counters().Snapshot()["evictions"]
+	}
+	// An eviction is false when it struck a peer that was never crashed,
+	// or one that was crashed only later.
+	for _, rec := range recs {
+		res.RecorderDrops += rec.Dropped()
+		for _, ev := range rec.Events() {
+			if ev.Kind != "chord-evict" {
+				continue
+			}
+			i, known := addrIdx[transport.Addr(ev.Key)]
+			if known && (!down[i] || ev.Start.Before(crashAt[i])) {
+				res.FalseEvictions++
+			}
+		}
 	}
 	res.Sent, res.Dropped = net.Stats()
 	res.Virtual = clk.Since(time.Unix(0, 0).UTC())
@@ -358,6 +378,9 @@ func checkScale(t *testing.T, peers, rounds int) {
 	}
 	if res.Dropped == 0 {
 		t.Fatalf("sustained loss dropped no messages (sent %d)", res.Sent)
+	}
+	if res.RecorderDrops > 0 {
+		t.Fatalf("flight recorders overwrote %d events (keep %d): the false-eviction count is short", res.RecorderDrops, recorderKeep)
 	}
 	// Finger churn: evicting dead peers is repair the churn batches make
 	// necessary, but evicting a live peer is pure loss damage — a wrong

@@ -185,8 +185,9 @@ func floorFromCheckpoint(ckpt *checkpoint.Store, cfg maintain.Config, interval u
 // the log tail it has already read. Implementations must be safe for
 // concurrent use. Neither half can produce a wrong answer, only a saved
 // or a wasted round trip: every master RPC response carries a NotMaster
-// verdict, so the caller drops a stale route and falls back to the full
-// lookup; log slots are write-once, so a record read once is the record.
+// verdict, so a route is one named try the callee checks, dropped when
+// the call fails or is refused, and nothing below invalidates it; log
+// slots are write-once, so a record read once is the record.
 type Front interface {
 	// Lookup returns the memoized master for a document key.
 	Lookup(key string) (msg.NodeRef, bool)

@@ -687,41 +687,35 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 	var lastErr error
 	sp := trace.FromContext(ctx)
 	rc := r.peer.servingFront()
+	// One named try skips the O(log N) walk: the serving front's memo if
+	// it holds one, otherwise a ring view that spans the whole ring
+	// (chord.Node.Owner). Either is a guess the callee checks: every
+	// master RPC's response carries a NotMaster verdict, so a miss drops
+	// the memo and the walk below runs with its complete retry budget.
+	var ref msg.NodeRef
+	note, named := "route-cached", false
 	if rc != nil {
-		// Route-cache fast path: a memoized master reference skips the
-		// O(log N) finger-path lookup. Safe by construction — every master
-		// RPC's response carries a NotMaster verdict, so a stale entry is
-		// detected by the callee itself, dropped, and the full lookup below
-		// runs with its complete retry budget.
-		if ref, ok := rc.Lookup(r.key); ok {
-			resp, miss, err := r.tryMaster(ctx, "cached route", ref, req, notMaster)
-			if miss == nil && err == nil {
-				sp.MarkN("rpc", 1)
-				sp.Note("route-cached", 1)
-				return resp, nil
-			}
-			rc.Drop(r.key)
-			if err != nil {
-				return nil, err
-			}
-			lastErr = miss
-		}
+		ref, named = rc.Lookup(r.key)
 	}
-	// One-hop path: a ring view that spans the whole ring names the
-	// master without a lookup (chord.Node.Owner). The NotMaster verdict
-	// guards the guess exactly as it guards the route cache.
-	if ref, ok := r.peer.Node.Owner(tsID); ok {
-		resp, miss, err := r.tryMaster(ctx, "guessed route", ref, req, notMaster)
+	if !named {
+		note = "route-guessed"
+		ref, named = r.peer.Node.Owner(tsID)
+	}
+	if named {
+		resp, miss, err := r.tryMaster(ctx, ref, req, notMaster)
 		sp.MarkN("rpc", 1)
-		if err != nil {
-			return nil, err
-		}
-		if miss == nil {
-			sp.Note("route-guessed", 1)
+		if miss == nil && err == nil {
+			sp.Note(note, 1)
 			if rc != nil {
 				rc.Store(r.key, ref)
 			}
 			return resp, nil
+		}
+		if rc != nil {
+			rc.Drop(r.key)
+		}
+		if err != nil {
+			return nil, err
 		}
 		lastErr = miss
 	}
@@ -738,27 +732,14 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 			lastErr = err
 			continue
 		}
-		// Master operations run nested network work inside their handler,
-		// so they get the application-level budget, not the chord
-		// CallTimeout (see Peer.masterOpTimeout).
-		resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(master.Addr), req, r.peer.masterOpTimeout)
+		resp, miss, err := r.tryMaster(ctx, master, req, notMaster)
 		sp.MarkN("rpc", 1)
 		if err != nil {
-			lastErr = err
-			if transport.IsUnavailable(err) {
-				continue
-			}
-			var re *transport.RemoteError
-			if errors.As(err, &re) {
-				// Remote application failure (e.g. log peers unreachable
-				// from the master): retry, the ring may have healed.
-				continue
-			}
 			return nil, err
 		}
-		if notMaster(resp) {
-			lastErr = fmt.Errorf("core: %s is not master for %s", master.Addr, r.key)
-			continue // responsibility is mid-transfer; re-lookup
+		if miss != nil {
+			lastErr = miss
+			continue // the ring may have healed, or mastership moved
 		}
 		if rc != nil {
 			rc.Store(r.key, master)
@@ -768,19 +749,21 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 	return nil, fmt.Errorf("%w: %v", ErrMasterUnavailable, lastErr)
 }
 
-// tryMaster sends req to ref, a master named without a lookup (what
-// says how: "cached route", "guessed route"). It returns the response
-// when ref answered as master; otherwise miss says why it did not
-// (unreachable, a remote failure, NotMaster) and the caller walks. err
-// is set only for a failure no lookup can mend: the context ended, or
-// the call failed locally.
-func (r *Replica) tryMaster(ctx context.Context, what string, ref msg.NodeRef, req msg.Message, notMaster func(msg.Message) bool) (resp msg.Message, miss, err error) {
+// tryMaster sends req to ref. It returns the response when ref answered
+// as master; otherwise miss says why it did not (unreachable, a remote
+// failure such as Log-Peers unreachable from the master, NotMaster while
+// responsibility is mid-transfer) and the caller looks the master up
+// again. err is set only for a failure no lookup can mend: the context
+// ended, or the call failed locally. Master operations run nested
+// network work inside their handler, so they get the application-level
+// budget, not the chord CallTimeout (see Peer.masterOpTimeout).
+func (r *Replica) tryMaster(ctx context.Context, ref msg.NodeRef, req msg.Message, notMaster func(msg.Message) bool) (resp msg.Message, miss, err error) {
 	resp, err = r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
 	switch {
 	case err == nil && !notMaster(resp):
 		return resp, nil, nil
 	case err == nil:
-		return nil, fmt.Errorf("core: %s %s is not master for %s", what, ref.Addr, r.key), nil
+		return nil, fmt.Errorf("core: %s is not master for %s", ref.Addr, r.key), nil
 	case transport.IsUnavailable(err):
 		return nil, err, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"p2pltr/internal/core"
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
+	"p2pltr/internal/p2plog"
 	"p2pltr/internal/transport"
 )
 
@@ -92,5 +93,69 @@ func TestGuessedMasterRefusalFallsBackToTheWalk(t *testing.T) {
 	}
 	if r.Text() != w.Text() {
 		t.Fatalf("reader %q, writer %q", r.Text(), w.Text())
+	}
+}
+
+// staleMemo is a serving front whose route memo names one peer for every
+// document until a call through it fails; it records what core stores.
+type staleMemo struct {
+	peer   *core.Peer
+	route  atomic.Value // msg.NodeRef; the zero ref once dropped
+	stored atomic.Value // msg.NodeRef
+}
+
+func (f *staleMemo) Lookup(string) (msg.NodeRef, bool) {
+	ref, _ := f.route.Load().(msg.NodeRef)
+	return ref, !ref.IsZero()
+}
+func (f *staleMemo) Store(_ string, master msg.NodeRef) { f.stored.Store(master) }
+func (f *staleMemo) Drop(string)                        { f.route.Store(msg.NodeRef{}) }
+func (f *staleMemo) FetchRange(ctx context.Context, key string, from, to uint64) ([]p2plog.Record, error) {
+	return f.peer.Log.FetchRange(ctx, key, from, to)
+}
+func (f *staleMemo) Committed(p2plog.Record) {}
+
+// TestStaleMemoGoesStraightToTheWalk: a Master-key call makes one named
+// try. When the front's memo names a peer that is not the master, the
+// call drops the memo and walks, even where the successor list would
+// have named the master (the guess is only tried when no memo is held).
+func TestStaleMemoGoesStraightToTheWalk(t *testing.T) {
+	c := newCluster(t, 5)
+	const key = "memo-doc"
+	master := c.MasterOf(uint64(ids.HashTS(key)))
+	var host, stale *core.Peer
+	for _, p := range c.Peers {
+		switch {
+		case p == master:
+		case host == nil:
+			host = p
+		case stale == nil:
+			stale = p
+		}
+	}
+	if g, ok := host.Node.Owner(ids.HashTS(key)); !ok || g.Addr != string(master.Addr()) {
+		t.Fatalf("host's successor list names %v (ok=%v), want the master %s", g, ok, master.Addr())
+	}
+	front := &staleMemo{peer: host}
+	front.route.Store(stale.Node.Ref())
+	host.SetFront(front)
+	lookups := func() int64 { n, _ := host.Node.LookupStats(); return n }
+
+	r := core.NewReplica(host, key, "writer")
+	if err := r.Insert(0, "line"); err != nil {
+		t.Fatal(err)
+	}
+	before := lookups()
+	if _, err := r.Commit(ctxT(t, c, 60*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 1 {
+		t.Fatalf("a stale memo cost %d lookups, want the 1 walk", n)
+	}
+	if _, held := front.Lookup(key); held {
+		t.Fatal("the stale memo was not dropped")
+	}
+	if got, _ := front.stored.Load().(msg.NodeRef); got.Addr != string(master.Addr()) {
+		t.Fatalf("core stored %v, want the walked-to master %s", got, master.Addr())
 	}
 }

@@ -16,8 +16,9 @@ import (
 // peers directly instead of through ringtest.
 
 // tcpRing joins n peers with aggressive chord timers on loopback TCP,
-// lets the ring stabilize and stops the peers at cleanup. It skips the
-// test under -short.
+// lets the ring stabilize and, at cleanup, stops the peers and closes
+// their endpoints (Peer.Stop models a crash and leaves the sockets open).
+// It skips the test under -short.
 func tcpRing(t *testing.T, n int, tr *trace.Tracer) []*core.Peer {
 	t.Helper()
 	if testing.Short() {
@@ -34,9 +35,13 @@ func tcpRing(t *testing.T, n int, tr *trace.Tracer) []*core.Peer {
 		},
 	}
 	peers := make([]*core.Peer, 0, n)
+	eps := make([]*transport.TCPEndpoint, 0, n)
 	t.Cleanup(func() {
 		for _, p := range peers {
 			p.Stop()
+		}
+		for _, ep := range eps {
+			ep.Close()
 		}
 	})
 	for i := 0; i < n; i++ {
@@ -44,6 +49,7 @@ func tcpRing(t *testing.T, n int, tr *trace.Tracer) []*core.Peer {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eps = append(eps, ep)
 		p := core.NewPeer(ep, opts)
 		peers = append(peers, p)
 		if i == 0 {

@@ -38,10 +38,9 @@
 //     Master-key route per document (installed into the host peer via
 //     core.Peer.SetFront) and the latest-checkpoint pointer per
 //     document, so a cold read costs O(1) slot fetches instead of an
-//     O(log N) ring lookup per hop. Route entries are invalidated
-//     eagerly when chord evicts the routed-to peer (via
-//     chord.Node.AddEvictObserver) and lazily by the NotMaster verdict
-//     every master RPC carries.
+//     O(log N) ring lookup per hop. A route entry is only ever a guess
+//     the callee checks: core drops it when the call fails or the
+//     answer carries the NotMaster verdict, and walks the ring.
 //
 // Determinism: the gateway holds no plain lock across a clock park.
 // Feed state is mutated only by the feed's own goroutine; the published
@@ -134,8 +133,7 @@ type Gateway struct {
 }
 
 // New mounts a gateway on peer: it installs itself as the peer's
-// serving front (route cache and log tail) and registers an eviction
-// observer so routes through a dead peer die with it.
+// serving front (route cache and log tail).
 func New(peer *core.Peer, cfg Config) *Gateway {
 	clk := peer.Clock()
 	ctx, cancel := clk.WithCancel(context.Background())
@@ -159,7 +157,6 @@ func New(peer *core.Peer, cfg Config) *Gateway {
 			10*time.Second, 30*time.Second),
 	}
 	peer.SetFront(g)
-	peer.Node.AddEvictObserver(g.invalidateAddr)
 	return g
 }
 
@@ -168,11 +165,11 @@ func (g *Gateway) Peer() *core.Peer { return g.peer }
 
 // Counters exposes the gateway's metric family: editors (writers, one
 // per document edited here), commits, batched-ops, commit-errors, feeds,
-// feed-errors, followers, follower-reads,
-// follower-bootstraps, route-hits, route-misses, route-invalidations,
-// ptr-cache-hits, ptr-cache-misses, tail-hits (log records served from a
-// tail's ring), tail-misses (log records fetched from the DHT),
-// tail-conflicts (two patches seen at one timestamp).
+// feed-errors, followers, follower-reads, follower-bootstraps,
+// route-hits, route-misses, ptr-cache-hits, ptr-cache-misses, tail-hits
+// (log records served from a tail's ring), tail-misses (log records
+// fetched from the DHT), tail-conflicts (two patches seen at one
+// timestamp).
 func (g *Gateway) Counters() *metrics.Family { return g.counters }
 
 // RegisterMetrics exports the gateway's counters and histograms into reg
@@ -226,23 +223,6 @@ func (g *Gateway) Drop(key string) {
 	g.mu.Lock()
 	delete(g.routes, key)
 	g.mu.Unlock()
-}
-
-// invalidateAddr drops every route through a peer chord just evicted.
-// Runs synchronously on the evicting goroutine: memory only, no parks.
-func (g *Gateway) invalidateAddr(dead msg.NodeRef) {
-	g.mu.Lock()
-	n := int64(0)
-	for key, ref := range g.routes {
-		if ref.Addr == dead.Addr {
-			delete(g.routes, key)
-			n++
-		}
-	}
-	g.mu.Unlock()
-	if n > 0 {
-		g.counters.Counter("route-invalidations").Add(n)
-	}
 }
 
 // FetchRange reads (from, to] of a document's log for a replica on the

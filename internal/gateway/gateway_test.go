@@ -546,17 +546,16 @@ func TestFeedParksAtTheLogPeer(t *testing.T) {
 	})
 }
 
-// TestRouteCacheInvalidationOnEviction crashes the cached Master-key
-// peer: chord's eviction must invalidate the gateway's route eagerly,
-// the editor must re-route to the takeover master, and the follower
-// must converge on the post-crash commits.
-func TestRouteCacheInvalidationOnEviction(t *testing.T) {
+// TestCrashedCachedMasterIsRoutedAround crashes the cached Master-key
+// peer: the editor's next commit tries the stale route, drops it when
+// the call fails, walks to the takeover master, and the follower
+// converges on the post-crash commits.
+func TestCrashedCachedMasterIsRoutedAround(t *testing.T) {
 	c, _ := newCluster(t, 8, core.Options{})
 
 	// Host the gateway on the master's ring predecessor: its
-	// stabilization probes the master directly, so the crash is
-	// detected (and the eviction observer fired) without any editor
-	// traffic racing to Drop the route first.
+	// stabilization probes the master directly, so the ring repairs
+	// around the crash while the stale route is still cached.
 	master := c.MasterOf(uint64(ids.HashTS("doc")))
 	var host *core.Peer
 	for _, p := range c.Peers {
@@ -583,14 +582,14 @@ func TestRouteCacheInvalidationOnEviction(t *testing.T) {
 	}
 
 	c.Crash(master)
-	waitUntil(t, c, 30*time.Second, "eviction to invalidate the cached route", func() bool {
-		return gw.Counters().Counter("route-invalidations").Value() >= 1
-	})
-
+	hits := gw.Counters().Counter("route-hits").Value()
 	ed.Enqueue("after-crash")
 	waitUntil(t, c, 60*time.Second, "commit through the takeover master", func() bool {
 		return ed.Replica().CommittedTS() >= 2
 	})
+	if gw.Counters().Counter("route-hits").Value() == hits {
+		t.Fatal("the post-crash commit never tried the cached route")
+	}
 	waitUntil(t, c, 30*time.Second, "follower to converge past the crash", func() bool {
 		return viewer.TS() == ed.Replica().CommittedTS()
 	})

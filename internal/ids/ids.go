@@ -198,9 +198,6 @@ func (a Arc) Empty() bool { return a.From == a.To }
 // Contains reports whether x lies on the arc.
 func (a Arc) Contains(x ID) bool { return !a.Empty() && BetweenRightIncl(x, a.From, a.To) }
 
-// Distance is the clockwise distance from a to b.
-func Distance(a, b ID) uint64 { return uint64(b - a) }
-
 // Add returns the ID at clockwise offset d from x.
 func Add(x ID, d uint64) ID { return ID(uint64(x) + d) }
 

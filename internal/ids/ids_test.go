@@ -248,24 +248,6 @@ func TestBetweenPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: Distance(a,b) + Distance(b,a) == 0 (mod 2^64) for a != b, and
-// Add(a, Distance(a,b)) == b.
-func TestDistanceAddProperty(t *testing.T) {
-	f := func(a, b uint64) bool {
-		A, B := ID(a), ID(b)
-		if Add(A, Distance(A, B)) != B {
-			return false
-		}
-		if A != B && Distance(A, B)+Distance(B, A) != 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: BetweenRightIncl(k, pred, self) partitions key ownership — for
 // any two distinct node IDs, a key belongs to exactly one of the two arcs.
 func TestOwnershipPartitionProperty(t *testing.T) {

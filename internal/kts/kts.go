@@ -345,7 +345,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 			// fast-forward and tell the caller to retrieve.
 			e.lastTS = newTS
 			e.noteLocked()
-			s.replicateToSucc(ctx, r.Key, tsID, e)
+			s.replicateToSucc(ctx, r.Key, e)
 			sp.Mark("replicate")
 			s.cRejects.Add(1)
 			return &msg.ValidateResp{Status: msg.ValidateBehind, LastTS: e.lastTS, CkptTS: e.ckptTS}, nil
@@ -358,7 +358,7 @@ func (s *Service) handleValidate(ctx context.Context, r *msg.ValidateReq) (resp 
 	e.lastTS = newTS
 	e.synced = true
 	e.noteLocked()
-	s.replicateToSucc(ctx, r.Key, tsID, e)
+	s.replicateToSucc(ctx, r.Key, e)
 	sp.Mark("replicate")
 	s.cGrants.Add(1)
 	s.rec.Record(ctx, "kts-grant", r.Key, "ts="+strconv.FormatUint(newTS, 10))
@@ -430,7 +430,7 @@ func (s *Service) handleLastTS(ctx context.Context, r *msg.LastTSReq) *msg.LastT
 		// replica value, which is still monotone — just possibly stale.
 		_ = s.syncFromLogLocked(ctx, r.Key, e)
 	}
-	return &msg.LastTSResp{LastTS: e.lastTS, Known: e.lastTS > 0, CkptTS: e.ckptTS, HadEntry: had}
+	return &msg.LastTSResp{LastTS: e.lastTS, CkptTS: e.ckptTS, HadEntry: had}
 }
 
 // handleAnnounce installs a freshly published checkpoint as the key's
@@ -467,7 +467,7 @@ func (s *Service) handleAnnounce(ctx context.Context, r *msg.CheckpointAnnounceR
 	// Pointer records are advisory replicas of e.ckptTS; a failed
 	// write heals on the next announce or Maintain pass.
 	_ = s.ckpt.WritePointer(ctx, r.Key, r.TS)
-	s.replicateToSucc(ctx, r.Key, tsID, e)
+	s.replicateToSucc(ctx, r.Key, e)
 	return &msg.CheckpointAnnounceResp{Accepted: true, CkptTS: e.ckptTS}, nil
 }
 
@@ -514,13 +514,13 @@ func (s *Service) handleReplicate(r *msg.ReplicateTSReq) {
 // the Master-key-Succ. Failure is tolerated: the write-once log allows
 // full recovery, and the next grant retries the replication anyway.
 // Called with e.mu held.
-func (s *Service) replicateToSucc(ctx context.Context, key string, tsID ids.ID, e *entry) {
+func (s *Service) replicateToSucc(ctx context.Context, key string, e *entry) {
 	succ := s.ring.Successor()
 	if succ.IsZero() || succ.ID == s.ring.Ref().ID {
 		return
 	}
 	_, _ = s.ring.Call(ctx, transport.Addr(succ.Addr), &msg.ReplicateTSReq{
-		Key: key, TSID: tsID, LastTS: e.lastTS, CkptTS: e.ckptTS,
+		Key: key, LastTS: e.lastTS, CkptTS: e.ckptTS,
 	})
 }
 
@@ -545,7 +545,7 @@ func (s *Service) Maintain(ctx context.Context) {
 	for _, k := range owned {
 		last, ckpt := k.e.timestamps()
 		_, _ = s.ring.Call(ctx, transport.Addr(succ.Addr), &msg.ReplicateTSReq{
-			Key: k.key, TSID: ids.HashTS(k.key), LastTS: last, CkptTS: ckpt,
+			Key: k.key, LastTS: last, CkptTS: ckpt,
 		})
 	}
 }
@@ -675,15 +675,15 @@ func stateItem(key string, tsID ids.ID, lastTS, ckptTS uint64) msg.StateItem {
 	}
 }
 
-// parseStateValue decodes a transferred "lastTS/ckptTS" value; a bare
-// integer (no checkpoint pointer) is accepted for robustness.
+// parseStateValue decodes a transferred "lastTS/ckptTS" value, the form
+// stateItem writes.
 func parseStateValue(v string) (lastTS, ckptTS uint64, err error) {
 	lastPart, ckptPart, found := strings.Cut(v, "/")
+	if !found {
+		return 0, 0, fmt.Errorf("kts: state value %q lacks a checkpoint pointer", v)
+	}
 	if lastTS, err = strconv.ParseUint(lastPart, 10, 64); err != nil {
 		return 0, 0, err
-	}
-	if !found {
-		return lastTS, 0, nil
 	}
 	if ckptTS, err = strconv.ParseUint(ckptPart, 10, 64); err != nil {
 		return 0, 0, err

@@ -99,7 +99,7 @@ func TestReplicateTSMonotone(t *testing.T) {
 	}
 	// Find the peer holding the successor replica and push a stale value.
 	for _, p := range c.Peers {
-		p.KTS.HandleRPC(context.Background(), "", &msg.ReplicateTSReq{Key: key, TSID: ids.HashTS(key), LastTS: 1})
+		p.KTS.HandleRPC(context.Background(), "", &msg.ReplicateTSReq{Key: key, LastTS: 1})
 	}
 	if got := lastTS(t, c, key); got != 3 {
 		t.Fatalf("stale replication regressed last-ts to %d", got)

@@ -40,14 +40,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// AddCounterFunc registers a monotonically-increasing metric read through
-// fn at export time.
-func (r *Registry) AddCounterFunc(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ints[name] = intMetric{fn: fn, counter: true}
-}
-
 // AddGaugeFunc registers a point-in-time metric read through fn at export
 // time (queue depths, cache sizes).
 func (r *Registry) AddGaugeFunc(name string, fn func() int64) {

@@ -453,11 +453,10 @@ type LastTSReq struct {
 
 func (m *LastTSReq) wire(c *Coder) { c.String(&m.Key) }
 
-// LastTSResp returns the last timestamp generated for the key. Known is
-// false when the callee has no entry (ts 0 = no patches yet).
+// LastTSResp returns the last timestamp generated for the key (0 = no
+// patches yet).
 type LastTSResp struct {
 	LastTS uint64
-	Known  bool
 	// NotMaster mirrors ValidateNotMaster for this RPC.
 	NotMaster bool
 	// CkptTS is the newest checkpoint timestamp for the key (0 = none);
@@ -473,7 +472,6 @@ type LastTSResp struct {
 
 func (m *LastTSResp) wire(c *Coder) {
 	c.Uint64(&m.LastTS)
-	c.Bool(&m.Known)
 	c.Bool(&m.NotMaster)
 	c.Uint64(&m.CkptTS)
 	c.Bool(&m.HadEntry)
@@ -483,7 +481,6 @@ func (m *LastTSResp) wire(c *Coder) {
 // grant so that the successor can take over with a correct last-ts.
 type ReplicateTSReq struct {
 	Key    string
-	TSID   ids.ID // ht(Key), the ring position governing responsibility
 	LastTS uint64
 	// CkptTS rides along so a takeover also knows the latest checkpoint.
 	CkptTS uint64
@@ -491,7 +488,6 @@ type ReplicateTSReq struct {
 
 func (m *ReplicateTSReq) wire(c *Coder) {
 	c.String(&m.Key)
-	c.ID(&m.TSID)
 	c.Uint64(&m.LastTS)
 	c.Uint64(&m.CkptTS)
 }

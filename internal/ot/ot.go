@@ -86,18 +86,6 @@ func TransformSeq(a []patch.Op, aSite string, b []patch.Op, bSite string) (aPrim
 	return aPrime, bCur
 }
 
-// TransformPatch rebases the tentative patch p onto the state after the
-// committed patch c: the returned patch has the same intent as p but its
-// operations account for c's effects, and its BaseTS advances to after c.
-// It is the step the paper describes as integrating previous validated
-// patches "for instance by using So6".
-func TransformPatch(p patch.Patch, c patch.Patch, newBaseTS uint64) patch.Patch {
-	out := p.Clone()
-	out.Ops, _ = TransformSeq(p.Ops, p.Author, c.Ops, c.Author)
-	out.BaseTS = newBaseTS
-	return out
-}
-
 // Compact removes neutralized operations from a patch. The patch keeps
 // its identity; an all-nop patch stays publishable so the author's
 // sequence numbering remains dense.

@@ -258,26 +258,6 @@ func TestTransformSeqEmptySides(t *testing.T) {
 	}
 }
 
-func TestTransformPatch(t *testing.T) {
-	p := patch.Patch{ID: "u1#1", Author: "u1", BaseTS: 3,
-		Ops: []patch.Op{{Kind: patch.OpInsert, Pos: 2, Line: "mine"}}}
-	c := patch.Patch{ID: "u2#5", Author: "u2", BaseTS: 3,
-		Ops: []patch.Op{{Kind: patch.OpInsert, Pos: 0, Line: "theirs"}}}
-	out := TransformPatch(p, c, 4)
-	if out.BaseTS != 4 {
-		t.Fatalf("BaseTS not advanced: %d", out.BaseTS)
-	}
-	if out.Ops[0].Pos != 3 {
-		t.Fatalf("pos not shifted: %v", out.Ops[0])
-	}
-	if p.Ops[0].Pos != 2 {
-		t.Fatalf("input mutated")
-	}
-	if out.ID != p.ID || out.Author != p.Author {
-		t.Fatalf("identity changed: %+v", out)
-	}
-}
-
 func TestCompact(t *testing.T) {
 	p := patch.Patch{ID: "x", Ops: []patch.Op{
 		{Kind: patch.OpNop},

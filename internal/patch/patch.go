@@ -101,16 +101,6 @@ func (p Patch) Clone() Patch {
 	return out
 }
 
-// IsNoop reports whether every operation has been neutralized.
-func (p Patch) IsNoop() bool {
-	for _, o := range p.Ops {
-		if o.Kind != OpNop {
-			return false
-		}
-	}
-	return true
-}
-
 // Encode serializes the patch for the wire and the P2P-Log.
 func (p Patch) Encode() ([]byte, error) {
 	b, err := msg.Marshal(format, p.wire)

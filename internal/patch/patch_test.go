@@ -132,18 +132,6 @@ func TestPatchID(t *testing.T) {
 	}
 }
 
-func TestIsNoop(t *testing.T) {
-	if !(Patch{Ops: []Op{{Kind: OpNop}, {Kind: OpNop}}}).IsNoop() {
-		t.Fatalf("all-nop not detected")
-	}
-	if (Patch{Ops: []Op{{Kind: OpInsert}}}).IsNoop() {
-		t.Fatalf("insert flagged as noop")
-	}
-	if !(Patch{}).IsNoop() {
-		t.Fatalf("empty patch should be noop")
-	}
-}
-
 func TestCloneIsolation(t *testing.T) {
 	p := Patch{ID: "x", Ops: []Op{{Kind: OpInsert, Pos: 1, Line: "l"}}}
 	q := p.Clone()

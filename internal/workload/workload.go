@@ -83,15 +83,6 @@ func (e *Editor) Next() Edit {
 	return Edit{Kind: EditInsert, Pos: pos, Line: fmt.Sprintf("%s/%d", e.Site, e.seq)}
 }
 
-// Burst produces n consecutive edits.
-func (e *Editor) Burst(n int) []Edit {
-	out := make([]Edit, n)
-	for i := range out {
-		out[i] = e.Next()
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Key popularity.
 
@@ -129,47 +120,11 @@ func (z *ZipfKeys) Next() string { return z.keys[z.z.Uint64()] }
 // Keys returns all keys (index 0 = hottest).
 func (z *ZipfKeys) Keys() []string { return append([]string(nil), z.keys...) }
 
-// ---------------------------------------------------------------------------
-// Document corpus.
-
-// Corpus builds an initial document of n lines (deterministic content).
-func Corpus(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	out := make([]byte, 0, n*16)
-	for i := 0; i < n; i++ {
-		out = append(out, fmt.Sprintf("line-%04d", i)...)
-		if i < n-1 {
-			out = append(out, '\n')
-		}
-	}
-	return string(out)
-}
-
 // MaxGap is the largest duration the generators hand a scheduler: long
 // enough to mean "effectively never" at any experiment horizon, small
 // enough that adding it to any virtual instant cannot overflow (the old
 // math.MaxInt64 sentinel wrapped negative one addition later).
 const MaxGap = 10 * 365 * 24 * time.Hour
-
-func clampGap(f float64) time.Duration {
-	if f >= float64(MaxGap) {
-		return MaxGap
-	}
-	if f <= 0 {
-		return 0
-	}
-	return time.Duration(f)
-}
-
-// MeanInterArrival converts an events-per-second rate into a mean gap.
-func MeanInterArrival(perSecond float64) time.Duration {
-	if perSecond <= 0 {
-		return MaxGap
-	}
-	return clampGap(float64(time.Second) / perSecond)
-}
 
 // ---------------------------------------------------------------------------
 // Think time.

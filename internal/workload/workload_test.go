@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestEditorPositionsStayValid(t *testing.T) {
 	e := NewEditor("s1", 0, 7)
@@ -50,20 +46,6 @@ func TestEditorSetLength(t *testing.T) {
 	_ = e.Next()
 }
 
-func TestEditorBurst(t *testing.T) {
-	e := NewEditor("s1", 0, 1)
-	edits := e.Burst(10)
-	if len(edits) != 10 {
-		t.Fatalf("burst %d", len(edits))
-	}
-	// Insert lines carry the site tag.
-	for _, ed := range edits {
-		if ed.Kind == EditInsert && !strings.HasPrefix(ed.Line, "s1/") {
-			t.Fatalf("line %q missing site tag", ed.Line)
-		}
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	z := NewZipfKeys(10, 1.5, 3)
 	counts := map[string]int{}
@@ -81,25 +63,5 @@ func TestZipfSkew(t *testing.T) {
 	z2 := NewZipfKeys(0, 0.5, 1)
 	if z2.Next() != "doc-000" {
 		t.Fatalf("single-key generator broken")
-	}
-}
-
-func TestCorpus(t *testing.T) {
-	if Corpus(0) != "" {
-		t.Fatalf("empty corpus")
-	}
-	c := Corpus(3)
-	lines := strings.Split(c, "\n")
-	if len(lines) != 3 || lines[0] != "line-0000" {
-		t.Fatalf("corpus %q", c)
-	}
-}
-
-func TestMeanInterArrival(t *testing.T) {
-	if MeanInterArrival(2) != 500*time.Millisecond {
-		t.Fatalf("got %v", MeanInterArrival(2))
-	}
-	if MeanInterArrival(0) < time.Hour {
-		t.Fatalf("zero rate should be effectively never")
 	}
 }
