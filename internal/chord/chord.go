@@ -10,8 +10,9 @@
 //     roles are "my successor on the ring");
 //   - periodic stabilization (stabilize / fix-fingers / check-predecessor);
 //   - state handover on join (the old responsible transfers keys and
-//     timestamps to the new node) and on voluntary leave (the departing
-//     node pushes its state to its successor);
+//     timestamps to the new node when it adopts it on notify) and on
+//     voluntary leave (the departing node pushes its state to its
+//     successor);
 //   - a service layer so the DHT store, the KTS timestamp service and the
 //     P2P-Log all share one ring.
 //
@@ -177,8 +178,8 @@ type Node struct {
 	stopped  bool
 	// joining marks an in-flight Join attempt. A node that is neither
 	// running nor joining — the idle half-joined state a failed attempt
-	// leaves behind — still serves requests (the handover may already
-	// have moved real state onto it), but answers lookups only as
+	// leaves behind — still serves requests (the pre-start notify may
+	// already have moved real state onto it), but answers lookups only as
 	// non-authoritative redirects so its empty tables can never bottom a
 	// walk out on its own stale record (see handleFindSuccessor).
 	joining bool
@@ -199,7 +200,7 @@ type Node struct {
 
 	// tracer opens a server-side child span around every dispatched RPC
 	// that arrived with a propagated trace context; rec records
-	// ring-lifecycle events (join, suspect, evict, handover, absorb) into
+	// ring-lifecycle events (join, suspect, evict, absorb) into
 	// the peer's flight recorder. Either may be nil (a valid no-op).
 	tracer *trace.Tracer
 	rec    *trace.Recorder
@@ -271,9 +272,6 @@ func (n *Node) ID() ids.ID { return n.id }
 
 // Addr returns the node's transport address.
 func (n *Node) Addr() transport.Addr { return n.ep.Addr() }
-
-// Clock returns the clock the node's timers and timeouts run on.
-func (n *Node) Clock() vclock.Clock { return n.clock }
 
 // Successor implements Ring.
 func (n *Node) Successor() msg.NodeRef {
@@ -395,9 +393,10 @@ func (n *Node) Create() {
 }
 
 // Join adds the node to the ring reachable through bootstrap. It locates
-// its successor, installs it, requests the state handover the paper
-// requires ("the old responsible transfers its keys and timestamps to the
-// new Master-key"), and starts maintenance.
+// its successor, installs it, notifies it — the successor adopts the
+// joiner as predecessor and transfers the state the paper requires ("the
+// old responsible transfers its keys and timestamps to the new
+// Master-key") — and starts maintenance.
 func (n *Node) Join(ctx context.Context, bootstrap transport.Addr) error {
 	n.mu.Lock()
 	n.joining = true
@@ -408,12 +407,12 @@ func (n *Node) Join(ctx context.Context, bootstrap transport.Addr) error {
 		n.mu.Unlock()
 	}()
 	// A previous Join attempt that failed after installing its successor
-	// (a lost handover ack, say) leaves this node half-joined: the
+	// (a lost notify ack, say) leaves this node half-joined: the
 	// successor may already count us as its predecessor and the ring may
 	// already route our key range to us, so re-running the lookup can
 	// only answer our own record — no number of fresh attempts gets
-	// further. Resume that join instead: redo the handover (slots are
-	// write-once, so a repeat after a lost ack is idempotent) and start.
+	// further. Resume that join instead: re-send the pre-start notify (a
+	// successor that already adopted us ignores it) and start.
 	n.mu.Lock()
 	resume := !n.started && !n.stopped && len(n.succs) > 0 && n.succs[0].Addr != string(n.ep.Addr())
 	var rsucc msg.NodeRef
@@ -497,26 +496,20 @@ func (n *Node) Join(ctx context.Context, bootstrap transport.Addr) error {
 }
 
 // finishJoin completes a join whose successor is already installed:
-// request the key-range handover, start maintenance, and notify. This is
-// the resumable tail of Join — everything here may run a second time
-// after a lost ack without harm.
+// notify it, start maintenance, and notify again. The first notify makes
+// the successor adopt this node as predecessor and send it the key range
+// it now owns (handleNotify) before this node starts answering for it;
+// the second, once running, links the ring in without waiting a full
+// stabilization round. This is the resumable tail of Join — everything
+// here may run a second time after a lost ack without harm.
 func (n *Node) finishJoin(ctx context.Context, succ msg.NodeRef) error {
-	// Ask the successor to hand over the key range we now own.
-	if succ.Addr != string(n.ep.Addr()) {
-		hresp, err := n.Call(ctx, transport.Addr(succ.Addr), &msg.HandoverReq{NewNode: n.ref})
-		if err != nil {
-			return fmt.Errorf("chord: handover from %s: %w", succ.Addr, err)
-		}
-		if h, ok := hresp.(*msg.HandoverResp); ok {
-			n.importItems(h.Items)
-		}
+	notify := &msg.NotifyReq{Candidate: n.ref}
+	if _, err := n.Call(ctx, transport.Addr(succ.Addr), notify); err != nil {
+		return fmt.Errorf("chord: notify %s: %w", succ.Addr, err)
 	}
-
 	n.start()
 	n.rec.Record(ctx, "chord-join", succ.Addr, "")
-	// Proactively notify so the ring links in without waiting a full
-	// stabilization round.
-	_, _ = n.Call(ctx, transport.Addr(succ.Addr), &msg.NotifyReq{Candidate: n.ref})
+	_, _ = n.Call(ctx, transport.Addr(succ.Addr), notify)
 	return nil
 }
 

@@ -161,7 +161,9 @@ func TestOwnershipPartition(t *testing.T) {
 	}
 }
 
-func TestJoinTriggersHandover(t *testing.T) {
+// A join's notify makes the successor adopt the joiner and export the
+// key range it now owns.
+func TestJoinNotifyTriggersExport(t *testing.T) {
 	net := transport.NewSimnet()
 	cfg := FastConfig()
 	a := NewNode(net.NewEndpoint("a"), cfg, nil, nil)
@@ -180,7 +182,7 @@ func TestJoinTriggersHandover(t *testing.T) {
 	}
 	defer b.Stop()
 	if svc.exports.Load() == 0 {
-		t.Fatalf("join did not request a handover export from the successor")
+		t.Fatalf("join did not make the successor export state on notify")
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 //
 // Most requests are served regardless of lifecycle state — a node a
 // failed Join attempt left half-joined (constructed, never started,
-// idle between retries) keeps answering handovers, state transfers and
-// service RPCs, because the handover may already have moved real state
-// onto it and refusing would make that state unreachable. Two message
-// kinds are the exception, and together they let the ring heal around
-// the half-joined record:
+// idle between retries) keeps answering notifies, state transfers and
+// service RPCs, because the pre-start notify may already have moved
+// real state onto it and refusing would make that state unreachable.
+// Two message kinds are the exception, and together they let the ring
+// heal around the half-joined record:
 //
 //   - Liveness probes — Ping and Neighbors — are REFUSED while idle.
-//     The successor adopted the joiner as predecessor at handover time,
-//     so its record is already in the ring; if the idle node kept
+//     The successor adopted the joiner as predecessor on the pre-start
+//     notify, so its record is already in the ring; if the idle node kept
 //     acking probes, suspicion would reset on every contact (a
 //     Neighbors answer clears suspicion too, see
 //     liveSuccessorNeighbors), stabilization would never evict the
@@ -77,8 +77,6 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req msg.Messag
 	case *msg.NotifyReq:
 		n.handleNotify(r.Candidate)
 		return &msg.Ack{}, nil
-	case *msg.HandoverReq:
-		return n.handleHandover(ctx, r)
 	case *msg.AbsorbReq:
 		n.handleAbsorb(ctx, r)
 		return &msg.Ack{}, nil
@@ -98,9 +96,10 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req msg.Messag
 // handleNotify implements Chord's notify: adopt Candidate as predecessor
 // if we have none or it lies in (pred, self). Adopting a new predecessor
 // moves key responsibility, so state the node no longer owns migrates to
-// the new predecessor — this is the stabilization-time complement of the
-// join-time handover, needed when several peers join in quick succession
-// and the ring links up only through stabilization.
+// the new predecessor. This is the join-time handover — a joiner
+// notifies its successor before it starts (finishJoin) — and its
+// stabilization-time complement, needed when several peers join in quick
+// succession and the ring links up only through stabilization.
 func (n *Node) handleNotify(cand msg.NodeRef) {
 	if cand.IsZero() || cand.ID == n.id {
 		return
@@ -132,28 +131,6 @@ func (n *Node) handleNotify(cand msg.NodeRef) {
 			n.importItems(items)
 		}
 	})
-}
-
-// handleHandover serves a joining predecessor: every service exports the
-// state the new node now owns (ring positions outside (newNode, self]),
-// and we adopt the new node as predecessor immediately so responsibility
-// flips atomically with the transfer.
-func (n *Node) handleHandover(ctx context.Context, r *msg.HandoverReq) (msg.Message, error) {
-	newNode := r.NewNode
-	if newNode.IsZero() {
-		return nil, fmt.Errorf("chord: handover: zero node")
-	}
-	// Adopt as predecessor first (if it qualifies): from this moment we
-	// stop claiming the transferred range, so no new state lands in it
-	// while the export is assembled.
-	n.handleNotify(newNode)
-
-	var items []msg.StateItem
-	for _, s := range n.services {
-		items = append(items, s.ExportOutside(newNode.ID, n.id)...)
-	}
-	n.rec.Record(ctx, "chord-handover", newNode.Addr, fmt.Sprintf("items=%d", len(items)))
-	return &msg.HandoverResp{Items: items}, nil
 }
 
 // handleAbsorb installs the state pushed by a voluntarily leaving

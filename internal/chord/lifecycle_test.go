@@ -161,10 +161,17 @@ func TestConcurrentLookupsDuringChurn(t *testing.T) {
 	}
 }
 
-func TestHandoverToZeroNodeRejected(t *testing.T) {
+// A notify with a zero candidate leaves every predecessor alone, also at
+// the node whose arc (pred, self] wraps past ID 0.
+func TestNotifyZeroCandidateIgnored(t *testing.T) {
 	_, nodes := testRing(t, 2)
-	_, err := nodes[0].handleHandover(context.Background(), &msg.HandoverReq{})
-	if err == nil {
-		t.Fatalf("handover to zero node accepted")
+	for _, n := range nodes {
+		pred := n.Predecessor()
+		if _, err := n.Call(context.Background(), n.Addr(), &msg.NotifyReq{}); err != nil {
+			t.Fatalf("notify: %v", err)
+		}
+		if got := n.Predecessor(); got != pred {
+			t.Fatalf("%s: a zero-candidate notify moved the predecessor from %v to %v", n.Ref().Addr, pred, got)
+		}
 	}
 }

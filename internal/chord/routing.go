@@ -156,9 +156,9 @@ func (n *Node) lookupStrikeBudget() int {
 //
 // A node that is neither running nor mid-join never answers with
 // authority. A failed Join attempt can leave such a node half-joined
-// forever: its successor already adopted it as predecessor at handover
-// time, so stale finger and successor records keep routing lookups into
-// it, while its own tables are empty or self-pointing — the "final"
+// forever: its successor already adopted it as predecessor on the
+// pre-start notify, so stale finger and successor records keep routing
+// lookups into it, while its own tables are empty or self-pointing — the "final"
 // fallbacks below would bottom every such lookup out on the phantom's
 // own record (with no predecessor, Owns over-claims the whole ring),
 // and a fresh peer's join against that answer fails with "lookup
@@ -167,8 +167,8 @@ func (n *Node) lookupStrikeBudget() int {
 // so the walk routes through it and terminates on a live authority.
 // Pings and neighbor queries are refused while idle (see handle) so
 // suspicion strikes accumulate and the stale record is evicted; state
-// RPCs (handover, absorb, services) are still served — the handover may
-// already have moved real state here.
+// RPCs (notify, state transfer, absorb, services) are still served — the
+// pre-start notify may already have moved real state here.
 func (n *Node) handleFindSuccessor(ctx context.Context, req *msg.FindSuccessorReq) (msg.Message, error) {
 	if req.Hops > MaxHops {
 		return nil, fmt.Errorf("chord: hop budget exhausted at %s", n.ref)

@@ -34,8 +34,8 @@ func TestPeerBornWired(t *testing.T) {
 	}, transport.WithLatency(transport.ConstantLatency(time.Millisecond)))
 	ctx := context.Background()
 
-	// A seventh peer joins under a span: the join at the joiner and the
-	// handover at its successor are both chord events of that one trace.
+	// A seventh peer joins under a span: the join at the joiner is a
+	// chord event of that trace.
 	joinSp := tr.Start("join", "")
 	joinTrace := joinSp.Context().TraceID
 	joiner := c.NewPeer()
@@ -100,7 +100,7 @@ func TestPeerBornWired(t *testing.T) {
 	grants := 0
 	for _, e := range events {
 		switch e.Kind {
-		case "chord-join", "chord-handover":
+		case "chord-join":
 			if e.Trace != joinTrace {
 				t.Errorf("%s on %s has trace %d, want the join's %d", e.Kind, e.Peer, e.Trace, joinTrace)
 			}

@@ -70,7 +70,7 @@ type Options struct {
 	Tracer *trace.Tracer
 	// FlightRecorder, when positive, mounts a per-peer flight recorder
 	// retaining the last FlightRecorder lifecycle events (chord
-	// join/suspect/evict/handover, KTS grant/shed/takeover, DHT
+	// join/suspect/evict/absorb, KTS grant/shed/takeover, DHT
 	// promotion/re-home/floor advance, checkpoint fallback/repair,
 	// truncation), each stamped with the peer address, the clock instant
 	// and the active trace ID. 0 = recorder off (zero overhead).

@@ -26,7 +26,7 @@ import (
 	"p2pltr/internal/vclock"
 )
 
-// ServiceName identifies DHT state items in Chord handovers.
+// ServiceName identifies DHT state items in Chord state transfers.
 const ServiceName = "dht"
 
 // Service is the storage half: it accepts DHTPut/DHTGet RPCs and

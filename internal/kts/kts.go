@@ -50,7 +50,7 @@ import (
 	"p2pltr/internal/vclock"
 )
 
-// ServiceName identifies KTS state items in Chord handovers.
+// ServiceName identifies KTS state items in Chord state transfers.
 const ServiceName = "kts"
 
 // ErrAheadOfLog is returned when a client claims a local timestamp higher

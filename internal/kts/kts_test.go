@@ -253,6 +253,52 @@ func TestJoiningMasterReceivesTimestamps(t *testing.T) {
 	}
 }
 
+// A joiner whose range holds a timestamped key receives that entry once:
+// its successor hands the range over on the join's notify, and the
+// joiner counts one takeover.
+func TestJoinTakesOverTimestampsOnce(t *testing.T) {
+	c := newCluster(t, 4)
+	joiner := c.NewPeer()
+	self := joiner.Node.ID()
+	pred := c.Peers[0].Node.ID()
+	for _, p := range c.Peers[:4] {
+		if ids.Between(p.Node.ID(), pred, self) {
+			pred = p.Node.ID()
+		}
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("join-once-%d", i); ids.BetweenRightIncl(ids.HashTS(k), pred, self) {
+			key = k
+		}
+	}
+	for i := uint64(0); i < 3; i++ {
+		if r := validate(t, c, 0, key, i, fmt.Sprintf("u#%d", i+1)); r.Status != msg.ValidateOK {
+			t.Fatalf("grant %d: %v", i, r.Status)
+		}
+	}
+	ctx, cancel := c.Clk.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := joiner.Join(ctx, c.Peers[0].Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if _, err := c.WaitUntil(5*time.Second, "the joiner holds the key's timestamps", func() bool {
+		last, ok := joiner.KTS.LastTSLocal(key)
+		return ok && last == 3
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitStable(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, takeovers := joiner.KTS.Stats(); takeovers != 1 {
+		t.Fatalf("joiner counted %d takeovers, want 1", takeovers)
+	}
+	if r := validate(t, c, 0, key, 3, "u#4"); r.Status != msg.ValidateOK || r.ValidatedTS != 4 {
+		t.Fatalf("post-join: %v ts=%d lastTS=%d", r.Status, r.ValidatedTS, r.LastTS)
+	}
+}
+
 func TestMasterStatsAndKeysHeld(t *testing.T) {
 	c := newCluster(t, 3)
 	key := "stats-doc"

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"p2pltr/internal/vclock"
 )
 
 // Histogram records samples into fixed buckets and reports order
@@ -80,14 +78,6 @@ func (h *Histogram) observe(v int64) {
 	h.sum += v
 	idx := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.counts[idx]++
-}
-
-// Time runs f and records its duration. Timing goes through the vclock
-// seam so instrumented code never reads the wall clock directly.
-func (h *Histogram) Time(f func()) {
-	start := vclock.System.Now()
-	f()
-	h.Observe(vclock.System.Since(start))
 }
 
 // Count returns the number of samples.

@@ -59,14 +59,6 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramTime(t *testing.T) {
-	h := NewBucketedHistogram(time.Millisecond, time.Second)
-	h.Time(func() { time.Sleep(2 * time.Millisecond) })
-	if h.Count() != 1 || h.Max() < 2*time.Millisecond {
-		t.Fatalf("timed sample %v", h.Max())
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewBucketedHistogram(10, 50, 100)
 	var wg sync.WaitGroup

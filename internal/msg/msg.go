@@ -120,21 +120,6 @@ type Ack struct{}
 
 func (*Ack) wire(*Coder) {}
 
-// HandoverReq is sent by a joining node to its successor: the successor
-// must export all service state in (PredID, NewNode.ID] to the new node.
-type HandoverReq struct {
-	NewNode NodeRef
-}
-
-func (m *HandoverReq) wire(c *Coder) { m.NewNode.wire(c) }
-
-// HandoverResp carries the exported state items, grouped by service.
-type HandoverResp struct {
-	Items []StateItem
-}
-
-func (m *HandoverResp) wire(c *Coder) { Slice(c, &m.Items, stateItemMin, (*StateItem).wire) }
-
 // AbsorbReq is sent by a node leaving voluntarily: it pushes all of its
 // service state to its successor before departing.
 type AbsorbReq struct {
@@ -531,8 +516,6 @@ func (NeighborsResp) Kind() string     { return "chord.neighbors.resp" }
 func (NotifyReq) Kind() string         { return "chord.notify.req" }
 func (PingReq) Kind() string           { return "chord.ping.req" }
 func (Ack) Kind() string               { return "ack" }
-func (HandoverReq) Kind() string       { return "chord.handover.req" }
-func (HandoverResp) Kind() string      { return "chord.handover.resp" }
 func (AbsorbReq) Kind() string         { return "chord.absorb.req" }
 func (StateTransferReq) Kind() string  { return "chord.state_transfer.req" }
 func (DHTPutReq) Kind() string         { return "dht.put.req" }
@@ -562,7 +545,8 @@ type wireMessage interface {
 
 // wireTags is the message tag table: a message's tag on the wire is its
 // index here, and tag 0 is "no message". Tags are on the wire, so a new
-// type is appended; an index is never reordered or reused.
+// type is appended; an index is never reordered or reused, and a retired
+// type leaves a nil entry, which decodes as an unknown tag.
 var wireTags = [...]func() wireMessage{
 	nil,
 	func() wireMessage { return new(FindSuccessorReq) },
@@ -572,8 +556,8 @@ var wireTags = [...]func() wireMessage{
 	func() wireMessage { return new(NotifyReq) },
 	func() wireMessage { return new(PingReq) },
 	func() wireMessage { return new(Ack) },
-	func() wireMessage { return new(HandoverReq) },
-	func() wireMessage { return new(HandoverResp) },
+	nil, // 8: retired (chord.handover.req; a join's state moves on notify)
+	nil, // 9: retired (chord.handover.resp)
 	func() wireMessage { return new(AbsorbReq) },
 	func() wireMessage { return new(StateTransferReq) },
 	func() wireMessage { return new(DHTPutReq) },
@@ -598,8 +582,10 @@ var wireTags = [...]func() wireMessage{
 // tagOf maps a message kind to its tag in wireTags.
 var tagOf = func() map[string]uint64 {
 	m := make(map[string]uint64, len(wireTags))
-	for tag, f := range wireTags[1:] {
-		m[f().Kind()] = uint64(tag + 1)
+	for tag, f := range wireTags {
+		if f != nil {
+			m[f().Kind()] = uint64(tag)
+		}
 	}
 	return m
 }()
@@ -613,7 +599,7 @@ func (c *Coder) Message(m *Message) {
 		case c.err != nil:
 		case tag == 0:
 			*m = nil
-		case tag >= uint64(len(wireTags)):
+		case tag >= uint64(len(wireTags)) || wireTags[tag] == nil:
 			c.fail("unknown message tag %d", tag)
 		default:
 			wm := wireTags[tag]()
@@ -639,9 +625,11 @@ func (c *Coder) Message(m *Message) {
 // All returns one zero value of every message type, in tag order; the
 // protocol round-trip tests range over it.
 func All() []Message {
-	out := make([]Message, 0, len(wireTags)-1)
-	for _, f := range wireTags[1:] {
-		out = append(out, f())
+	out := make([]Message, 0, len(wireTags))
+	for _, f := range wireTags {
+		if f != nil {
+			out = append(out, f())
+		}
 	}
 	return out
 }

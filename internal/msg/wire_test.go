@@ -69,6 +69,8 @@ func TestWireRejectsNonCanonicalInput(t *testing.T) {
 	for name, b := range map[string][]byte{
 		"empty":               {},
 		"unknown tag":         {byte(len(wireTags))},
+		"retired tag 8":       {8, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // the zero chord.handover.req
+		"retired tag 9":       {9, 0},                         // the zero chord.handover.resp
 		"non-minimal tag":     {ping | 0x80, 0},
 		"trailing byte":       {ping, 0},
 		"bool byte 2":         {get, 2, 0},
@@ -92,7 +94,7 @@ func TestWireLengthsBeyondInputFailBeforeAllocating(t *testing.T) {
 	inputs := map[string][]byte{
 		"string": claim(LastTSReq{}),
 		"bytes":  claim(DHTGetResp{}, 1),
-		"slice":  claim(HandoverResp{}),
+		"slice":  claim(DHTRehomeReq{}),
 	}
 	for name, b := range inputs {
 		allocated := allocatedBy(func() {

@@ -87,7 +87,7 @@ var pinnedRuns = map[string]struct {
 	trace  uint64
 	pass   bool
 }{
-	"e12.json":     {0x944e41019e9ecccb, 0x59f8dfc1428312fc, true},
+	"e12.json":     {0x0f0b82851391c0d6, 0x59f8dfc1428312fc, true},
 	"e13-hot.json": {0x64e09fceec44fc9a, 0x96c3118a110d7262, true},
 	failingExample: {0x39f6eb00f04200bf, 0xb55081a328552afd, false},
 }

@@ -19,11 +19,13 @@ type ring struct {
 }
 
 // newRing returns a ring retaining keep records (256 when keep <= 0).
+// Its buffer grows as records arrive, so a generous keep costs memory
+// only once that many records have been added.
 func newRing(keep int) ring {
 	if keep <= 0 {
 		keep = 256
 	}
-	return ring{keep: keep, buf: make([]SpanData, 0, keep)}
+	return ring{keep: keep}
 }
 
 func (r *ring) add(d SpanData) {

@@ -53,6 +53,21 @@ func TestRingUnderCapacity(t *testing.T) {
 	}
 }
 
+// A generous keep reserves nothing up front: the buffer grows with the
+// events recorded.
+func TestRingGrowsLazily(t *testing.T) {
+	r := NewRecorder(vclock.System, "p", 1<<20)
+	for _, k := range []string{"a", "b", "c"} {
+		r.Record(nil, k, "", "")
+	}
+	if n := len(r.Events()); n != 3 {
+		t.Fatalf("ring holds %d events, want 3", n)
+	}
+	if c := cap(r.ring.buf); c > 64 {
+		t.Fatalf("three events hold a buffer of capacity %d", c)
+	}
+}
+
 // A nil recorder is a valid no-op — instrumented code never branches.
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder

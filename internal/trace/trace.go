@@ -191,14 +191,6 @@ func (t *Tracer) SetSink(fn func(SpanData)) {
 	t.mu.Unlock()
 }
 
-// Clock returns the tracer's clock.
-func (t *Tracer) Clock() vclock.Clock {
-	if t == nil {
-		return vclock.System
-	}
-	return t.clk
-}
-
 // Start opens a span of the given kind (pipeline unit: "commit",
 // "validate", "deliver") over key, starting now. Nil-safe: a nil tracer
 // returns a nil span, and every span method is a no-op on nil.

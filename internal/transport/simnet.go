@@ -121,9 +121,6 @@ func NewSimnet(opts ...SimnetOption) *Simnet {
 	return n
 }
 
-// Clock returns the clock simulated delays run on.
-func (n *Simnet) Clock() vclock.Clock { return n.clock }
-
 // NewEndpoint attaches a new endpoint with the given name. Names must be
 // unique; an empty name is assigned automatically.
 func (n *Simnet) NewEndpoint(name string) Endpoint {

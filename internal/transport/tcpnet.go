@@ -19,13 +19,14 @@ import (
 const frameVersion = 0x81
 
 // envelope is what one frame of the TCP transport carries: the call
-// header, then Body as a tagged message (msg.Coder.Message). Trace is
-// the compact trace context of the calling span (zero when the caller
-// is untraced); it is what lets one trace ID span peers over real
-// sockets, mirroring what simnet carries on the call context.
+// header, then Body as a tagged message (msg.Coder.Message). A response
+// carries its request's Seq, which is all the caller matches it by, and
+// leaves From empty. Trace is the compact trace context of the calling
+// span (zero when the caller is untraced); it is what lets one trace ID
+// span peers over real sockets, mirroring what simnet carries on the
+// call context.
 type envelope struct {
 	Seq    uint64
-	IsResp bool
 	From   string
 	ErrMsg string
 	HasErr bool
@@ -35,7 +36,6 @@ type envelope struct {
 
 func (env *envelope) wire(c *msg.Coder) {
 	c.Uint64(&env.Seq)
-	c.Bool(&env.IsResp)
 	c.String(&env.From)
 	c.String(&env.ErrMsg)
 	c.Bool(&env.HasErr)
@@ -83,7 +83,7 @@ func ListenTCP(bind string) (*TCPEndpoint, error) {
 	e.wg.Add(1)
 	// lint:allow-rawgo — tcpnet is the real-socket transport: it exists
 	// to run on the OS network and wall clock, outside the deterministic
-	// regime (simulations use memnet). Same for every tag below.
+	// regime (simulations use simnet). Same for every tag below.
 	go e.acceptLoop()
 	return e, nil
 }
@@ -148,7 +148,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		// rides OS concurrency by design.
 		go func(env envelope) {
 			h := e.handler()
-			resp := envelope{Seq: env.Seq, IsResp: true, From: string(e.addr)}
+			resp := envelope{Seq: env.Seq}
 			if h == nil {
 				resp.HasErr, resp.ErrMsg = true, ErrNoHandler.Error()
 			} else {
