@@ -124,7 +124,7 @@ func (n *Node) handleNotify(cand msg.NodeRef) {
 	n.clock.Go(func() {
 		ctx, cancel := n.clock.WithTimeout(context.Background(), n.cfg.CallTimeout)
 		defer cancel()
-		if _, err := n.Call(ctx, transport.Addr(cand.Addr), &msg.StateTransferReq{From: n.ref, Items: items}); err != nil {
+		if _, err := n.Call(ctx, transport.Addr(cand.Addr), &msg.StateTransferReq{Items: items}); err != nil {
 			// The new predecessor vanished before the transfer landed;
 			// re-adopt the items so they are not lost and let the next
 			// stabilization round retry the migration.

@@ -178,19 +178,19 @@ func (n *Node) handleFindSuccessor(ctx context.Context, req *msg.FindSuccessorRe
 		if succ.IsZero() || succ.ID == n.id {
 			return nil, fmt.Errorf("chord: %s: node not running", n.ref)
 		}
-		return &msg.FindSuccessorResp{Node: succ, Hops: req.Hops + 1, Final: false}, nil
+		return &msg.FindSuccessorResp{Node: succ, Final: false}, nil
 	}
 	succ := n.Successor()
 	if ids.BetweenRightIncl(req.Key, n.id, succ.ID) {
-		return &msg.FindSuccessorResp{Node: succ, Hops: req.Hops + 1, Final: true}, nil
+		return &msg.FindSuccessorResp{Node: succ, Final: true}, nil
 	}
 	next := n.closestPreceding(req.Key, nil)
 	if next.ID == n.id {
 		// We know nothing closer: hand out our successor as a best-effort
 		// final answer rather than looping.
-		return &msg.FindSuccessorResp{Node: succ, Hops: req.Hops + 1, Final: true}, nil
+		return &msg.FindSuccessorResp{Node: succ, Final: true}, nil
 	}
-	return &msg.FindSuccessorResp{Node: next, Hops: req.Hops + 1, Final: false}, nil
+	return &msg.FindSuccessorResp{Node: next, Final: false}, nil
 }
 
 // closestPreceding scans the finger table (then the successor list) for

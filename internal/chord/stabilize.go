@@ -220,7 +220,7 @@ func (n *Node) localNeighbors() *msg.NeighborsResp {
 	defer n.mu.RUnlock()
 	succs := make([]msg.NodeRef, len(n.succs))
 	copy(succs, n.succs)
-	return &msg.NeighborsResp{Self: n.ref, Pred: n.pred, Succs: succs}
+	return &msg.NeighborsResp{Pred: n.pred, Succs: succs}
 }
 
 // fixFingers refreshes one finger per invocation, round-robin, by looking

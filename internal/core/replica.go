@@ -309,9 +309,9 @@ func (r *Replica) Commit(ctx context.Context) (uint64, error) {
 		if err := ctx.Err(); err != nil {
 			return r.committedTS, err
 		}
-		resp, err := r.callMaster(ctx, &msg.ValidateReq{
+		resp, err := askMaster(ctx, r, &msg.ValidateReq{
 			Key: r.key, TS: r.committedTS, Patch: enc, PatchID: p.ID,
-		})
+		}, func(vr *msg.ValidateResp) bool { return vr.Status == msg.ValidateNotMaster })
 		if err != nil {
 			return r.committedTS, err
 		}
@@ -448,10 +448,12 @@ func (r *Replica) CommittedLines() []string {
 }
 
 func (r *Replica) pullLocked(ctx context.Context) error {
-	last, ckpt, err := r.lastTSFromMaster(ctx)
+	// The master's latest-checkpoint pointer rides along on last_ts's ack.
+	lr, err := askMaster(ctx, r, &msg.LastTSReq{Key: r.key}, func(lr *msg.LastTSResp) bool { return lr.NotMaster })
 	if err != nil {
 		return err
 	}
+	last, ckpt := lr.LastTS, lr.CkptTS
 	if ckpt > r.seenCkptTS {
 		r.seenCkptTS = ckpt
 	}
@@ -504,7 +506,8 @@ func (r *Replica) maybeCheckpointLocked(ctx context.Context, ts uint64) {
 	if _, err := r.peer.Ckpt.Publish(ctx, cp); err != nil {
 		return
 	}
-	resp, err := r.announceCheckpoint(ctx, ts)
+	resp, err := askMaster(ctx, r, &msg.CheckpointAnnounceReq{Key: r.key, TS: ts},
+		func(ar *msg.CheckpointAnnounceResp) bool { return ar.NotMaster })
 	if err != nil || !resp.Accepted {
 		return
 	}
@@ -678,20 +681,26 @@ func rebaseOps(base *patch.Document, ops []patch.Op) []patch.Op {
 // ---------------------------------------------------------------------------
 // Master-key communication.
 
-// callMasterRaw locates the Master-key peer for the document (successor
-// of ht(key)) and sends req, retrying lookups while the ring reorganizes
-// (master departures, joins). notMaster reports whether a response came
-// from a peer that no longer holds mastership, forcing a re-lookup.
-func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster func(msg.Message) bool) (msg.Message, error) {
+// askMaster sends req to the Master-key peer for the document (successor
+// of ht(key)) and returns its typed answer, looking the master up again
+// while the ring reorganizes (master departures, joins). notMaster reports
+// whether an answer came from a peer that no longer holds mastership.
+//
+// The first pass is one named try that skips the O(log N) walk: the
+// serving front's memo if it holds one, otherwise a ring view that spans
+// the whole ring (chord.Node.Owner). Either is a guess the callee checks,
+// so a miss drops the memo and the walk passes follow with their complete
+// retry budget. Every pass classifies the reply: an answer; a miss that a
+// fresh lookup may mend (unreachable, a remote failure such as Log-Peers
+// unreachable from the master, NotMaster while responsibility is
+// mid-transfer); or a failure none can (the context ended, the call
+// failed locally). Master operations run nested network work inside
+// their handler, so each call gets the application-level budget, not the
+// chord CallTimeout (see Peer.masterOpTimeout).
+func askMaster[T msg.Message](ctx context.Context, r *Replica, req msg.Message, notMaster func(T) bool) (T, error) {
 	tsID := ids.HashTS(r.key)
-	var lastErr error
 	sp := trace.FromContext(ctx)
 	rc := r.peer.servingFront()
-	// One named try skips the O(log N) walk: the serving front's memo if
-	// it holds one, otherwise a ring view that spans the whole ring
-	// (chord.Node.Owner). Either is a guess the callee checks: every
-	// master RPC's response carries a NotMaster verdict, so a miss drops
-	// the memo and the walk below runs with its complete retry budget.
 	var ref msg.NodeRef
 	note, named := "route-cached", false
 	if rc != nil {
@@ -701,124 +710,51 @@ func (r *Replica) callMasterRaw(ctx context.Context, req msg.Message, notMaster 
 		note = "route-guessed"
 		ref, named = r.peer.Node.Owner(tsID)
 	}
-	if named {
-		resp, miss, err := r.tryMaster(ctx, ref, req, notMaster)
+	var lastErr error
+	for walks := 0; walks < clientAttempts; {
+		if !named {
+			if walks > 0 {
+				if err := r.peer.clock.Sleep(ctx, r.peer.opts.ClientBackoff); err != nil {
+					return *new(T), err
+				}
+				sp.Mark("backoff")
+			}
+			walks++
+			var hops int
+			var err error
+			ref, hops, err = r.peer.Node.FindSuccessor(ctx, tsID)
+			sp.MarkN("route", int64(hops))
+			if err != nil {
+				lastErr = err
+				continue
+			}
+		}
+		resp, err := r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
 		sp.MarkN("rpc", 1)
-		if miss == nil && err == nil {
-			sp.Note(note, 1)
+		ans, ok := resp.(T)
+		if err == nil && !(ok && notMaster(ans)) {
+			if named {
+				sp.Note(note, 1)
+			}
 			if rc != nil {
 				rc.Store(r.key, ref)
 			}
-			return resp, nil
+			if !ok {
+				return ans, fmt.Errorf("core: unexpected response %T", resp)
+			}
+			return ans, nil
 		}
-		if rc != nil {
+		if named && rc != nil {
 			rc.Drop(r.key)
 		}
-		if err != nil {
-			return nil, err
+		var re *transport.RemoteError
+		switch {
+		case err == nil:
+			err = fmt.Errorf("core: %s is not master for %s", ref.Addr, r.key)
+		case !transport.IsUnavailable(err) && !errors.As(err, &re):
+			return ans, err // context cancelled or local failure
 		}
-		lastErr = miss
+		lastErr, named = err, false
 	}
-	for attempt := 0; attempt < clientAttempts; attempt++ {
-		if attempt > 0 {
-			if err := r.peer.clock.Sleep(ctx, r.peer.opts.ClientBackoff); err != nil {
-				return nil, err
-			}
-			sp.Mark("backoff")
-		}
-		master, hops, err := r.peer.Node.FindSuccessor(ctx, tsID)
-		sp.MarkN("route", int64(hops))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, miss, err := r.tryMaster(ctx, master, req, notMaster)
-		sp.MarkN("rpc", 1)
-		if err != nil {
-			return nil, err
-		}
-		if miss != nil {
-			lastErr = miss
-			continue // the ring may have healed, or mastership moved
-		}
-		if rc != nil {
-			rc.Store(r.key, master)
-		}
-		return resp, nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrMasterUnavailable, lastErr)
-}
-
-// tryMaster sends req to ref. It returns the response when ref answered
-// as master; otherwise miss says why it did not (unreachable, a remote
-// failure such as Log-Peers unreachable from the master, NotMaster while
-// responsibility is mid-transfer) and the caller looks the master up
-// again. err is set only for a failure no lookup can mend: the context
-// ended, or the call failed locally. Master operations run nested
-// network work inside their handler, so they get the application-level
-// budget, not the chord CallTimeout (see Peer.masterOpTimeout).
-func (r *Replica) tryMaster(ctx context.Context, ref msg.NodeRef, req msg.Message, notMaster func(msg.Message) bool) (resp msg.Message, miss, err error) {
-	resp, err = r.peer.Node.CallWithTimeout(ctx, transport.Addr(ref.Addr), req, r.peer.masterOpTimeout)
-	switch {
-	case err == nil && !notMaster(resp):
-		return resp, nil, nil
-	case err == nil:
-		return nil, fmt.Errorf("core: %s is not master for %s", ref.Addr, r.key), nil
-	case transport.IsUnavailable(err):
-		return nil, err, nil
-	}
-	var re *transport.RemoteError
-	if errors.As(err, &re) {
-		return nil, err, nil
-	}
-	return nil, nil, err // context cancelled or local failure
-}
-
-// callMaster implements the client side of patch validation.
-func (r *Replica) callMaster(ctx context.Context, req *msg.ValidateReq) (*msg.ValidateResp, error) {
-	resp, err := r.callMasterRaw(ctx, req, func(m msg.Message) bool {
-		vr, ok := m.(*msg.ValidateResp)
-		return ok && vr.Status == msg.ValidateNotMaster
-	})
-	if err != nil {
-		return nil, err
-	}
-	vr, ok := resp.(*msg.ValidateResp)
-	if !ok {
-		return nil, fmt.Errorf("core: unexpected response %T", resp)
-	}
-	return vr, nil
-}
-
-// lastTSFromMaster implements the client side of last_ts(key); the
-// master's latest-checkpoint pointer rides along on the ack.
-func (r *Replica) lastTSFromMaster(ctx context.Context) (lastTS, ckptTS uint64, err error) {
-	resp, err := r.callMasterRaw(ctx, &msg.LastTSReq{Key: r.key}, func(m msg.Message) bool {
-		lr, ok := m.(*msg.LastTSResp)
-		return ok && lr.NotMaster
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	lr, ok := resp.(*msg.LastTSResp)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: unexpected response %T", resp)
-	}
-	return lr.LastTS, lr.CkptTS, nil
-}
-
-// announceCheckpoint registers a published snapshot with the Master-key.
-func (r *Replica) announceCheckpoint(ctx context.Context, ts uint64) (*msg.CheckpointAnnounceResp, error) {
-	resp, err := r.callMasterRaw(ctx, &msg.CheckpointAnnounceReq{Key: r.key, TS: ts}, func(m msg.Message) bool {
-		ar, ok := m.(*msg.CheckpointAnnounceResp)
-		return ok && ar.NotMaster
-	})
-	if err != nil {
-		return nil, err
-	}
-	ar, ok := resp.(*msg.CheckpointAnnounceResp)
-	if !ok {
-		return nil, fmt.Errorf("core: unexpected response %T", resp)
-	}
-	return ar, nil
+	return *new(T), fmt.Errorf("%w: %v", ErrMasterUnavailable, lastErr)
 }

@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,8 +13,34 @@ import (
 	"p2pltr/internal/ids"
 	"p2pltr/internal/msg"
 	"p2pltr/internal/p2plog"
+	"p2pltr/internal/ringtest"
+	"p2pltr/internal/trace"
 	"p2pltr/internal/transport"
 )
+
+// stages runs op under a fresh span on c's clock and returns the span's
+// stages and notes in order, notes in brackets and the residual "tail"
+// left out: what the Master-key call marks, as the benchmark's stage
+// shares read it.
+func stages(ctx context.Context, t *testing.T, c *ringtest.Cluster, op func(context.Context) error) string {
+	t.Helper()
+	tr := trace.New(c.Clk, 1)
+	sp := tr.Start("commit", "")
+	if err := op(trace.NewContext(ctx, sp)); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	var out []string
+	for _, ev := range tr.Recent(1)[0].Events {
+		switch {
+		case ev.Note:
+			out = append(out, "["+ev.Stage+"]")
+		case ev.Stage != "tail":
+			out = append(out, ev.Stage)
+		}
+	}
+	return strings.Join(out, " ")
+}
 
 // refusingMaster is an endpoint that, once armed, answers the next
 // last_ts call itself with a NotMaster verdict: what a master that just
@@ -58,22 +86,23 @@ func TestGuessedMasterRefusalFallsBackToTheWalk(t *testing.T) {
 	}
 	ctx := ctxT(t, c, 60*time.Second)
 	w := core.NewReplica(c.Peers[0], key, "writer")
-	commit := func(line string) {
+	commit := func(line string) string {
 		t.Helper()
 		if err := w.Insert(0, line); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Commit(ctx); err != nil {
-			t.Fatal(err)
-		}
+		return stages(ctx, t, c, func(ctx context.Context) error { _, err := w.Commit(ctx); return err })
 	}
 	lookups := func() int64 { n, _ := host.Node.LookupStats(); return n }
 
-	commit("first")
+	// A named try that hits is one rpc, noted with how it was named.
+	if got, want := commit("first"), "rpc [route-guessed] apply checkpoint"; got != want {
+		t.Fatalf("a guessed commit marked %q, want %q", got, want)
+	}
 	r := core.NewReplica(host, key, "reader")
 	before := lookups()
-	if err := r.Pull(ctx); err != nil || r.CommittedTS() != 1 {
-		t.Fatalf("pull: ts %d, err %v; want ts 1", r.CommittedTS(), err)
+	if got, want := stages(ctx, t, c, r.Pull), "rpc [route-guessed]"; got != want || r.CommittedTS() != 1 {
+		t.Fatalf("pull: ts %d, marked %q; want ts 1, %q", r.CommittedTS(), got, want)
 	}
 	if n := lookups() - before; n != 0 {
 		t.Fatalf("a pull on a spanned ring took %d lookups, want 0", n)
@@ -82,8 +111,9 @@ func TestGuessedMasterRefusalFallsBackToTheWalk(t *testing.T) {
 	commit("second")
 	ep.armed.Store(true)
 	before = lookups()
-	if err := r.Pull(ctx); err != nil || r.CommittedTS() != 2 {
-		t.Fatalf("pull after a refused guess: ts %d, err %v; want ts 2", r.CommittedTS(), err)
+	// A named try that misses walks at once, with no backoff and no note.
+	if got, want := stages(ctx, t, c, r.Pull), "rpc route rpc"; got != want || r.CommittedTS() != 2 {
+		t.Fatalf("pull after a refused guess: ts %d, marked %q; want ts 2, %q", r.CommittedTS(), got, want)
 	}
 	if to, _ := ep.refusedTo.Load().(transport.Addr); to != master.Addr() {
 		t.Fatalf("the refused last_ts went to %q, want the guessed master %s", to, master.Addr())
@@ -97,19 +127,41 @@ func TestGuessedMasterRefusalFallsBackToTheWalk(t *testing.T) {
 }
 
 // staleMemo is a serving front whose route memo names one peer for every
-// document until a call through it fails; it records what core stores.
+// document; it logs each Lookup, Drop and Store core makes on it.
 type staleMemo struct {
-	peer   *core.Peer
-	route  atomic.Value // msg.NodeRef; the zero ref once dropped
-	stored atomic.Value // msg.NodeRef
+	peer  *core.Peer
+	mu    sync.Mutex
+	route msg.NodeRef // the zero ref once dropped
+	log   []string
 }
 
 func (f *staleMemo) Lookup(string) (msg.NodeRef, bool) {
-	ref, _ := f.route.Load().(msg.NodeRef)
-	return ref, !ref.IsZero()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.log = append(f.log, "lookup")
+	return f.route, !f.route.IsZero()
 }
-func (f *staleMemo) Store(_ string, master msg.NodeRef) { f.stored.Store(master) }
-func (f *staleMemo) Drop(string)                        { f.route.Store(msg.NodeRef{}) }
+func (f *staleMemo) Store(_ string, master msg.NodeRef) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.route = master
+	f.log = append(f.log, "store "+master.Addr)
+}
+func (f *staleMemo) Drop(string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.route = msg.NodeRef{}
+	f.log = append(f.log, "drop")
+}
+
+// ops returns the memo calls logged since the last ops.
+func (f *staleMemo) ops() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := strings.Join(f.log, ", ")
+	f.log = nil
+	return out
+}
 func (f *staleMemo) FetchRange(ctx context.Context, key string, from, to uint64) ([]p2plog.Record, error) {
 	return f.peer.Log.FetchRange(ctx, key, from, to)
 }
@@ -118,7 +170,8 @@ func (f *staleMemo) Committed(p2plog.Record) {}
 // TestStaleMemoGoesStraightToTheWalk: a Master-key call makes one named
 // try. When the front's memo names a peer that is not the master, the
 // call drops the memo and walks, even where the successor list would
-// have named the master (the guess is only tried when no memo is held).
+// have named the master (the guess is only tried when no memo is held),
+// and the walked-to master replaces the memo, so the next call is one rpc.
 func TestStaleMemoGoesStraightToTheWalk(t *testing.T) {
 	c := newCluster(t, 5)
 	const key = "memo-doc"
@@ -136,26 +189,38 @@ func TestStaleMemoGoesStraightToTheWalk(t *testing.T) {
 	if g, ok := host.Node.Owner(ids.HashTS(key)); !ok || g.Addr != string(master.Addr()) {
 		t.Fatalf("host's successor list names %v (ok=%v), want the master %s", g, ok, master.Addr())
 	}
-	front := &staleMemo{peer: host}
-	front.route.Store(stale.Node.Ref())
+	front := &staleMemo{peer: host, route: stale.Node.Ref()}
 	host.SetFront(front)
 	lookups := func() int64 { n, _ := host.Node.LookupStats(); return n }
 
+	ctx := ctxT(t, c, 60*time.Second)
 	r := core.NewReplica(host, key, "writer")
-	if err := r.Insert(0, "line"); err != nil {
-		t.Fatal(err)
+	commit := func(line string) string {
+		t.Helper()
+		if err := r.Insert(0, line); err != nil {
+			t.Fatal(err)
+		}
+		return stages(ctx, t, c, func(ctx context.Context) error { _, err := r.Commit(ctx); return err })
 	}
 	before := lookups()
-	if _, err := r.Commit(ctxT(t, c, 60*time.Second)); err != nil {
-		t.Fatal(err)
+	if got, want := commit("first"), "rpc route rpc apply checkpoint"; got != want {
+		t.Fatalf("a commit through a stale memo marked %q, want %q", got, want)
 	}
 	if n := lookups() - before; n != 1 {
 		t.Fatalf("a stale memo cost %d lookups, want the 1 walk", n)
 	}
-	if _, held := front.Lookup(key); held {
-		t.Fatal("the stale memo was not dropped")
+	if got, want := front.ops(), "lookup, drop, store "+string(master.Addr()); got != want {
+		t.Fatalf("memo calls %q, want %q: the stale route dropped, then the walked-to master stored", got, want)
 	}
-	if got, _ := front.stored.Load().(msg.NodeRef); got.Addr != string(master.Addr()) {
-		t.Fatalf("core stored %v, want the walked-to master %s", got, master.Addr())
+
+	before = lookups()
+	if got, want := commit("second"), "rpc [route-cached] apply checkpoint"; got != want {
+		t.Fatalf("a commit through the replaced memo marked %q, want %q", got, want)
+	}
+	if n := lookups() - before; n != 0 {
+		t.Fatalf("a held memo cost %d lookups, want 0", n)
+	}
+	if got, want := front.ops(), "lookup, store "+string(master.Addr()); got != want {
+		t.Fatalf("memo calls %q, want %q", got, want)
 	}
 }

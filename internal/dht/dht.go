@@ -385,7 +385,7 @@ func (s *Service) HandleRPC(ctx context.Context, from transport.Addr, req msg.Me
 			}
 		}
 		s.replicateToSucc(stored)
-		return &msg.DHTRehomeResp{Stored: len(stored)}, true, nil
+		return &msg.DHTRehomeResp{}, true, nil
 	case *msg.DHTReplicaPutReq:
 		s.cReplicaPuts.Add(int64(len(r.Items)))
 		for _, f := range r.Floors {
@@ -853,27 +853,41 @@ func NewClient(ring chord.Ring, attempts int, backoff time.Duration, clk vclock.
 // failures (operations exhausting every attempt).
 func (c *Client) Counters() *metrics.Family { return c.counters }
 
-// call resolves successor(id) and invokes req on it, retrying on
-// unavailability.
-func (c *Client) call(ctx context.Context, id ids.ID, req msg.Message) (msg.Message, error) {
-	return c.callWithin(ctx, id, req, 0)
-}
-
-// callWithin is call with each attempt's RPC bounded by d instead of
-// chord's CallTimeout (d = 0).
+// call resolves successor(id) and invokes the request req builds on it,
+// retrying with fresh lookups on unavailability. Each RPC is bounded by d
+// (chord's CallTimeout if 0).
 //
 // When the ring view names the owner without a lookup (chord.Ring.Owner:
-// the successor list spans the whole ring), the request first goes there
+// the successor list spans the whole ring), the first pass sends there
 // directly, marked Direct so the callee serves it only if it owns id. A
-// NotOwner refusal or an unreachable guess falls through to the lookup
-// loop; that first try neither backs off nor counts as a retry.
-func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d time.Duration) (msg.Message, error) {
+// NotOwner refusal or an unreachable guess moves on to the lookup passes;
+// that first pass neither backs off nor counts as a retry. req builds a
+// fresh request per pass rather than marking a shared one: a timed-out
+// handler may still hold an earlier pass's request.
+func (c *Client) call(ctx context.Context, id ids.ID, d time.Duration, req func(direct bool) msg.Message) (msg.Message, error) {
 	c.cCalls.Add(1)
+	owner, direct := c.ring.Owner(id)
 	var lastErr error
-	if owner, ok := c.ring.Owner(id); ok {
-		resp, err := c.send(ctx, owner, direct(req), d)
+	for walks := 0; walks < c.attempts; {
+		if !direct {
+			if walks > 0 {
+				c.cRetries.Add(1)
+				if c.backoff > 0 {
+					if err := c.clock.Sleep(ctx, c.backoff); err != nil {
+						return nil, err
+					}
+				}
+			}
+			walks++
+			var err error
+			if owner, _, err = c.ring.FindSuccessor(ctx, id); err != nil {
+				lastErr = err
+				continue
+			}
+		}
+		resp, err := c.send(ctx, owner, req(direct), d)
 		switch {
-		case err == nil && !notOwner(resp):
+		case err == nil && !notOwner(resp): // a walked request is never refused
 			return resp, nil
 		case err == nil:
 			lastErr = fmt.Errorf("dht: guessed owner %s does not own %s", owner.Addr, id)
@@ -882,30 +896,7 @@ func (c *Client) callWithin(ctx context.Context, id ids.ID, req msg.Message, d t
 		default:
 			return nil, err
 		}
-	}
-	for a := 0; a < c.attempts; a++ {
-		if a > 0 {
-			c.cRetries.Add(1)
-			if c.backoff > 0 {
-				if err := c.clock.Sleep(ctx, c.backoff); err != nil {
-					return nil, err
-				}
-			}
-		}
-		owner, _, err := c.ring.FindSuccessor(ctx, id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := c.send(ctx, owner, req, d)
-		if err != nil {
-			lastErr = err
-			if transport.IsUnavailable(err) {
-				continue
-			}
-			return nil, err
-		}
-		return resp, nil
+		direct = false
 	}
 	c.cFailures.Add(1)
 	return nil, fmt.Errorf("%w: %v", ErrNoOwner, lastErr)
@@ -917,28 +908,6 @@ func (c *Client) send(ctx context.Context, owner msg.NodeRef, req msg.Message, d
 		return c.ring.CallWithTimeout(ctx, transport.Addr(owner.Addr), req, d)
 	}
 	return c.ring.Call(ctx, transport.Addr(owner.Addr), req)
-}
-
-// direct returns a copy of req, one of the client's put, get and delete
-// requests, marked Direct. It copies rather than marks req: the lookup
-// loop may send req unmarked while a timed-out handler still holds the
-// copy.
-func direct(req msg.Message) msg.Message {
-	switch r := req.(type) {
-	case *msg.DHTPutReq:
-		d := *r
-		d.Direct = true
-		return &d
-	case *msg.DHTGetReq:
-		d := *r
-		d.Direct = true
-		return &d
-	case *msg.DHTDeleteReq:
-		d := *r
-		d.Direct = true
-		return &d
-	}
-	panic(fmt.Sprintf("dht: %T cannot be sent direct", req))
 }
 
 // notOwner reports whether resp refuses a Direct request.
@@ -957,7 +926,9 @@ func notOwner(resp msg.Message) bool {
 // PutID stores value at ring position id. With ifAbsent the slot is
 // write-once: stored=false reports an occupant with different content.
 func (c *Client) PutID(ctx context.Context, id ids.ID, key string, value []byte, ifAbsent bool) (stored bool, existing []byte, err error) {
-	resp, err := c.call(ctx, id, &msg.DHTPutReq{ID: id, Key: key, Value: value, IfAbsent: ifAbsent})
+	resp, err := c.call(ctx, id, 0, func(direct bool) msg.Message {
+		return &msg.DHTPutReq{ID: id, Key: key, Value: value, IfAbsent: ifAbsent, Direct: direct}
+	})
 	if err != nil {
 		return false, nil, err
 	}
@@ -1014,7 +985,9 @@ func (c *Client) PutSlots(ctx context.Context, slot ids.Slot, enc []byte, ifAbse
 // responder's (predecessor, self] when it could vouch that no such slot
 // is left on it (see msg.DHTDeleteResp.Arc), else empty.
 func (c *Client) DeleteSlotID(ctx context.Context, id ids.ID, floorKey string, floorTS uint64) (removed int, arc ids.Arc, err error) {
-	resp, err := c.call(ctx, id, &msg.DHTDeleteReq{ID: id, Floor: msg.TruncFloor{Key: floorKey, TS: floorTS}})
+	resp, err := c.call(ctx, id, 0, func(direct bool) msg.Message {
+		return &msg.DHTDeleteReq{ID: id, Floor: msg.TruncFloor{Key: floorKey, TS: floorTS}, Direct: direct}
+	})
 	if err != nil {
 		return 0, ids.Arc{}, err
 	}
@@ -1044,7 +1017,9 @@ func (c *Client) AwaitID(ctx context.Context, id ids.ID, wait time.Duration) ([]
 }
 
 func (c *Client) getID(ctx context.Context, id ids.ID, wait time.Duration) ([]byte, bool, error) {
-	resp, err := c.callWithin(ctx, id, &msg.DHTGetReq{ID: id, Wait: wait}, 2*wait)
+	resp, err := c.call(ctx, id, 2*wait, func(direct bool) msg.Message {
+		return &msg.DHTGetReq{ID: id, Wait: wait, Direct: direct}
+	})
 	if err != nil {
 		return nil, false, err
 	}

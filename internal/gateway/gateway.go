@@ -117,13 +117,12 @@ type Gateway struct {
 
 	// mu guards the maps and caches below. Plain mutex: critical
 	// sections only touch memory, never the clock or the network.
-	mu       sync.Mutex
-	feeds    map[string]*feed
-	writers  map[string]*Editor
-	sessions map[string]*Session
-	routes   map[string]msg.NodeRef
-	ptrTS    map[string]uint64
-	closed   bool
+	mu      sync.Mutex
+	feeds   map[string]*feed
+	writers map[string]*Editor
+	routes  map[string]msg.NodeRef
+	ptrTS   map[string]uint64
+	closed  bool
 
 	counters *metrics.Family
 	// batchSizes records acked ops per batched commit; feedGap records
@@ -145,7 +144,6 @@ func New(peer *core.Peer, cfg Config) *Gateway {
 		cancel:   cancel,
 		feeds:    make(map[string]*feed),
 		writers:  make(map[string]*Editor),
-		sessions: make(map[string]*Session),
 		routes:   make(map[string]msg.NodeRef),
 		ptrTS:    make(map[string]uint64),
 		counters: metrics.NewFamily(),
@@ -280,17 +278,10 @@ type Session struct {
 	id string
 }
 
-// Session returns the session named id, creating it on first use.
-func (g *Gateway) Session(id string) *Session {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.sessions[id]
-	if !ok {
-		s = &Session{g: g, id: id}
-		g.sessions[id] = s
-	}
-	return s
-}
+// Session returns the session named id. A session holds only its gateway
+// and its name, so each call builds a fresh one and the gateway keeps
+// none: the editors and feeds a session opens are the gateway's.
+func (g *Gateway) Session(id string) *Session { return &Session{g: g, id: id} }
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }

@@ -75,14 +75,13 @@ type FindSuccessorReq struct {
 func (m *FindSuccessorReq) wire(c *Coder) { c.ID(&m.Key); c.Int(&m.Hops) }
 
 // FindSuccessorResp carries either the final responsible node
-// (Final=true) or the next routing hop (Final=false), plus the hop count.
+// (Final=true) or the next routing hop (Final=false).
 type FindSuccessorResp struct {
 	Node  NodeRef
-	Hops  int
 	Final bool
 }
 
-func (m *FindSuccessorResp) wire(c *Coder) { m.Node.wire(c); c.Int(&m.Hops); c.Bool(&m.Final) }
+func (m *FindSuccessorResp) wire(c *Coder) { m.Node.wire(c); c.Bool(&m.Final) }
 
 // NeighborsReq asks a node for its predecessor and successor list; it is
 // the probe used by stabilization.
@@ -92,13 +91,11 @@ func (*NeighborsReq) wire(*Coder) {}
 
 // NeighborsResp returns the node's current view of the ring around itself.
 type NeighborsResp struct {
-	Self  NodeRef
 	Pred  NodeRef // zero if unknown
 	Succs []NodeRef
 }
 
 func (m *NeighborsResp) wire(c *Coder) {
-	m.Self.wire(c)
 	m.Pred.wire(c)
 	Slice(c, &m.Succs, nodeRefMin, (*NodeRef).wire)
 }
@@ -136,14 +133,10 @@ func (m *AbsorbReq) wire(c *Coder) {
 // responsibility moves during stabilization (a node discovered a new
 // predecessor that now owns part of its range).
 type StateTransferReq struct {
-	From  NodeRef
 	Items []StateItem
 }
 
-func (m *StateTransferReq) wire(c *Coder) {
-	m.From.wire(c)
-	Slice(c, &m.Items, stateItemMin, (*StateItem).wire)
-}
+func (m *StateTransferReq) wire(c *Coder) { Slice(c, &m.Items, stateItemMin, (*StateItem).wire) }
 
 // StateItem is one unit of transferable service state. Service names the
 // owning service ("dht", "kts", "log"); Key and ID locate the item on the
@@ -237,14 +230,12 @@ type DHTRehomeReq struct {
 
 func (m *DHTRehomeReq) wire(c *Coder) { Slice(c, &m.Items, stateItemMin, (*StateItem).wire) }
 
-// DHTRehomeResp acknowledges a batch re-home. Stored counts the items
-// actually written (the rest already had an occupant, which wins); the
-// sender drops its stale copies either way.
-type DHTRehomeResp struct {
-	Stored int
-}
+// DHTRehomeResp acknowledges a batch re-home. An item whose slot already
+// had an occupant is not written (the occupant wins); the sender drops its
+// stale copies either way.
+type DHTRehomeResp struct{}
 
-func (m *DHTRehomeResp) wire(c *Coder) { c.Int(&m.Stored) }
+func (*DHTRehomeResp) wire(*Coder) {}
 
 // TruncFloor is one document key's truncation low-water mark: every log
 // slot of Key with timestamp <= TS has been reclaimed under a
